@@ -65,28 +65,24 @@ class ThetaRenaming:
         return {fresh: orig for orig, fresh in self.mapping.items()}
 
 
-def _rename_concept(c: Concept, mapping: Mapping[str, str]) -> Concept:
+def rename_concept(c: Concept, mapping: Mapping[str, str]) -> Concept:
     if isinstance(c, ConceptName):
         return ConceptName(mapping.get(c.name, c.name))
     if isinstance(c, NegatedName):
         return NegatedName(mapping.get(c.name, c.name))
     if isinstance(c, And):
-        return And(_rename_concept(c.left, mapping), _rename_concept(c.right, mapping))
+        return And(rename_concept(c.left, mapping), rename_concept(c.right, mapping))
     if isinstance(c, Or):
-        return Or(_rename_concept(c.left, mapping), _rename_concept(c.right, mapping))
+        return Or(rename_concept(c.left, mapping), rename_concept(c.right, mapping))
     if isinstance(c, Exists):
-        return Exists(c.role, _rename_concept(c.body, mapping))
+        return Exists(c.role, rename_concept(c.body, mapping))
     if isinstance(c, Forall):
-        return Forall(c.role, _rename_concept(c.body, mapping))
+        return Forall(c.role, rename_concept(c.body, mapping))
     if isinstance(c, AtMost):
-        return AtMost(c.n, c.role, _rename_concept(c.body, mapping))
+        return AtMost(c.n, c.role, rename_concept(c.body, mapping))
     if isinstance(c, AtLeast):
-        return AtLeast(c.n, c.role, _rename_concept(c.body, mapping))
+        return AtLeast(c.n, c.role, rename_concept(c.body, mapping))
     raise DefinabilityError(f"cannot rename {c!r}")
-
-
-def rename_concept(c: Concept, mapping: Mapping[str, str]) -> Concept:
-    return _rename_concept(c, mapping)
 
 
 def rename_outside_theta(o: Ontology, c: Concept, theta: Iterable[str]
@@ -102,9 +98,9 @@ def rename_outside_theta(o: Ontology, c: Concept, theta: Iterable[str]
             + ", ".join(sorted(outside)))
     mapping = {name: name + PRIME for name in sorted(names - theta)}
     renaming = ThetaRenaming(theta, mapping)
-    renamed_tbox = tuple(GCI(g.lhs, _rename_concept(g.rhs, mapping)) for g in o.tbox)
+    renamed_tbox = tuple(GCI(g.lhs, rename_concept(g.rhs, mapping)) for g in o.tbox)
     o_theta = make_ontology(o.rbox, renamed_tbox)
-    return o_theta, _rename_concept(c, mapping), renaming
+    return o_theta, rename_concept(c, mapping), renaming
 
 
 def is_implicitly_definable(o: Ontology, c: Concept, theta: Iterable[str],

@@ -65,8 +65,8 @@ from .sequent import (
     Proof,
     RuleInstance,
     Sequent,
+    _principal_index,
     apply_rule,
-    check_proof,
     make_sequent,
 )
 
@@ -314,20 +314,14 @@ class PartitionedProof:
         return self.instance.conclusion
 
 
-def _principal_side(node: PartitionedProof) -> Side:
-    w = node.instance.witness
-    for i, occ in enumerate(node.conclusion.consequent):
-        if occ.label == w.label and occ.concept == w.concept:
-            return node.occ_sides[i]
-    raise InterpolationError("principal occurrence not found")
-
-
 def annotate_partition(ontology: Ontology, proof: Proof,
                        end_split: EndSplit) -> PartitionedProof:
     """Upward pass assigning each occurrence and inequality atom a side.
 
     The proof is re-derived rule by rule so the occurrence provenance maps
-    are available even for proofs loaded from JSON.
+    are available even for proofs loaded from JSON.  This re-derivation is
+    the proof check: a node whose rule does not apply, or whose premises
+    differ from its children, raises InterpolationError.
     """
     rsystem = build_rsystem(ontology)
 
@@ -336,19 +330,18 @@ def annotate_partition(ontology: Ontology, proof: Proof,
         inst = node.instance
         if len(occ_sides) != len(inst.conclusion.consequent):
             raise InterpolationError("side annotation does not match the sequent")
-        rederived = apply_rule(ontology, inst.rule, inst.conclusion, inst.witness,
-                               rsystem)
+        try:
+            rederived = apply_rule(ontology, inst.rule, inst.conclusion, inst.witness,
+                                   rsystem)
+        except RiqError as exc:
+            raise InterpolationError(
+                f"proof does not re-derive: ({inst.rule}) {exc}") from exc
         if len(rederived.premises) != len(node.children):
             raise InterpolationError("proof does not re-derive: premise count")
         principal_side = None
         if inst.rule not in ("id", "id_eq"):
-            w = inst.witness
-            for i, occ in enumerate(inst.conclusion.consequent):
-                if occ.label == w.label and occ.concept == w.concept:
-                    principal_side = occ_sides[i]
-                    break
-            if principal_side is None:
-                raise InterpolationError("no principal lineage for an occurrence")
+            principal_side = occ_sides[_principal_index(
+                inst.conclusion, inst.witness.label, inst.witness.concept)]
         children = []
         for premise, pmap, child in zip(rederived.premises, rederived.premise_maps,
                                         node.children):
@@ -442,29 +435,32 @@ def extract_interpolant(pp: PartitionedProof, o1: Ontology, o2: Ontology,
             if pos_side is Side.RIGHT and neg_side is Side.LEFT:
                 return interpolant(member(concepts=[(x, pos)]))
             return interpolant(member(concepts=[(x, BOT)]))
-        if inst.rule == "id_eq":
-            atom = Neq(*w.pair)
-            side = node.neq_sides.get(atom)
-            if side is None:
-                raise InterpolationError(f"inequality {atom} has no side tag")
-            if side is Side.RIGHT:
-                return interpolant(member(atoms=[atom]))
-            return interpolant(member(atoms=[Eq(atom.left, atom.right)]))
-        # (atleast 0): a zero-premise propagation rule
-        if _principal_side(node) is Side.RIGHT:
-            return EMPTY
-        return interpolant(member())
+        # (id_eq)
+        atom = Neq(*w.pair)
+        side = node.neq_sides.get(atom)
+        if side is None:
+            raise InterpolationError(f"inequality {atom} has no side tag")
+        if side is Side.RIGHT:
+            return interpolant(member(atoms=[atom]))
+        return interpolant(member(atoms=[Eq(atom.left, atom.right)]))
 
     def walk(node: PartitionedProof) -> Interpolant:
         inst = node.instance
-        if inst.rule in ("id", "id_eq") or not node.children:
+        w = inst.witness
+        if inst.rule in ("id", "id_eq"):
             g = leaf(node)
-        elif _principal_side(node) is Side.RIGHT:
-            g = combine(node, [walk(child) for child in node.children])
         else:
-            # the orthogonal wrap: swap partitions, combine, swap back
-            g = orthogonal(combine(node, [orthogonal(walk(child))
-                                          for child in node.children]))
+            right = node.occ_sides[
+                _principal_index(inst.conclusion, w.label, w.concept)] is Side.RIGHT
+            if not node.children:
+                # (atleast 0): a zero-premise propagation rule
+                g = EMPTY if right else interpolant(member())
+            elif right:
+                g = combine(node, [walk(child) for child in node.children])
+            else:
+                # the orthogonal wrap: swap partitions, combine, swap back
+                g = orthogonal(combine(node, [orthogonal(walk(child))
+                                              for child in node.children]))
         if check_properties:
             _check_lemma_properties(node, g, o1, o2)
         return g
@@ -623,9 +619,6 @@ def compute_concept_interpolant(o1: Ontology, o2: Ontology, c: Concept, d: Conce
     if isinstance(result, Refuted):
         return InterpolationResult("refuted", prove_result=result)
     proof = result.proof
-    checked = check_proof(ont, proof)
-    if not checked.ok:
-        raise InterpolationError(f"prover emitted an invalid proof: {checked.message}")
     split = EndSplit(
         occ_sides=(Side.LEFT,) * len(left) + (Side.RIGHT,) * len(right),
         neq_sides={},

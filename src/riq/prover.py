@@ -50,17 +50,17 @@ from .semantics import (
     ria_closure,
 )
 from .sequent import (
+    EqClasses,
     LabeledConcept,
     Neq,
     Proof,
-    PropWitness,
+    PropagationGraph,
     RoleAtom,
     RuleInstance,
     Sequent,
     Witness,
     apply_rule,
     build_prop_graph,
-    check_proof,
     eq_classes,
     make_sequent,
 )
@@ -144,10 +144,11 @@ class _Search:
     # stage scans: each returns the first enabled application, or None
     # ------------------------------------------------------------------
 
-    def _closure_instance(self, seq: Sequent, eqc) -> Optional[RuleInstance]:
+    def _closure_instance(self, seq: Sequent, eqc: EqClasses,
+                          present: frozenset) -> Optional[RuleInstance]:
         for occ in seq.consequent:
             if isinstance(occ.concept, ConceptName):
-                if seq.has(occ.label, NegatedName(occ.concept.name)):
+                if (occ.label, NegatedName(occ.concept.name)) in present:
                     return apply_rule(self.ontology, "id", seq,
                                       Witness(label=occ.label, concept=occ.concept),
                                       self.rsystem)
@@ -164,18 +165,6 @@ class _Search:
                                   Witness(label=occ.label, concept=occ.concept),
                                   self.rsystem)
         return None
-
-    def _reachable(self, seq: Sequent, graph, closure, role, label
-                   ) -> list[tuple[str, frozenset[str], PropWitness]]:
-        start = graph.eq.class_of(label)
-        out = []
-        for cls in graph.nodes:
-            if (start, cls) in closure.reach.get(role, ()):
-                string, node_path = closure.witness(role, start, cls)
-                derivation = closure.derivation(role, start, cls)
-                reps = tuple(graph.rep(node) for node in node_path)
-                out.append((graph.rep(cls), cls, PropWitness(string, reps, derivation)))
-        return out
 
     # ------------------------------------------------------------------
     # cycle agenda: one item per pending occurrence, in stage order
@@ -213,7 +202,8 @@ class _Search:
                 buckets[self._STAGE[item[0]]].append(item)
         return tuple(item for bucket in buckets for item in bucket)
 
-    def realize(self, item: tuple, seq: Sequent, eqc, graph, closure,
+    def realize(self, item: tuple, seq: Sequent, graph: PropagationGraph,
+                closure: CflClosure, present: frozenset,
                 delta_star: frozenset) -> Optional[Witness]:
         """Turn an agenda item into a rule witness against the current
         sequent, or None when the item is exhausted (its results already
@@ -222,12 +212,14 @@ class _Search:
         Exhaustion is judged against the branch-accumulated consequent, not
         the current one: results introduced earlier stay decisive even after
         a later rule consumed them, which is exactly what the counter-model
-        construction reads off a saturated branch.
+        construction reads off a saturated branch.  `present` holds the
+        current sequent's own occurrences.
         """
         kind, label, c = item
-        if not seq.has(label, c):
+        if (label, c) not in present:
             return None  # principal was consumed along this branch
         if kind == "subst_eq":
+            eqc = graph.eq
             order = {lab: i for i, lab in enumerate(seq.labels())}
             members = sorted(eqc.class_of(label), key=lambda m: order.get(m, len(order)))
             for other in members:
@@ -244,7 +236,7 @@ class _Search:
                 return None
             return Witness(label=label, concept=c)
         if kind == "exists":
-            for rep, cls, wit in self._reachable(seq, graph, closure, c.role, label):
+            for rep, cls, wit in graph.reachable(closure, c.role, label):
                 if not any((m, c.body) in delta_star for m in cls):
                     return Witness(label=label, concept=c, target=rep,
                                    strings=(wit.string,), paths=(wit.path,),
@@ -256,7 +248,7 @@ class _Search:
             fresh = tuple(self.fresh_label() for _ in range(c.n + 1))
             return Witness(label=label, concept=c, fresh=fresh)
         if kind == "atleast":
-            candidates = self._reachable(seq, graph, closure, c.role, label)
+            candidates = graph.reachable(closure, c.role, label)
             open_classes = [(rep, cls, wit) for rep, cls, wit in candidates
                             if not any((m, c.body) in delta_star for m in cls)]
             if len(open_classes) < c.n:
@@ -280,14 +272,14 @@ class _Search:
         if over is not None:
             return over
         self.used_labels.update(seq.labels())
-        delta_star = delta_star | seq.concept_set()
-        eqc = eq_classes(seq.antecedent, seq.labels())
+        present = seq.concept_set()
+        delta_star = delta_star | present
+        graph = build_prop_graph(seq)
 
-        closing = self._closure_instance(seq, eqc)
+        closing = self._closure_instance(seq, graph.eq, present)
         if closing is not None:
             return Proved(Proof(closing, ()))
 
-        graph = build_prop_graph(seq)
         closure = CflClosure(self.rsystem, graph.edge_list)
 
         if agenda is None:
@@ -297,7 +289,7 @@ class _Search:
         fired = None
         rest: tuple[tuple, ...] = ()
         for i, item in enumerate(agenda):
-            witness = self.realize(item, seq, eqc, graph, closure, delta_star)
+            witness = self.realize(item, seq, graph, closure, present, delta_star)
             if witness is not None:
                 fired = (item, witness)
                 rest = agenda[i + 1:]
@@ -429,9 +421,3 @@ def extract_countermodel(ontology: Ontology, branch: Sequence[Sequent],
     if not falsifies(interpretation, goal_assignment, ontology, goal):
         raise CountermodelError("extracted interpretation does not falsify the goal")
     return interpretation, assignment
-
-
-def verify_proved(ontology: Ontology, result: ProveResult) -> bool:
-    """Convenience used by pipelines: Proved results must pass the
-    independent proof checker."""
-    return isinstance(result, Proved) and bool(check_proof(ontology, result.proof))

@@ -10,6 +10,7 @@ interpret_concept, keeping the oracle an independent route from the prover.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
@@ -32,7 +33,7 @@ from .core import (
     TOP,
     signature_of,
 )
-from .sequent import Eq, Neq, RoleAtom, Sequent
+from .sequent import Eq, Neq, RoleAtom, Sequent, _atom_labels
 
 Element = str
 PairSet = frozenset[tuple[Element, Element]]
@@ -309,22 +310,18 @@ def _permute_rext(mask: int, perm: Sequence[int], n: int) -> int:
     return out
 
 
-_model_cache: dict[tuple, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
-
-
+@functools.lru_cache(maxsize=64)
 def _canonical_models_of(o: Ontology, names: tuple[str, ...],
                          roles: tuple[str, ...], n: int
-                         ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+                         ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """All models of o on n elements, one representative per isomorphism
     class (lexicographically minimal encoding).
 
     Role vectors are enumerated in the outer loop so RIA violations prune the
-    concept enumeration wholesale; the per-ontology result is cached, which
-    makes repeated oracle queries against the same ontology cheap.
+    concept enumeration wholesale; the 64 most recently used results are
+    cached, which makes repeated oracle queries against the same ontology
+    cheap and keeps memory bounded when every ontology is new.
     """
-    key = (o, names, roles, n)
-    if key in _model_cache:
-        return _model_cache[key]
     perms = [p for p in itertools.permutations(range(n)) if p != tuple(range(n))]
     rperm_tables = [([_permute_cext(m, perm) for m in range(1 << n)],
                      perm) for perm in perms]
@@ -346,8 +343,7 @@ def _canonical_models_of(o: Ontology, names: tuple[str, ...],
             if not _tbox_ok_bits(o, dict(zip(names, cvec)), dict(zip(roles, rvec)), n):
                 continue
             out.append((cvec, rvec))
-    _model_cache[key] = out
-    return out
+    return tuple(out)
 
 
 def _to_interpretation(names: tuple[str, ...], roles: tuple[str, ...],
@@ -393,7 +389,7 @@ def find_countermodel_bounded(
         raise ValueError("max_domain must be at least 1")
     names, roles = _sequent_signature(o, seq)
     labels = tuple(dict.fromkeys(
-        [lab for atom in seq.antecedent for lab in _atom_labels_sem(atom)]
+        [lab for atom in seq.antecedent for lab in _atom_labels(atom)]
         + [occ.label for occ in seq.consequent]))
     exhaustive = (len(names) <= max_concept_names and len(roles) <= max_roles
                   and max_domain <= 3)
@@ -459,12 +455,6 @@ def find_countermodel_bounded(
         if lam is not None:
             return _to_interpretation(names, roles, cvec, rvec, n), lam
     return None
-
-
-def _atom_labels_sem(atom) -> tuple[str, ...]:
-    if isinstance(atom, RoleAtom):
-        return (atom.src, atom.dst)
-    return (atom.left, atom.right)
 
 
 # ---------------------------------------------------------------------------

@@ -37,10 +37,11 @@ from .core import (
     Role,
     is_literal,
     nnf_negate,
+    to_nnf,
     weight,
 )
 from .parser import ParseError, _Parser, _tokenize, parse_concept, render_concept
-from .rsystem import RoleString, RSystem, build_rsystem, is_one_step
+from .rsystem import CflClosure, RoleString, RSystem, build_rsystem, is_one_step
 
 Label = str
 
@@ -224,74 +225,54 @@ def weaken(seq: Sequent, addition: Union[Atom, LabeledConcept]) -> Sequent:
 
 
 class EqClasses:
-    """Union-find closure of the equality atoms of an antecedent, with path
-    reconstruction for the equality side condition."""
+    """Equivalence classes of the labels under the equality atoms of an
+    antecedent.  Every label's class and representative (the class's first
+    label in `order`, then in order of appearance in the equalities) are
+    tabulated once at construction, so lookups do not scan; `path`
+    reconstructs a chain of equality atoms for the equality side condition."""
 
     def __init__(self, atoms: Iterable[Atom], order: Iterable[Label]):
-        self._order = tuple(order)
-        self._index = {lab: i for i, lab in enumerate(self._order)}
-        self._parent = {lab: lab for lab in self._order}
-        self._adj: dict[Label, list[Label]] = {lab: [] for lab in self._order}
+        self._adj: dict[Label, list[Label]] = {lab: [] for lab in order}
         for atom in atoms:
             if isinstance(atom, Eq):
-                self._ensure(atom.left)
-                self._ensure(atom.right)
-                self._adj[atom.left].append(atom.right)
-                self._adj[atom.right].append(atom.left)
-                self._union(atom.left, atom.right)
-
-    def _ensure(self, lab: Label) -> None:
-        if lab not in self._parent:
-            self._index[lab] = len(self._index)
-            self._order = self._order + (lab,)
-            self._parent[lab] = lab
-            self._adj[lab] = []
-
-    def _find(self, lab: Label) -> Label:
-        root = lab
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[lab] != root:
-            self._parent[lab], lab = root, self._parent[lab]
-        return root
-
-    def _union(self, a: Label, b: Label) -> None:
-        ra, rb = self._find(a), self._find(b)
-        if ra != rb:
-            # keep the earliest label as root so representatives are stable
-            if self._index[ra] <= self._index[rb]:
-                self._parent[rb] = ra
-            else:
-                self._parent[ra] = rb
+                self._adj.setdefault(atom.left, []).append(atom.right)
+                self._adj.setdefault(atom.right, []).append(atom.left)
+        self._rep: dict[Label, Label] = {}
+        self._class: dict[Label, frozenset[Label]] = {}
+        classes = []
+        for first in self._adj:
+            if first in self._rep:
+                continue
+            members = {first}
+            stack = [first]
+            while stack:
+                for nxt in self._adj[stack.pop()]:
+                    if nxt not in members:
+                        members.add(nxt)
+                        stack.append(nxt)
+            cls = frozenset(members)
+            classes.append(cls)
+            for lab in cls:
+                self._rep[lab] = first
+                self._class[lab] = cls
+        #: the classes, ordered by their representatives
+        self.classes: tuple[frozenset[Label], ...] = tuple(classes)
 
     def connected(self, x: Label, y: Label) -> bool:
-        if x not in self._parent or y not in self._parent:
-            return x == y
-        return self._find(x) == self._find(y)
+        return self.rep(x) == self.rep(y)
 
     def class_of(self, lab: Label) -> frozenset[Label]:
-        if lab not in self._parent:
-            return frozenset((lab,))
-        root = self._find(lab)
-        return frozenset(m for m in self._parent if self._find(m) == root)
+        return self._class.get(lab) or frozenset((lab,))
 
     def rep(self, lab: Label) -> Label:
-        return min(self.class_of(lab), key=lambda m: self._index.get(m, len(self._index)))
-
-    @property
-    def classes(self) -> tuple[frozenset[Label], ...]:
-        by_root: dict[Label, set[Label]] = {}
-        for lab in self._order:
-            by_root.setdefault(self._find(lab), set()).add(lab)
-        ordered = sorted(by_root.values(), key=lambda cls: min(self._index[m] for m in cls))
-        return tuple(frozenset(cls) for cls in ordered)
+        return self._rep.get(lab, lab)
 
     def path(self, x: Label, y: Label) -> Optional[tuple[Label, ...]]:
         """A chain x = z1, ..., zn = y with an equality atom (either
         orientation) between neighbours, or None."""
         if x == y:
             return (x,)
-        if x not in self._parent or y not in self._parent:
+        if x not in self._adj or y not in self._adj:
             return None
         prev: dict[Label, Label] = {x: x}
         queue = deque([x])
@@ -324,14 +305,15 @@ def eq_classes(atoms: Iterable[Atom], order: Iterable[Label] = ()) -> EqClasses:
 
 
 class PropagationGraph:
-    """Automaton view of a sequent: nodes are label classes, and every role
-    atom contributes a forward edge and its inverse."""
+    """Structural view of a sequent, built once per search node: its
+    equality classes (`eq`), which are the graph's nodes in label order, and
+    an edge per role atom plus its inverse.  `reachable` reads the side
+    conditions of the propagation rules off a CFL closure of `edge_list`."""
 
     def __init__(self, seq: Sequent):
-        order = seq.labels()
-        self._position = {lab: i for i, lab in enumerate(order)}
-        self.eq = eq_classes(seq.antecedent, order)
+        self.eq = eq_classes(seq.antecedent, seq.labels())
         self.nodes: tuple[frozenset[Label], ...] = self.eq.classes
+        position = {node: i for i, node in enumerate(self.nodes)}
         edges: set[tuple[frozenset[Label], Role, frozenset[Label]]] = set()
         for atom in seq.antecedent:
             if isinstance(atom, RoleAtom):
@@ -342,16 +324,29 @@ class PropagationGraph:
         self.edges: frozenset[tuple[frozenset[Label], Role, frozenset[Label]]] = frozenset(edges)
         # stable iteration order, independent of hash randomization
         self.edge_list = tuple(sorted(
-            edges, key=lambda e: (self._node_pos(e[0]), str(e[1]), self._node_pos(e[2]))))
-
-    def _node_pos(self, node: frozenset[Label]) -> int:
-        return min(self._position[m] for m in node)
+            edges, key=lambda e: (position[e[0]], str(e[1]), position[e[2]])))
 
     def rep(self, node: frozenset[Label]) -> Label:
-        return min(node, key=lambda m: self._position[m])
+        return self.eq.rep(next(iter(node)))
 
     def has_edge(self, src: frozenset[Label], role: Role, dst: frozenset[Label]) -> bool:
         return (src, role, dst) in self.edges
+
+    def reachable(self, closure: CflClosure, role: Role, x: Label
+                  ) -> tuple[tuple[Label, frozenset[Label], PropWitness], ...]:
+        """Every class reachable from x's class under the language of
+        `role`, in node order, as (representative, class, witness);
+        `closure` must be built over `edge_list`."""
+        start = self.eq.class_of(x)
+        pairs = closure.reach.get(role, ())
+        out = []
+        for cls in self.nodes:
+            if (start, cls) in pairs:
+                string, node_path = closure.witness(role, start, cls)
+                derivation = closure.derivation(role, start, cls)
+                reps = tuple(self.rep(node) for node in node_path)
+                out.append((self.rep(cls), cls, PropWitness(string, reps, derivation)))
+        return tuple(out)
 
 
 def build_prop_graph(seq: Sequent) -> PropagationGraph:
@@ -372,20 +367,11 @@ class PropWitness:
 def prop_reachable(seq: Sequent, g: RSystem, role: Role, x: Label
                    ) -> tuple[tuple[Label, PropWitness], ...]:
     """Representatives of every class reachable from x's class under the
-    language of `role`, each with its witness."""
-    from .rsystem import CflClosure
-
+    language of `role`, each with its witness (see
+    `PropagationGraph.reachable`)."""
     graph = build_prop_graph(seq)
     closure = CflClosure(g, graph.edge_list)
-    start = graph.eq.class_of(x)
-    out = []
-    for cls in graph.nodes:
-        if (start, cls) in closure.reach.get(role, ()):
-            string, node_path = closure.witness(role, start, cls)
-            derivation = closure.derivation(role, start, cls)
-            reps = tuple(graph.rep(node) for node in node_path)
-            out.append((graph.rep(cls), PropWitness(string, reps, derivation)))
-    return tuple(out)
+    return tuple((rep, wit) for rep, _, wit in graph.reachable(closure, role, x))
 
 
 # ---------------------------------------------------------------------------
@@ -448,12 +434,6 @@ def proof_size(proof: Proof) -> int:
     return sum(sequent_weight(node.conclusion) for node in proof.nodes())
 
 
-def proof_height(proof: Proof) -> int:
-    if not proof.children:
-        return 1
-    return 1 + max(proof_height(child) for child in proof.children)
-
-
 def _principal_index(seq: Sequent, label: Label, concept: Concept) -> int:
     for i, occ in enumerate(seq.consequent):
         if occ.label == label and occ.concept == concept:
@@ -470,8 +450,8 @@ def _check_eq_path(seq: Sequent, x: Label, y: Label, path: tuple[Label, ...]) ->
             raise RuleError(f"no equality atom between {a} and {b}")
 
 
-def _check_propagation(seq: Sequent, g: RSystem, role: Role, x: Label, y: Label,
-                       string: RoleString, path: tuple[Label, ...],
+def _check_propagation(graph: PropagationGraph, g: RSystem, role: Role,
+                       x: Label, y: Label, string: RoleString, path: tuple[Label, ...],
                        derivation: tuple[RoleString, ...]) -> None:
     """Re-verify a propagation witness: the derivation takes (role,) to the
     string by one-step rewrites, and the string labels a path from x's class
@@ -483,10 +463,9 @@ def _check_propagation(seq: Sequent, g: RSystem, role: Role, x: Label, y: Label,
     for s, t in zip(derivation, derivation[1:]):
         if not is_one_step(g, s, t):
             raise RuleError(f"derivation step is not a one-step rewrite: {s} -> {t}")
-    graph = build_prop_graph(seq)
-    if graph.eq.class_of(path[0]) != graph.eq.class_of(x):
+    if not graph.eq.connected(path[0], x):
         raise RuleError("propagation path does not start at the principal label")
-    if graph.eq.class_of(path[-1]) != graph.eq.class_of(y):
+    if not graph.eq.connected(path[-1], y):
         raise RuleError("propagation path does not end at the target label")
     for a, ch, b in zip(path, string, path[1:]):
         if not graph.has_edge(graph.eq.class_of(a), ch, graph.eq.class_of(b)):
@@ -581,7 +560,7 @@ def apply_rule(ontology: Ontology, rule: str, conclusion: Sequent,
         idx = _principal_index(conclusion, x, c)
         if len(witness.strings) != 1 or len(witness.paths) != 1 or len(witness.derivations) != 1:
             raise RuleError("(exists) needs exactly one propagation witness")
-        _check_propagation(conclusion, rsystem, c.role, x, y,
+        _check_propagation(build_prop_graph(conclusion), rsystem, c.role, x, y,
                            witness.strings[0], witness.paths[0], witness.derivations[0])
         premise = make_sequent(
             conclusion.antecedent,
@@ -645,9 +624,10 @@ def apply_rule(ontology: Ontology, rule: str, conclusion: Sequent,
         if not (len(witness.strings) == len(witness.paths)
                 == len(witness.derivations) == c.n):
             raise RuleError("(atleast) needs one propagation witness per target")
+        graph = build_prop_graph(conclusion)
         for y, string, path, derivation in zip(ys, witness.strings, witness.paths,
                                                witness.derivations):
-            _check_propagation(conclusion, rsystem, c.role, x, y, string, path, derivation)
+            _check_propagation(graph, rsystem, c.role, x, y, string, path, derivation)
         premises = []
         pmaps = []
         for y in ys:
@@ -768,7 +748,7 @@ def parse_sequent(text: str) -> Sequent:
             raise parser.error(f"expected a label, found {lab.text!r}", lab)
         parser.expect_sym(":")
         concept = parser.parse_expr()
-        concepts.append(LabeledConcept(lab.text, _nnf_from_raw(concept)))
+        concepts.append(LabeledConcept(lab.text, to_nnf(concept)))
         tok = parser.peek()
         if tok.kind == "sym" and tok.text == ",":
             parser.next()
@@ -780,19 +760,9 @@ def parse_sequent(text: str) -> Sequent:
     return make_sequent(atoms, concepts)
 
 
-def _nnf_from_raw(concept: Concept) -> Concept:
-    from .core import to_nnf
-
-    return to_nnf(concept)
-
-
 # ---------------------------------------------------------------------------
 # Proof serialization (structured JSON)
 # ---------------------------------------------------------------------------
-
-
-def _role_to_str(role: Role) -> str:
-    return str(role)
 
 
 def _role_from_str(text: str) -> Role:
@@ -818,11 +788,11 @@ def _witness_to_dict(w: Witness) -> dict:
     if w.fresh:
         out["fresh"] = list(w.fresh)
     if w.strings:
-        out["strings"] = [[_role_to_str(r) for r in s] for s in w.strings]
+        out["strings"] = [[str(r) for r in s] for s in w.strings]
     if w.paths:
         out["paths"] = [list(p) for p in w.paths]
     if w.derivations:
-        out["derivations"] = [[[_role_to_str(r) for r in step] for step in d]
+        out["derivations"] = [[[str(r) for r in step] for step in d]
                               for d in w.derivations]
     return out
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from riq.core import (
@@ -34,7 +36,7 @@ from riq.interpolation import (
 )
 from riq import interpolation
 from riq.prover import Proved, SearchLimits, Unknown, prove
-from riq.sequent import Eq, LabeledConcept, Neq, make_sequent
+from riq.sequent import Eq, LabeledConcept, Neq, Proof, make_sequent
 from conftest import C, EMPTY_ONT, O, random_concept
 
 r = Role("r")
@@ -244,6 +246,20 @@ class TestAnnotateAndExtract:
                        if occ.label == fresh]
         # the universal principal came from the left (negated subsumee)
         assert fresh_sides and all(s is Side.LEFT for s in fresh_sides)
+
+    def test_tampered_witness_raises_interpolation_error(self):
+        ont, proof, split = self._pipeline_parts(
+            EMPTY_ONT, EMPTY_ONT, C("some r . A"), C("some r . (A or B)"))
+
+        def corrupt(node):
+            inst = node.instance
+            if inst.rule == "exists":
+                bogus = dataclasses.replace(inst.witness, strings=((Role("zz"),),))
+                return Proof(dataclasses.replace(inst, witness=bogus), node.children)
+            return Proof(inst, tuple(corrupt(ch) for ch in node.children))
+
+        with pytest.raises(InterpolationError, match="exists"):
+            annotate_partition(ont, corrupt(proof), split)
 
 
 class TestPipeline:

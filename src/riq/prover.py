@@ -14,8 +14,12 @@ returned.  Search is depth-first, leftmost premise first, and fully
 deterministic; step/label/time budgets produce an explicit Unknown verdict
 instead of non-termination.
 
-Branches never share mutable state (label counters are search-local), so
-independent branches could be searched in parallel by cloning the search
+Each node's CFL closure is carried to its premises and to its next cycle:
+a premise with the same role edges reuses it, one with a fresh leaf edge
+extends it, and one whose equality classes merged builds its own.  Sibling
+branches therefore share closures, but a closure is never changed after
+construction, so branches still share no mutable state (label counters are
+search-local) and could be searched in parallel by cloning the search
 object; the single-threaded order is kept for reproducibility.
 """
 
@@ -220,9 +224,7 @@ class _Search:
             return None  # principal was consumed along this branch
         if kind == "subst_eq":
             eqc = graph.eq
-            order = {lab: i for i, lab in enumerate(seq.labels())}
-            members = sorted(eqc.class_of(label), key=lambda m: order.get(m, len(order)))
-            for other in members:
+            for other in eqc.members(label):
                 if (other, c) not in delta_star:
                     return Witness(label=label, concept=c, target=other,
                                    eq_path=eqc.path(label, other))
@@ -236,8 +238,9 @@ class _Search:
                 return None
             return Witness(label=label, concept=c)
         if kind == "exists":
-            for rep, cls, wit in graph.reachable(closure, c.role, label):
+            for rep, cls in graph.reachable(closure, c.role, label):
                 if not any((m, c.body) in delta_star for m in cls):
+                    wit = graph.witness(closure, c.role, label, cls)
                     return Witness(label=label, concept=c, target=rep,
                                    strings=(wit.string,), paths=(wit.path,),
                                    derivations=(wit.derivation,))
@@ -249,25 +252,40 @@ class _Search:
             return Witness(label=label, concept=c, fresh=fresh)
         if kind == "atleast":
             candidates = graph.reachable(closure, c.role, label)
-            open_classes = [(rep, cls, wit) for rep, cls, wit in candidates
+            open_classes = [(rep, cls) for rep, cls in candidates
                             if not any((m, c.body) in delta_star for m in cls)]
             if len(open_classes) < c.n:
                 return None
             chosen = open_classes[: c.n]
+            wits = [graph.witness(closure, c.role, label, cls) for _, cls in chosen]
             return Witness(label=label, concept=c,
-                           targets=tuple(rep for rep, _, _ in chosen),
-                           strings=tuple(w.string for _, _, w in chosen),
-                           paths=tuple(w.path for _, _, w in chosen),
-                           derivations=tuple(w.derivation for _, _, w in chosen))
+                           targets=tuple(rep for rep, _ in chosen),
+                           strings=tuple(w.string for w in wits),
+                           paths=tuple(w.path for w in wits),
+                           derivations=tuple(w.derivation for w in wits))
         raise AssertionError(kind)
 
     #: items that may fire several times per cycle (one witness each)
     _REPEATING = ("subst_eq", "exists", "atleast")
 
+    def closure_for(self, graph: PropagationGraph,
+                    carried: Optional[CflClosure]) -> CflClosure:
+        """The CFL closure of `graph.edge_list`.  A closure carried down the
+        branch is reused when its edges are the same (the rule changed only
+        the consequent), and extended when they grow (a fresh leaf edge);
+        after an equality merge the nodes change, so it is rebuilt."""
+        if carried is not None:
+            if carried.edges == graph.edge_list:
+                return carried
+            if carried.edge_set <= graph.edges:
+                return CflClosure(self.rsystem, graph.edge_list, carried)
+        return CflClosure(self.rsystem, graph.edge_list)
+
     def expand(self, seq: Sequent, branch: tuple[Sequent, ...], goal: Sequent,
                delta_star: frozenset = frozenset(),
                agenda: Optional[tuple[tuple, ...]] = None,
-               fresh_cycle: bool = True) -> ProveResult:
+               fresh_cycle: bool = True,
+               closure: Optional[CflClosure] = None) -> ProveResult:
         over = self.budget(seq)
         if over is not None:
             return over
@@ -280,7 +298,7 @@ class _Search:
         if closing is not None:
             return Proved(Proof(closing, ()))
 
-        closure = CflClosure(self.rsystem, graph.edge_list)
+        closure = self.closure_for(graph, closure)
 
         if agenda is None:
             agenda = self.build_agenda(seq)
@@ -303,7 +321,7 @@ class _Search:
                 interpretation, assignment = extract_countermodel(
                     self.ontology, branch, goal)
                 return Refuted(interpretation, assignment, branch)
-            return self.expand(seq, branch, goal, delta_star, None, True)
+            return self.expand(seq, branch, goal, delta_star, None, True, closure)
 
         item, witness = fired
         instance = apply_rule(self.ontology, item[0], seq, witness, self.rsystem)
@@ -311,7 +329,7 @@ class _Search:
         pending_unknown: Optional[Unknown] = None
         for premise in instance.premises:
             result = self.expand(premise, branch + (premise,), goal,
-                                 delta_star, rest, False)
+                                 delta_star, rest, False, closure)
             if isinstance(result, Refuted):
                 return result
             if isinstance(result, Unknown):

@@ -3,16 +3,23 @@ bounded derivation search, and the context-free reachability closure that
 decides the propagation side conditions.
 
 Every production has a single role on the left, so the derivable strings of a
-role form a context-free language; reachability of graph nodes under that
-language is the least fixpoint of: seed Reach(r) with the r-labeled edges,
-then for each production r -> s1...sk close Reach(r) over the relational
-composition Reach(s1); ...; Reach(sk) until stable.
+role form a context-free language.  Reachability of graph nodes under that
+language is the least relation Reach that holds the r-labeled edges in
+Reach(r) and, for each production r -> s1...sk, the composition
+Reach(s1); ...; Reach(sk) in Reach(r).  `CflClosure` computes it by
+semi-naive evaluation: a worklist of newly found pairs, each joined once
+against the pairs found before it, so no composition is recomputed
+(Reps, "Program analysis via graph reachability", 1998; Bancilhon and
+Ramakrishnan, SIGMOD 1986).  A closure can extend a base closure over a
+subset of its edges, starting from the base's pairs; closures are never
+changed after construction, so a base can be shared.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Iterable, Mapping, Optional
 
 from .core import Ontology, Role
@@ -39,9 +46,26 @@ class Production:
 class RSystem:
     productions: frozenset[Production]
 
+    @cached_property
+    def _by_lhs(self) -> dict[Role, tuple[Production, ...]]:
+        table: dict[Role, tuple[Production, ...]] = {}
+        for prod in sorted(self.productions, key=str):
+            table[prod.lhs] = table.get(prod.lhs, ()) + (prod,)
+        return table
+
+    @cached_property
+    def uses(self) -> dict[Role, tuple[tuple[Production, int], ...]]:
+        """For each role, every (production, position) with that role at that
+        position of the right-hand side, productions in `str` order."""
+        table: dict[Role, tuple[tuple[Production, int], ...]] = {}
+        for prod in sorted(self.productions, key=str):
+            for i, ch in enumerate(prod.rhs):
+                table[ch] = table.get(ch, ()) + ((prod, i),)
+        return table
+
     def with_lhs(self, role: Role) -> tuple[Production, ...]:
-        return tuple(sorted((p for p in self.productions if p.lhs == role),
-                            key=str))
+        """The productions rewriting `role`, in `str` order."""
+        return self._by_lhs.get(role, ())
 
 
 def build_rsystem(ontology: Ontology) -> RSystem:
@@ -99,65 +123,83 @@ def derives_bounded(g: RSystem, source: RoleString, target: RoleString,
 #: Why a pair entered Reach(role): a base edge, or a production application
 #: with the intermediate nodes of the composition.
 _Reason = tuple
+Edge = tuple[Node, Role, Node]
 
 
 class CflClosure:
     """Least-fixpoint reachability per role over a finite labeled graph.
 
     `reach` maps each role to the set of node pairs (u, v) such that some
-    string in the role's derivable language labels a path u -> v.  One
-    derivation reason per pair is recorded so witnesses (string, node path,
-    and the full one-step derivation) can be reconstructed afterwards; the
-    reason graph is acyclic because reasons are only recorded when a pair
-    first appears.
+    string in the role's derivable language labels a path u -> v.  The
+    closure is computed semi-naively: every pair enters a FIFO worklist when
+    it first appears, and when it leaves the worklist it is joined once, at
+    each right-hand-side position where its role occurs, against the pairs
+    that left before it (held in per-role successor and predecessor
+    indexes).  One derivation reason per pair is recorded, when the pair
+    first appears, so the reason graph is acyclic and witnesses (string,
+    node path, and the full one-step derivation) can be reconstructed.
+
+    With a `base` closure over the same R-system and a subset of `edges`,
+    the new closure starts from a copy of the base's pairs, reasons and
+    indexes and joins only the consequences of the new edges.  A closure is
+    never changed after construction, so one base can serve many extensions.
     """
 
-    def __init__(self, g: RSystem, edges: Iterable[tuple[Node, Role, Node]]):
+    def __init__(self, g: RSystem, edges: Iterable[Edge],
+                 base: Optional["CflClosure"] = None):
         self.g = g
         self.edges = tuple(edges)
-        self.reach: dict[Role, set[Pair]] = {}
-        self.reasons: dict[tuple[Role, Node, Node], _Reason] = {}
-        self._solve()
+        self.edge_set = frozenset(self.edges)
+        new: Iterable[Edge] = self.edges
+        if base is None:
+            self.reach: dict[Role, set[Pair]] = {}
+            self.reasons: dict[tuple[Role, Node, Node], _Reason] = {}
+            self._succ: dict[tuple[Role, Node], tuple[Node, ...]] = {}
+            self._pred: dict[tuple[Role, Node], tuple[Node, ...]] = {}
+        else:
+            if base.g != g or not base.edge_set <= self.edge_set:
+                raise ValueError("a base closure must be over the same R-system "
+                                 "and a subset of the edges")
+            self.reach = {role: set(pairs) for role, pairs in base.reach.items()}
+            self.reasons = dict(base.reasons)
+            self._succ = dict(base._succ)
+            self._pred = dict(base._pred)
+            new = [e for e in self.edges if e not in base.edge_set]
+        self._solve(new)
 
-    def _add(self, role: Role, pair: Pair, reason: _Reason) -> bool:
-        bucket = self.reach.setdefault(role, set())
-        if pair in bucket:
-            return False
-        bucket.add(pair)
-        self.reasons[(role, pair[0], pair[1])] = reason
-        return True
+    def _solve(self, edges: Iterable[Edge]) -> None:
+        reasons, reach, succ, pred = self.reasons, self.reach, self._succ, self._pred
+        queue: deque[tuple[Role, Node, Node]] = deque()
 
-    def _solve(self) -> None:
-        for u, role, v in self.edges:
-            self._add(role, (u, v), ("edge",))
-        for prod in self.g.productions:
-            for ch in prod.rhs:
-                self.reach.setdefault(ch, set())
-            self.reach.setdefault(prod.lhs, set())
-        changed = True
-        while changed:
-            changed = False
-            for prod in sorted(self.g.productions, key=str):
-                # compose Reach(s1); ...; Reach(sk), keeping intermediates
-                partial: list[tuple[Node, Node, tuple[Node, ...]]] = [
-                    (u, v, (u, v)) for (u, v) in self.reach[prod.rhs[0]]
-                ]
-                for ch in prod.rhs[1:]:
-                    nxt = []
-                    step = self.reach[ch]
-                    by_src: dict[Node, list[Node]] = {}
-                    for a, b in step:
-                        by_src.setdefault(a, []).append(b)
-                    for u, v, mids in partial:
-                        for w in by_src.get(v, ()):
-                            nxt.append((u, w, mids + (w,)))
-                    partial = nxt
-                for u, v, mids in partial:
-                    if self._add(prod.lhs, (u, v), ("prod", prod, mids)):
-                        changed = True
+        def add(role: Role, u: Node, v: Node, reason: _Reason) -> None:
+            key = (role, u, v)
+            if key not in reasons:
+                reasons[key] = reason
+                reach.setdefault(role, set()).add((u, v))
+                queue.append(key)
 
-    def pairs(self, role: Role) -> frozenset[Pair]:
-        return frozenset(self.reach.get(role, ()))
+        for u, role, v in edges:
+            add(role, u, v, ("edge",))
+        uses = self.g.uses
+        while queue:
+            role, u, v = queue.popleft()
+            succ[(role, u)] = succ.get((role, u), ()) + (v,)
+            pred[(role, v)] = pred.get((role, v), ()) + (u,)
+            for prod, i in uses.get(role, ()):
+                # node sequences through the earlier positions ending at u,
+                # and through the later positions starting at v
+                lefts: list[tuple[Node, ...]] = [(u,)]
+                for ch in reversed(prod.rhs[:i]):
+                    lefts = [(a,) + mids for mids in lefts
+                             for a in pred.get((ch, mids[0]), ())]
+                rights: list[tuple[Node, ...]] = [(v,)]
+                for ch in prod.rhs[i + 1:]:
+                    rights = [mids + (b,) for mids in rights
+                              for b in succ.get((ch, mids[-1]), ())]
+                for left in lefts:
+                    for right in rights:
+                        mids = left + right
+                        add(prod.lhs, mids[0], mids[-1], ("prod", prod, mids))
 
     def witness(self, role: Role, u: Node, v: Node) -> tuple[RoleString, tuple[Node, ...]]:
         """A string S in the role's language and node path u -> v labeled by

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Union
 
 from .core import (
@@ -110,6 +111,10 @@ class Sequent:
 
     def labels(self) -> tuple[Label, ...]:
         """All labels, ordered by first occurrence (antecedent first)."""
+        return self._labels
+
+    @cached_property
+    def _labels(self) -> tuple[Label, ...]:
         seen: dict[Label, None] = {}
         for atom in self.antecedent:
             for lab in _atom_labels(atom):
@@ -264,6 +269,13 @@ class EqClasses:
     def class_of(self, lab: Label) -> frozenset[Label]:
         return self._class.get(lab) or frozenset((lab,))
 
+    def members(self, lab: Label) -> tuple[Label, ...]:
+        """The class of lab, in label order."""
+        cls = self.class_of(lab)
+        if len(cls) == 1:
+            return tuple(cls)
+        return tuple(m for m in self._adj if m in cls)
+
     def rep(self, lab: Label) -> Label:
         return self._rep.get(lab, lab)
 
@@ -333,20 +345,23 @@ class PropagationGraph:
         return (src, role, dst) in self.edges
 
     def reachable(self, closure: CflClosure, role: Role, x: Label
-                  ) -> tuple[tuple[Label, frozenset[Label], PropWitness], ...]:
+                  ) -> tuple[tuple[Label, frozenset[Label]], ...]:
         """Every class reachable from x's class under the language of
-        `role`, in node order, as (representative, class, witness);
-        `closure` must be built over `edge_list`."""
+        `role`, in node order, as (representative, class); `closure` must be
+        built over `edge_list`."""
         start = self.eq.class_of(x)
         pairs = closure.reach.get(role, ())
-        out = []
-        for cls in self.nodes:
-            if (start, cls) in pairs:
-                string, node_path = closure.witness(role, start, cls)
-                derivation = closure.derivation(role, start, cls)
-                reps = tuple(self.rep(node) for node in node_path)
-                out.append((self.rep(cls), cls, PropWitness(string, reps, derivation)))
-        return tuple(out)
+        return tuple((self.rep(cls), cls) for cls in self.nodes
+                     if (start, cls) in pairs)
+
+    def witness(self, closure: CflClosure, role: Role, x: Label,
+                cls: frozenset[Label]) -> PropWitness:
+        """The propagation witness for a class that `reachable` returned."""
+        start = self.eq.class_of(x)
+        string, node_path = closure.witness(role, start, cls)
+        derivation = closure.derivation(role, start, cls)
+        return PropWitness(string, tuple(self.rep(node) for node in node_path),
+                           derivation)
 
 
 def build_prop_graph(seq: Sequent) -> PropagationGraph:
@@ -371,7 +386,8 @@ def prop_reachable(seq: Sequent, g: RSystem, role: Role, x: Label
     `PropagationGraph.reachable`)."""
     graph = build_prop_graph(seq)
     closure = CflClosure(g, graph.edge_list)
-    return tuple((rep, wit) for rep, _, wit in graph.reachable(closure, role, x))
+    return tuple((rep, graph.witness(closure, role, x, cls))
+                 for rep, cls in graph.reachable(closure, role, x))
 
 
 # ---------------------------------------------------------------------------

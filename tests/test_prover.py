@@ -80,6 +80,35 @@ class TestTimeBudget:
         assert all(n <= readings_on_time for n in applied)
 
 
+class TestClosureCarrying:
+    def test_each_closure_is_built_on_a_new_edge_list(self, monkeypatch):
+        """A premise that keeps its node's role edges reuses the node's CFL
+        closure, so a search never builds two closures on one edge list."""
+        built, expanded = [], []
+        init = prover.CflClosure.__init__
+        expand = prover._Search.expand
+
+        def recording_init(self, g, edges, *base):
+            init(self, g, edges, *base)
+            built.append(self.edges)
+
+        def counting_expand(self, *args, **kwargs):
+            expanded.append(None)
+            return expand(self, *args, **kwargs)
+
+        monkeypatch.setattr(prover.CflClosure, "__init__", recording_init)
+        monkeypatch.setattr(prover._Search, "expand", counting_expand)
+        ont = make_ontology([RIA((r, r), r), RIA((r,), t)], ())
+        chain = "A"
+        for _ in range(12):
+            chain = f"some r . ({chain})"
+        result = subsumes(ont, C(chain), C("some t . A"), LIMITS)
+        assert isinstance(result, Proved)
+        assert check_proof(ont, result.proof).ok
+        assert len(set(built)) == len(built)
+        assert len(built) < len(expanded)
+
+
 class TestSubsumes:
     def test_conjunct_projection(self):
         assert isinstance(subsumes(EMPTY_ONT, C("A and B"), C("A"), LIMITS), Proved)

@@ -1,3 +1,5 @@
+import pytest
+
 from riq.core import RIA, Role, make_ontology
 from riq.rsystem import (
     CflClosure,
@@ -107,24 +109,26 @@ class TestCflClosure:
             grown = cfl_closure(g, more)
             for role, pairs in base.items():
                 assert pairs <= grown.get(role, frozenset())
+            extended = CflClosure(g, more, base=CflClosure(g, edges))
+            assert extended.reach == grown
 
     def test_witnesses_are_valid_derivations_and_paths(self, rng):
         for _ in range(40):
             rsys, edges = _random_instance(rng)
-            closure = CflClosure(rsys, edges)
             edge_set = set(edges)
-            for role, pairs in closure.reach.items():
-                for a, b in pairs:
-                    string, path = closure.witness(role, a, b)
-                    derivation = closure.derivation(role, a, b)
-                    assert derivation[0] == (role,)
-                    assert derivation[-1] == string
-                    for x1, x2 in zip(derivation, derivation[1:]):
-                        assert is_one_step(rsys, x1, x2)
-                    assert path[0] == a and path[-1] == b
-                    assert len(path) == len(string) + 1
-                    for p, ch, q in zip(path, string, path[1:]):
-                        assert (p, ch, q) in edge_set
+            for closure in (CflClosure(rsys, edges), _extended(rsys, edges)):
+                for role, pairs in closure.reach.items():
+                    for a, b in pairs:
+                        string, path = closure.witness(role, a, b)
+                        derivation = closure.derivation(role, a, b)
+                        assert derivation[0] == (role,)
+                        assert derivation[-1] == string
+                        for x1, x2 in zip(derivation, derivation[1:]):
+                            assert is_one_step(rsys, x1, x2)
+                        assert path[0] == a and path[-1] == b
+                        assert len(path) == len(string) + 1
+                        for p, ch, q in zip(path, string, path[1:]):
+                            assert (p, ch, q) in edge_set
 
     def test_oracle_equivalence_random(self, rng):
         # differential check against bounded derivation x path enumeration,
@@ -135,6 +139,7 @@ class TestCflClosure:
             trials += 1
             rsys, edges = _random_instance(rng)
             closure = CflClosure(rsys, edges)
+            assert _extended(rsys, edges).reach == closure.reach
             roles = {role for role, _, _ in
                      ((p.lhs, None, None) for p in rsys.productions)}
             roles |= {ch for _, ch, _ in edges}
@@ -151,6 +156,20 @@ class TestCflClosure:
             if saturated_all:
                 checked += 1
         assert checked >= 60
+
+    def test_base_must_be_a_subset(self):
+        g = build_rsystem(ont(RIA((r, s), t)))
+        base = CflClosure(g, [("u", r, "v")])
+        with pytest.raises(ValueError):
+            CflClosure(g, [("v", s, "w")], base=base)
+        with pytest.raises(ValueError):
+            CflClosure(build_rsystem(ont()), [("u", r, "v")], base=base)
+
+
+def _extended(rsys, edges):
+    """The closure over `edges`, extended from one over their first half."""
+    base = CflClosure(rsys, edges[: len(edges) // 2])
+    return CflClosure(rsys, edges, base=base)
 
 
 def _random_edges(rng, max_nodes, roles):

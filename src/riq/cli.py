@@ -183,9 +183,6 @@ def _cmd_define(args) -> int:
     if result.status == "unknown":
         if result.report is not None:
             return _inconclusive("definition", result.report)
-        interp = result.interpolation
-        if interp is not None and interp.verification is not None:
-            return _inconclusive("interpolant", interp.verification)
         print("Unknown: resource bound hit before a verdict")
         return EXIT_UNKNOWN
     print(f"Definition: {render_concept(result.definition)}")
@@ -196,18 +193,13 @@ def _cmd_define(args) -> int:
     if args.emit_proofs:
         outdir = Path(args.emit_proofs)
         outdir.mkdir(parents=True, exist_ok=True)
-        emits = {
-            "implicit.json": result.implicit,
-            "forward.json": result.report.forward,
-            "backward.json": result.report.backward,
-        }
-        for name, res in emits.items():
-            if isinstance(res, Proved):
-                (outdir / name).write_text(proof_to_json(res.proof) + "\n",
-                                           encoding="utf-8")
-        if result.interpolation and result.interpolation.proof:
-            (outdir / "interpolation.json").write_text(
-                proof_to_json(result.interpolation.proof) + "\n", encoding="utf-8")
+        # every one of them is Proved when the status is "ok"
+        proved = {"implicit.json": result.implicit,
+                  "forward.json": result.report.forward,
+                  "backward.json": result.report.backward,
+                  "interpolation.json": result.interpolation.prove_result}
+        for name, res in proved.items():
+            _write(str(outdir / name), proof_to_json(res.proof))
     return EXIT_PROVED
 
 

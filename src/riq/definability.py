@@ -7,11 +7,17 @@ an ontology O exactly when O together with a copy of itself (every concept
 name outside theta uniformly replaced by a fresh primed name) entails
 C <= C'.  A proof of that subsumption yields, by interpolation, a concept
 over theta equivalent to C under O.
+
+One proof search, of the split goal, decides implicit definability and
+yields the interpolant I, which is verified under O alone (checked proofs of
+C <= I and I <= C).  As cpt(I) lies in theta and O_theta is a renamed copy
+of O, both directions hold under O u O_theta iff they hold under O (ten Cate,
+Franconi and Seylan, JAIR 2013), so no verification over the union is made.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Optional
 
 from .core import (
@@ -29,22 +35,24 @@ from .core import (
     RiqError,
     cpt,
     make_ontology,
+    nnf_negate,
     union_ontology,
 )
 from .interpolation import (
     InterpolationResult,
     VerificationReport,
-    compute_concept_interpolant,
-    oracle_spot_check,
+    extract_concept_interpolant,
+    split_goal,
 )
 from .parser import render_concept
 from .prover import (
+    Proved,
     ProveResult,
-    Refuted,
     SearchLimits,
-    Unknown,
-    subsumes,
+    goal_sequent,
+    prove,
 )
+from .sequent import Proof, Witness, apply_rule
 
 
 class DefinabilityError(RiqError):
@@ -66,22 +74,12 @@ class ThetaRenaming:
 
 
 def rename_concept(c: Concept, mapping: Mapping[str, str]) -> Concept:
-    if isinstance(c, ConceptName):
-        return ConceptName(mapping.get(c.name, c.name))
-    if isinstance(c, NegatedName):
-        return NegatedName(mapping.get(c.name, c.name))
-    if isinstance(c, And):
-        return And(rename_concept(c.left, mapping), rename_concept(c.right, mapping))
-    if isinstance(c, Or):
-        return Or(rename_concept(c.left, mapping), rename_concept(c.right, mapping))
-    if isinstance(c, Exists):
-        return Exists(c.role, rename_concept(c.body, mapping))
-    if isinstance(c, Forall):
-        return Forall(c.role, rename_concept(c.body, mapping))
-    if isinstance(c, AtMost):
-        return AtMost(c.n, c.role, rename_concept(c.body, mapping))
-    if isinstance(c, AtLeast):
-        return AtLeast(c.n, c.role, rename_concept(c.body, mapping))
+    if isinstance(c, (ConceptName, NegatedName)):
+        return type(c)(mapping.get(c.name, c.name))
+    if isinstance(c, (And, Or)):
+        return type(c)(rename_concept(c.left, mapping), rename_concept(c.right, mapping))
+    if isinstance(c, (Exists, Forall, AtMost, AtLeast)):
+        return replace(c, body=rename_concept(c.body, mapping))
     raise DefinabilityError(f"cannot rename {c!r}")
 
 
@@ -103,37 +101,47 @@ def rename_outside_theta(o: Ontology, c: Concept, theta: Iterable[str]
     return o_theta, rename_concept(c, mapping), renaming
 
 
+def _implicit_from_split(union: Ontology, c: Concept, c_theta: Concept,
+                         split: ProveResult) -> ProveResult:
+    """The joined goal's result from the split goal's: a proof gains one (or)
+    step at the root, whose premise is the split goal as a multiset."""
+    if not isinstance(split, Proved):
+        return split
+    goal = goal_sequent(union, c, c_theta)
+    step = apply_rule(union, "or", goal,
+                      Witness(label="x0", concept=Or(nnf_negate(c), c_theta)))
+    return Proved(Proof(step, (split.proof,)))
+
+
 def is_implicitly_definable(o: Ontology, c: Concept, theta: Iterable[str],
                             limits: SearchLimits = SearchLimits()) -> ProveResult:
-    """Prove O u O_theta |= C <= C_theta."""
+    """Prove O u O_theta |= C <= C_theta, by the split-goal search that
+    ``explicit_definition`` also runs."""
     o_theta, c_theta, _ = rename_outside_theta(o, c, theta)
-    return subsumes(union_ontology(o, o_theta), c, c_theta, limits)
+    union = union_ontology(o, o_theta)
+    split = prove(union, split_goal(o, o_theta, c, c_theta), limits)
+    return _implicit_from_split(union, c, c_theta, split)
 
 
 class DefinitionReport(VerificationReport):
     """The checks of VerificationReport, applied to a definition under O."""
     DIRECTIONS = ("concept <= definition", "definition <= concept")
+    ERROR = DefinabilityError
 
 
 def verify_definition(o: Ontology, c: Concept, definition: Concept,
                       theta: Iterable[str],
                       limits: SearchLimits = SearchLimits()) -> DefinitionReport:
-    """Signature check against theta, both subsumption directions under O
-    alone, and a bounded model-search spot check."""
-    theta = frozenset(theta)
-    extra = cpt(definition) - theta
-    forward = subsumes(o, c, definition, limits)
-    backward = subsumes(o, definition, c, limits)
-    oracle_checked, counterexample = oracle_spot_check(
-        o, ((c, definition), (definition, c)))
-    return DefinitionReport(not extra, frozenset(extra), forward, backward,
-                            oracle_checked, counterexample)
+    """Signature check against theta, and both subsumption directions
+    proved under O alone, each proof passed through ``check_proof``."""
+    return DefinitionReport.verify(o, frozenset(theta), c, definition, c, limits)
 
 
 @dataclass(frozen=True)
 class DefinitionResult:
     """``definition`` is set only when ``status`` is "ok"; an "unknown" from
-    an inconclusive verification carries its ``report``."""
+    an inconclusive verification carries its ``report``.  ``interpolation``
+    is the unverified extraction: its ``verification`` is None."""
     status: str  # "ok" | "not-definable" | "unknown"
     definition: Optional[Concept] = None
     implicit: Optional[ProveResult] = None
@@ -143,19 +151,17 @@ class DefinitionResult:
 
 def explicit_definition(o: Ontology, c: Concept, theta: Iterable[str],
                         limits: SearchLimits = SearchLimits()) -> DefinitionResult:
-    """Full CBP pipeline: check implicit definability, extract a concept
-    interpolant for C <= C_theta, and verify it as a definition under O.
+    """Full CBP pipeline: extract a concept interpolant for
+    O u O_theta |= C <= C_theta, whose proof also shows implicit
+    definability, and verify it as a definition under O.
 
     A verification direction that hits its resource bound makes the result
     "unknown"; a verification that fails raises DefinabilityError."""
     theta = frozenset(theta)
     o_theta, c_theta, _ = rename_outside_theta(o, c, theta)
-    implicit = subsumes(union_ontology(o, o_theta), c, c_theta, limits)
-    if isinstance(implicit, Refuted):
-        return DefinitionResult("not-definable", implicit=implicit)
-    if isinstance(implicit, Unknown):
-        return DefinitionResult("unknown", implicit=implicit)
-    interp = compute_concept_interpolant(o, o_theta, c, c_theta, limits)
+    interp = extract_concept_interpolant(o, o_theta, c, c_theta, limits)
+    implicit = _implicit_from_split(union_ontology(o, o_theta), c, c_theta,
+                                    interp.prove_result)
     if interp.status != "ok":
         return DefinitionResult("unknown" if interp.status == "unknown"
                                 else "not-definable",

@@ -13,18 +13,19 @@ combine premise interpolants directly (union, or the universal/atmost
 constructs); rules whose principal sits on the left are handled by the
 orthogonal wrap (orthogonal, mirrored right-side combination, orthogonal).
 
-Every returned concept interpolant is re-verified: exact signature check and
-fresh proofs of both subsumption directions, plus a bounded model-search
-spot check when the signature is small enough.
+One proof search, of the split goal, yields the interpolant
+(``extract_concept_interpolant``).  ``compute_concept_interpolant`` then
+verifies it: an exact signature check and proofs of both subsumption
+directions, each passed through ``check_proof``.  The checked proofs are the
+certificate; a proof the checker rejects is a prover bug and raises.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Mapping, Optional, Sequence, Union
+from typing import ClassVar, Mapping, Optional, Sequence, Union
 
 from .core import (
     AtLeast,
@@ -57,7 +58,6 @@ from .prover import (
     prove,
 )
 from .rsystem import build_rsystem
-from .semantics import OracleGuardError, find_countermodel_bounded
 from .sequent import (
     Eq,
     LabeledConcept,
@@ -67,6 +67,7 @@ from .sequent import (
     Sequent,
     _principal_index,
     apply_rule,
+    check_proof,
     make_sequent,
 )
 
@@ -114,10 +115,6 @@ class Interpolant:
 
     def sorted_members(self) -> tuple[Member, ...]:
         return tuple(sorted(self.members, key=Member.key))
-
-    def labels(self) -> frozenset[Label]:
-        return frozenset().union(*(m.labels() for m in self.members)) \
-            if self.members else frozenset()
 
 
 def member(atoms=(), concepts=()) -> Member:
@@ -394,8 +391,8 @@ def _remap_sides(premise: Sequent, actual: Sequent,
 # ---------------------------------------------------------------------------
 
 
-def extract_interpolant(pp: PartitionedProof, o1: Ontology, o2: Ontology,
-                        *, check_properties: bool = True) -> Interpolant:
+def extract_interpolant(pp: PartitionedProof, o1: Ontology, o2: Ontology
+                        ) -> Interpolant:
     """Downward-from-leaves pass assigning an interpolant to every node.
 
     Initial rules produce the leaf interpolants (orthogonal-wrapped when
@@ -461,8 +458,7 @@ def extract_interpolant(pp: PartitionedProof, o1: Ontology, o2: Ontology,
                 # the orthogonal wrap: swap partitions, combine, swap back
                 g = orthogonal(combine(node, [orthogonal(walk(child))
                                               for child in node.children]))
-        if check_properties:
-            _check_lemma_properties(node, g, o1, o2)
+        _check_lemma_properties(node, g, o1, o2)
         return g
 
     return walk(pp)
@@ -509,87 +505,75 @@ def _check_lemma_properties(node: PartitionedProof, g: Interpolant,
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of verifying a concept against a subsumption in both
-    directions: ``ok`` when every check passed, ``inconclusive`` when none
-    failed but a direction proof hit its resource bound."""
+    directions: ``ok`` when the signature check passed and both directions
+    were proved by proofs that passed ``check_proof``, ``inconclusive`` when
+    none failed but a direction proof hit its resource bound."""
     signature_ok: bool
     extra_names: frozenset[str]
     forward: ProveResult
     backward: ProveResult
-    oracle_checked: bool
-    oracle_counterexample: Optional[str]
 
     #: how ``lines`` names the forward and the backward direction
     DIRECTIONS = ("subsumee <= interpolant", "interpolant <= subsumer")
+    #: raised when the prover emits a proof that ``check_proof`` rejects
+    ERROR: ClassVar[type[RiqError]] = InterpolationError
+
+    @classmethod
+    def verify(cls, ont: Ontology, allowed: frozenset[str], sub: Concept,
+               mid: Concept, sup: Concept, limits: SearchLimits):
+        """Check that ``mid`` uses only ``allowed`` names, and prove
+        ``sub <= mid`` and ``mid <= sup`` over ``ont`` with checked proofs."""
+        extra = cpt(mid) - allowed
+        rsystem = build_rsystem(ont)
+        directions = []
+        for name, (lo, hi) in zip(cls.DIRECTIONS, ((sub, mid), (mid, sup))):
+            result = prove(ont, goal_sequent(ont, lo, hi), limits)
+            if isinstance(result, Proved):
+                checked = check_proof(ont, result.proof, rsystem)
+                if not checked.ok:
+                    raise cls.ERROR(
+                        f"prover emitted an invalid proof: {name}: {checked.message}")
+            directions.append(result)
+        return cls(not extra, frozenset(extra), *directions)
 
     @property
     def ok(self) -> bool:
         return (self.signature_ok and isinstance(self.forward, Proved)
-                and isinstance(self.backward, Proved)
-                and self.oracle_counterexample is None)
+                and isinstance(self.backward, Proved))
 
     @property
     def inconclusive(self) -> bool:
         """Nothing failed, but a direction proof hit its resource bound."""
         return (not self.ok and self.signature_ok
-                and self.oracle_counterexample is None
                 and not isinstance(self.forward, Refuted)
                 and not isinstance(self.backward, Refuted))
 
     def lines(self) -> list[str]:
         forward, backward = self.DIRECTIONS
-        out = [
+        return [
             "signature: " + ("ok" if self.signature_ok
                              else "extra names " + ", ".join(sorted(self.extra_names))),
             f"{forward}: {type(self.forward).__name__}",
             f"{backward}: {type(self.backward).__name__}",
         ]
-        if self.oracle_checked:
-            out.append("oracle spot-check: "
-                       + (self.oracle_counterexample or "no counter-model found"))
-        else:
-            out.append("oracle spot-check: skipped (signature too large)")
-        return out
-
-
-def oracle_spot_check(ont: Ontology, goals: Sequence[tuple[Concept, Concept]]
-                      ) -> tuple[bool, Optional[str]]:
-    """Bounded counter-model search against each ``sub <= sup`` goal in
-    turn.  Returns whether the oracle ran at all (its guard rejects large
-    signatures) and a description of the first counter-model found."""
-    checked = False
-    for sub, sup in goals:
-        try:
-            hit = find_countermodel_bounded(ont, goal_sequent(ont, sub, sup))
-        except OracleGuardError:
-            break
-        checked = True
-        if hit is not None:
-            return True, (f"counter-model against "
-                          f"{render_concept(sub)} <= {render_concept(sup)}")
-    return checked, None
 
 
 def verify_interpolant(o1: Ontology, o2: Ontology, c: Concept, d: Concept,
                        i: Concept,
                        limits: SearchLimits = SearchLimits()) -> VerificationReport:
     """Check the three concept-interpolant conditions: shared signature
-    (syntactic), and both subsumption directions proved over the union
-    ontology; plus a bounded counter-model spot check when feasible."""
-    shared = cpt(o1, c) & cpt(o2, d)
-    extra = cpt(i) - shared
-    ont = union_ontology(o1, o2)
-    forward = prove(ont, goal_sequent(ont, c, i), limits)
-    backward = prove(ont, goal_sequent(ont, i, d), limits)
-    oracle_checked, counterexample = oracle_spot_check(ont, ((c, i), (i, d)))
-    return VerificationReport(not extra, frozenset(extra), forward, backward,
-                              oracle_checked, counterexample)
+    (syntactic), and both subsumption directions proved, with checked
+    proofs, over the union ontology."""
+    return VerificationReport.verify(union_ontology(o1, o2), cpt(o1, c) & cpt(o2, d),
+                                     c, i, d, limits)
 
 
 @dataclass(frozen=True)
 class InterpolationResult:
     """``concept`` and ``interpolant`` are set only when ``status`` is "ok".
     An "unknown" carries either the Unknown of the proof search, or the
-    Proved goal together with an inconclusive ``verification``."""
+    Proved goal together with an inconclusive ``verification``.  An "ok"
+    from ``extract_concept_interpolant`` has no ``verification`` yet."""
     status: str  # "ok" | "refuted" | "unknown"
     concept: Optional[Concept] = None
     interpolant: Optional[Interpolant] = None
@@ -598,44 +582,62 @@ class InterpolationResult:
     verification: Optional[VerificationReport] = None
 
 
-def compute_concept_interpolant(o1: Ontology, o2: Ontology, c: Concept, d: Concept,
+def split_goal(o1: Ontology, o2: Ontology, c: Concept, d: Concept) -> Sequent:
+    """The subsumption goal with its disjunction already split and the GCIs
+    of each ontology on its own side:
+    ``|- x0 : gciList(O1), x0 : nnf_negate(C), x0 : D, x0 : gciList(O2)``."""
+    x = "x0"
+    return make_sequent((), tuple(LabeledConcept(lab, cc) for lab, cc in o1.gci_list(x))
+                        + (LabeledConcept(x, nnf_negate(c)), LabeledConcept(x, d))
+                        + tuple(LabeledConcept(lab, cc) for lab, cc in o2.gci_list(x)))
+
+
+def extract_concept_interpolant(o1: Ontology, o2: Ontology, c: Concept, d: Concept,
                                 limits: SearchLimits = SearchLimits()
                                 ) -> InterpolationResult:
-    """Prove the split subsumption goal directly, partition the proof,
-    extract the interpolant, assemble the concept, and verify it.
-
-    A verification direction that hits its resource bound makes the result
-    "unknown"; a verification that fails raises InterpolationError."""
+    """Prove the split subsumption goal over O1 u O2, partition the proof,
+    extract the interpolant and assemble its concept, which is not yet
+    verified.  This is the one proof search of the extraction."""
+    goal = split_goal(o1, o2, c, d)
     ont = union_ontology(o1, o2)
-    x = "x0"
-    left = tuple(LabeledConcept(lab, cc) for lab, cc in o1.gci_list(x))
-    left += (LabeledConcept(x, nnf_negate(c)),)
-    right = (LabeledConcept(x, d),)
-    right += tuple(LabeledConcept(lab, cc) for lab, cc in o2.gci_list(x))
-    goal = make_sequent((), left + right)
     result = prove(ont, goal, limits)
     if isinstance(result, Unknown):
         return InterpolationResult("unknown", prove_result=result)
     if isinstance(result, Refuted):
         return InterpolationResult("refuted", prove_result=result)
-    proof = result.proof
+    left = len(o1.tbox) + 1
     split = EndSplit(
-        occ_sides=(Side.LEFT,) * len(left) + (Side.RIGHT,) * len(right),
+        occ_sides=(Side.LEFT,) * left + (Side.RIGHT,) * (len(goal.consequent) - left),
         neq_sides={},
         left_gcis=len(o1.tbox),
     )
-    pp = annotate_partition(ont, proof, split)
+    pp = annotate_partition(ont, result.proof, split)
     g = extract_interpolant(pp, o1, o2)
-    concept = collapse_topbot(interpolant_concept(g, x))
-    report = verify_interpolant(o1, o2, c, d, concept, limits)
+    concept = collapse_topbot(interpolant_concept(g, "x0"))
+    return InterpolationResult("ok", concept, g, result.proof, result)
+
+
+def compute_concept_interpolant(o1: Ontology, o2: Ontology, c: Concept, d: Concept,
+                                limits: SearchLimits = SearchLimits()
+                                ) -> InterpolationResult:
+    """Extract an interpolant (``extract_concept_interpolant``) and verify
+    it (``verify_interpolant``).
+
+    A verification direction that hits its resource bound makes the result
+    "unknown"; a verification that fails raises InterpolationError."""
+    result = extract_concept_interpolant(o1, o2, c, d, limits)
+    if result.status != "ok":
+        return result
+    report = verify_interpolant(o1, o2, c, d, result.concept, limits)
     if report.inconclusive:
-        return InterpolationResult("unknown", proof=proof, prove_result=result,
+        return InterpolationResult("unknown", proof=result.proof,
+                                   prove_result=result.prove_result,
                                    verification=report)
     if not report.ok:
         raise InterpolationError(
             "interpolant verification failed:\n  " + "\n  ".join(report.lines())
-            + f"\n  interpolant: {render_concept(concept)}")
-    return InterpolationResult("ok", concept, g, proof, result, report)
+            + f"\n  interpolant: {render_concept(result.concept)}")
+    return replace(result, verification=report)
 
 
 # ---------------------------------------------------------------------------

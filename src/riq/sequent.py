@@ -154,28 +154,27 @@ def make_sequent(atoms: Iterable[Atom], concepts: Iterable[LabeledConcept]) -> S
 
 
 def _validate(seq: Sequent) -> None:
-    edges: dict[tuple[Label, Label], None] = {}
-    tree_nodes: set[Label] = set()
+    parent: dict[Label, Label] = {}
+    children: dict[Label, list[Label]] = {}
     for atom in seq.antecedent:
         if isinstance(atom, RoleAtom):
-            edges.setdefault((atom.src, atom.dst))
-            tree_nodes.update((atom.src, atom.dst))
-    if edges:
-        targets = [dst for _, dst in edges]
-        if len(set(targets)) != len(targets):
-            raise SequentError("role atoms do not form a tree: duplicate parent")
-        roots = tree_nodes - set(targets)
+            known = parent.get(atom.dst)
+            if known is None:
+                parent[atom.dst] = atom.src
+                children.setdefault(atom.src, []).append(atom.dst)
+            elif known != atom.src:
+                raise SequentError("role atoms do not form a tree: duplicate parent")
+    if parent:
+        roots = children.keys() - parent.keys()
         if len(roots) != 1:
             raise SequentError(f"role atoms do not form a tree: {len(roots)} roots")
-        reached = set(roots)
+        # one parent per label, so the walk meets each label at most once
+        reached = 0
         frontier = list(roots)
         while frontier:
-            node = frontier.pop()
-            for src, dst in edges:
-                if src == node and dst not in reached:
-                    reached.add(dst)
-                    frontier.append(dst)
-        if reached != tree_nodes:
+            reached += 1
+            frontier.extend(children.get(frontier.pop(), ()))
+        if reached != len(parent) + 1:
             raise SequentError("role atoms do not form a tree: disconnected")
     antecedent_labels = {lab for atom in seq.antecedent for lab in _atom_labels(atom)}
     consequent_labels = {occ.label for occ in seq.consequent}
@@ -393,8 +392,6 @@ def prop_reachable(seq: Sequent, g: RSystem, role: Role, x: Label
 # ---------------------------------------------------------------------------
 # Rule instances and proofs
 # ---------------------------------------------------------------------------
-
-RULES = ("id", "id_eq", "subst_eq", "or", "and", "exists", "forall", "atmost", "atleast")
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,32 @@ def rng():
     return random.Random(20240817)
 
 
+@pytest.fixture
+def searches(monkeypatch):
+    """A list that gains one entry for every proof search started."""
+    from riq import prover
+
+    started = []
+
+    class CountedSearch(prover._Search):
+        def __init__(self, *args):
+            started.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(prover, "_Search", CountedSearch)
+    return started
+
+
+@pytest.fixture
+def rejecting_checker(monkeypatch):
+    """Make the pipelines' proof checker reject every proof."""
+    from riq import interpolation
+    from riq.sequent import CheckResult
+
+    monkeypatch.setattr(interpolation, "check_proof",
+                        lambda *args: CheckResult(False, "rejected"))
+
+
 def C(text: str):
     return parse_concept(text)
 

@@ -17,6 +17,7 @@ from riq.core import (
     cpt,
     find_regular_order,
     nnf_negate,
+    union_ontology,
 )
 from riq.interpolation import (
     Interpolant,
@@ -33,7 +34,12 @@ from riq.prover import (
     subsumes,
 )
 from riq.rsystem import CflClosure, build_rsystem, is_one_step
-from riq.semantics import falsifies, find_countermodel_bounded, is_model
+from riq.semantics import (
+    OracleGuardError,
+    falsifies,
+    find_countermodel_bounded,
+    is_model,
+)
 from riq.sequent import (
     Eq,
     Neq,
@@ -268,6 +274,7 @@ class TestCriterion8:
                                         max_seconds_hint=5)
         assert len(PIPELINE_CASES) >= 20
         slowest = 0.0
+        oracle_checked = 0
         for o1_text, o2_text, sub_text, sup_text in PIPELINE_CASES:
             o1 = parse_ontology(o1_text)
             o2 = parse_ontology(o2_text)
@@ -284,7 +291,17 @@ class TestCriterion8:
             assert isinstance(out.verification.forward, Proved)
             assert isinstance(out.verification.backward, Proved)
             assert elapsed < 10.0, (sub_text, sup_text)
-        report(8, f"{len(PIPELINE_CASES)} pipeline cases verified; slowest "
+            # differential check: no small counter-model to either direction
+            ont = union_ontology(o1, o2)
+            try:
+                for lo, hi in ((sub, out.concept), (out.concept, sup)):
+                    hit = find_countermodel_bounded(ont, goal_sequent(ont, lo, hi), 3)
+                    assert hit is None, (sub_text, sup_text)
+                oracle_checked += 1
+            except OracleGuardError:
+                pass
+        report(8, f"{len(PIPELINE_CASES)} pipeline cases verified, "
+                  f"{oracle_checked} also by the bounded oracle; slowest "
                   f"case {slowest:.2f} s")
 
 

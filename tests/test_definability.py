@@ -8,6 +8,7 @@ from riq.core import (
     TOP,
     cpt,
     normalize_ontology,
+    union_ontology,
 )
 from riq.definability import (
     DefinabilityError,
@@ -18,7 +19,9 @@ from riq.definability import (
     verify_definition,
 )
 from riq import definability
-from riq.prover import Proved, Refuted, SearchLimits, Unknown
+from riq.prover import Proved, Refuted, SearchLimits, Unknown, goal_sequent
+from riq.semantics import OracleGuardError, find_countermodel_bounded
+from riq.sequent import check_proof
 from conftest import C, EMPTY_ONT
 
 A, B = ConceptName("A"), ConceptName("B")
@@ -27,6 +30,16 @@ LIMITS = SearchLimits(max_steps=20000, max_labels=200, max_seconds_hint=60)
 
 def equivalence_ontology():
     return normalize_ontology([GCI(A, B), GCI(B, A)], [])
+
+
+def assert_no_small_countermodel(ont, concept, definition):
+    """Differential check: the bounded oracle finds no counter-model to
+    either direction of a returned definition (skipped beyond its guard)."""
+    try:
+        for sub, sup in ((concept, definition), (definition, concept)):
+            assert find_countermodel_bounded(ont, goal_sequent(ont, sub, sup), 3) is None
+    except OracleGuardError:
+        pass
 
 
 class TestRenaming:
@@ -70,8 +83,11 @@ class TestRenaming:
 
 class TestImplicitDefinability:
     def test_equivalence_makes_a_definable_from_b(self):
-        result = is_implicitly_definable(equivalence_ontology(), A, ["B"], LIMITS)
+        ont = equivalence_ontology()
+        result = is_implicitly_definable(ont, A, ["B"], LIMITS)
         assert isinstance(result, Proved)
+        o_theta, _, _ = rename_outside_theta(ont, A, ["B"])
+        assert check_proof(union_ontology(ont, o_theta), result.proof).ok
 
     def test_unconstrained_name_not_definable(self):
         result = is_implicitly_definable(EMPTY_ONT, A, [], LIMITS)
@@ -88,11 +104,13 @@ class TestExplicitDefinition:
         assert result.status == "ok"
         assert cpt(result.definition) <= {"B"}
         assert result.report.ok
+        assert_no_small_countermodel(equivalence_ontology(), A, result.definition)
 
     def test_self_definition(self):
         result = explicit_definition(EMPTY_ONT, B, ["B"], LIMITS)
         assert result.status == "ok"
         assert cpt(result.definition) <= {"B"}
+        assert_no_small_countermodel(EMPTY_ONT, B, result.definition)
 
     def test_not_definable_reported(self):
         result = explicit_definition(EMPTY_ONT, A, [], LIMITS)
@@ -106,6 +124,19 @@ class TestExplicitDefinition:
         result = explicit_definition(ont, A, ["B"], LIMITS)
         assert result.status == "ok"
         assert cpt(result.definition) <= {"B"}
+        assert_no_small_countermodel(ont, A, result.definition)
+
+
+class TestOneSearchPerFact:
+    def test_pipeline_makes_three_searches(self, searches):
+        result = explicit_definition(equivalence_ontology(), A, ["B"], LIMITS)
+        assert result.status == "ok"
+        assert len(searches) == 3  # the split goal and two directions
+
+    def test_rejected_proof_raises(self, rejecting_checker):
+        with pytest.raises(DefinabilityError,
+                           match="prover emitted an invalid proof"):
+            explicit_definition(equivalence_ontology(), A, ["B"], LIMITS)
 
 
 class TestVerifyDefinition:

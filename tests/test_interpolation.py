@@ -357,6 +357,20 @@ class TestInconclusiveVerification:
             compute_concept_interpolant(EMPTY_ONT, EMPTY_ONT, A, A, LIMITS)
 
 
+class TestOneSearchPerFact:
+    def test_pipeline_makes_three_searches(self, searches):
+        out = compute_concept_interpolant(EMPTY_ONT, EMPTY_ONT,
+                                          C("A and B"), C("A or E"), LIMITS)
+        assert out.status == "ok"
+        assert len(searches) == 3  # the split goal and two directions
+
+    def test_rejected_proof_raises(self, rejecting_checker):
+        with pytest.raises(InterpolationError,
+                           match="prover emitted an invalid proof"):
+            compute_concept_interpolant(EMPTY_ONT, EMPTY_ONT,
+                                        C("A and B"), C("A or E"), LIMITS)
+
+
 class TestSplitGoalAgreement:
     def test_joined_and_split_goals_agree(self, rng):
         """Proving not-C-or-D and proving the pre-split consequent must give

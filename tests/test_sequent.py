@@ -132,6 +132,12 @@ class TestSequentInvariants:
             make_sequent([RoleAtom(r, "x", "y"), RoleAtom(r, "z", "w")],
                          [LabeledConcept("x", A)])
 
+    def test_detached_cycle_rejected(self):
+        with pytest.raises(SequentError, match="disconnected"):
+            make_sequent([RoleAtom(r, "x", "y"), RoleAtom(r, "u", "v"),
+                          RoleAtom(r, "v", "u")],
+                         [LabeledConcept("x", A)])
+
     def test_consequent_labels_inside_antecedent(self):
         with pytest.raises(SequentError):
             make_sequent([RoleAtom(r, "x", "y")], [LabeledConcept("z", A)])

@@ -49,11 +49,14 @@ print("checker: ", "valid" if verdict.ok else verdict.message)
 # the ontology: t derives the string "r s".
 print("productions:", sorted(str(p) for p in build_rsystem(ontology).productions))
 
-# Proofs serialize to a stable JSON shape: rule, rendered sequent, witness,
-# premises; `riq verify` consumes the same format.
+# Proofs serialize to a stable, flat JSON shape: a list of nodes (rule,
+# rendered sequent, witness, premises as indices of earlier nodes) with the
+# root last; `riq verify` consumes the same format.
 payload = json.loads(proof_to_json(result.proof))
-print("root rule:", payload["root"]["rule"])
-print("root sequent:", payload["root"]["sequent"])
+root = payload["nodes"][-1]
+print("nodes:", len(payload["nodes"]))
+print("root rule:", root["rule"])
+print("root sequent:", root["sequent"])
 
 # Resource limits make every call terminate with an honest third verdict.
 tight = SearchLimits(max_steps=5, max_labels=5, max_seconds_hint=5)

@@ -63,12 +63,14 @@ from .sequent import (
     LabeledConcept,
     Neq,
     Proof,
+    ProofError,
     RuleInstance,
     Sequent,
     _principal_index,
-    apply_rule,
     check_proof,
     make_sequent,
+    rederive,
+    walk,
 )
 
 Label = str
@@ -313,77 +315,52 @@ class PartitionedProof:
 
 def annotate_partition(ontology: Ontology, proof: Proof,
                        end_split: EndSplit) -> PartitionedProof:
-    """Upward pass assigning each occurrence and inequality atom a side.
+    """Top-down pass assigning each occurrence and inequality atom a side.
 
-    The proof is re-derived rule by rule so the occurrence provenance maps
-    are available even for proofs loaded from JSON.  This re-derivation is
-    the proof check: a node whose rule does not apply, or whose premises
-    differ from its children, raises InterpolationError.
+    The sides follow the premise maps of `rederive`, which is also the
+    pipeline's proof check: a node whose rule does not apply, whose premises
+    differ from its children, or whose child lists its concepts in another
+    order than the re-derived premise, raises InterpolationError.
     """
-    rsystem = build_rsystem(ontology)
-
-    def walk(node: Proof, occ_sides: tuple[Side, ...],
-             neq_sides: dict[Neq, Side]) -> PartitionedProof:
-        inst = node.instance
-        if len(occ_sides) != len(inst.conclusion.consequent):
-            raise InterpolationError("side annotation does not match the sequent")
-        try:
-            rederived = apply_rule(ontology, inst.rule, inst.conclusion, inst.witness,
-                                   rsystem)
-        except RiqError as exc:
-            raise InterpolationError(
-                f"proof does not re-derive: ({inst.rule}) {exc}") from exc
-        if len(rederived.premises) != len(node.children):
-            raise InterpolationError("proof does not re-derive: premise count")
-        principal_side = None
-        if inst.rule not in ("id", "id_eq"):
-            principal_side = occ_sides[_principal_index(
-                inst.conclusion, inst.witness.label, inst.witness.concept)]
-        children = []
-        for premise, pmap, child in zip(rederived.premises, rederived.premise_maps,
-                                        node.children):
-            if premise.key() != child.conclusion.key():
-                raise InterpolationError("proof does not re-derive: premise mismatch")
-            child_sides = []
-            for origin in pmap:
-                if origin[0] == "ctx":
-                    child_sides.append(occ_sides[origin[1]])
-                elif origin[0] == "active":
-                    child_sides.append(principal_side)
-                else:  # ("gci", k): route the copy to its source ontology
-                    child_sides.append(Side.LEFT if origin[1] < end_split.left_gcis
-                                       else Side.RIGHT)
-            child_neq = dict(neq_sides)
+    pending = {(): (end_split.occ_sides, dict(end_split.neq_sides))}
+    annotated: list[PartitionedProof] = []
+    try:
+        for path, node, rederived in rederive(ontology, proof):
+            occ_sides, neq_sides = pending.pop(path)
+            inst = node.instance
+            if len(occ_sides) != len(inst.conclusion.consequent):
+                raise InterpolationError("side annotation does not match the sequent")
+            principal_side = None if inst.rule in ("id", "id_eq") else occ_sides[
+                _principal_index(inst.conclusion, inst.witness.label, inst.witness.concept)]
             old_atoms = inst.conclusion.atom_set()
-            for atom in premise.antecedent:
-                if isinstance(atom, Neq) and atom not in old_atoms:
-                    child_neq[atom] = principal_side
-            # children may reorder equal premises; remap sides by content
-            child_sides = _remap_sides(premise, child.conclusion, child_sides)
-            children.append(walk(child, tuple(child_sides), child_neq))
-        return PartitionedProof(rederived, occ_sides, dict(neq_sides), tuple(children))
-
-    return walk(proof, end_split.occ_sides, dict(end_split.neq_sides))
-
-
-def _remap_sides(premise: Sequent, actual: Sequent,
-                 sides: Sequence[Side]) -> list[Side]:
-    """Transfer occurrence sides from the re-derived premise to the stored
-    child conclusion, which lists the same multiset possibly in another
-    order."""
-    if premise.consequent == actual.consequent:
-        return list(sides)
-    remaining = list(enumerate(premise.consequent))
-    out: list[Side] = []
-    for occ in actual.consequent:
-        for k, (i, cand) in enumerate(remaining):
-            if cand == occ:
-                out.append(sides[i])
-                del remaining[k]
-                break
-        else:
-            raise InterpolationError("premise multiset mismatch while remapping")
-    return out
+            for i, (premise, pmap, child) in enumerate(zip(
+                    rederived.premises, rederived.premise_maps, node.children)):
+                if premise.consequent != child.conclusion.consequent:
+                    raise InterpolationError(
+                        f"premise {i} of ({inst.rule}) lists its concepts in "
+                        "another order than the rule derives them")
+                child_sides = []
+                for origin in pmap:
+                    if origin[0] == "ctx":
+                        child_sides.append(occ_sides[origin[1]])
+                    elif origin[0] == "active":
+                        child_sides.append(principal_side)
+                    else:  # ("gci", k): route the copy to its source ontology
+                        child_sides.append(Side.LEFT if origin[1] < end_split.left_gcis
+                                           else Side.RIGHT)
+                child_neq = dict(neq_sides)
+                for atom in premise.antecedent:
+                    if isinstance(atom, Neq) and atom not in old_atoms:
+                        child_neq[atom] = principal_side
+                pending[path + (i,)] = (tuple(child_sides), child_neq)
+            annotated.append(PartitionedProof(rederived, occ_sides, neq_sides, ()))
+    except ProofError as exc:
+        raise InterpolationError(f"proof does not re-derive: {exc}") from exc
+    # pre-order reversed: each node's children are the top of `done`
+    done: list[PartitionedProof] = []
+    for pp in reversed(annotated):
+        done.append(replace(pp, children=tuple(done.pop() for _ in pp.instance.premises)))
+    return done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +418,9 @@ def extract_interpolant(pp: PartitionedProof, o1: Ontology, o2: Ontology
             return interpolant(member(atoms=[atom]))
         return interpolant(member(atoms=[Eq(atom.left, atom.right)]))
 
-    def walk(node: PartitionedProof) -> Interpolant:
+    done: list[Interpolant] = []
+    for _, node in reversed(list(walk(pp))):
+        parts = [done.pop() for _ in node.children]
         inst = node.instance
         w = inst.witness
         if inst.rule in ("id", "id_eq"):
@@ -449,19 +428,17 @@ def extract_interpolant(pp: PartitionedProof, o1: Ontology, o2: Ontology
         else:
             right = node.occ_sides[
                 _principal_index(inst.conclusion, w.label, w.concept)] is Side.RIGHT
-            if not node.children:
+            if not parts:
                 # (atleast 0): a zero-premise propagation rule
                 g = EMPTY if right else interpolant(member())
             elif right:
-                g = combine(node, [walk(child) for child in node.children])
+                g = combine(node, parts)
             else:
                 # the orthogonal wrap: swap partitions, combine, swap back
-                g = orthogonal(combine(node, [orthogonal(walk(child))
-                                              for child in node.children]))
+                g = orthogonal(combine(node, [orthogonal(part) for part in parts]))
         _check_lemma_properties(node, g, o1, o2)
-        return g
-
-    return walk(pp)
+        done.append(g)
+    return done[0]
 
 
 def _check_lemma_properties(node: PartitionedProof, g: Interpolant,

@@ -11,17 +11,18 @@ which makes proof search deterministic.
 
 Proof nodes store enough witness data (equality paths, propagation strings
 with their node paths and full one-step derivations, fresh labels) for
-`check_proof` to re-verify every side condition locally, without re-running
-any search.
+`rederive` to re-verify every side condition locally, without re-running
+any search.  Every proof walk is a loop (`walk`), so proof depth is bounded
+by memory, not by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .core import (
     And,
@@ -38,7 +39,6 @@ from .core import (
     Role,
     is_literal,
     nnf_negate,
-    to_nnf,
     weight,
 )
 from .parser import ParseError, _Parser, _tokenize, parse_concept, render_concept
@@ -135,11 +135,7 @@ class Sequent:
 
     def key(self):
         """Order-insensitive comparison key (multiset consequent)."""
-        return (
-            self.atom_set(),
-            tuple(sorted((occ.label, render_concept(occ.concept))
-                         for occ in self.consequent)),
-        )
+        return self.atom_set(), frozenset(Counter(self.consequent).items())
 
 
 def make_sequent(atoms: Iterable[Atom], concepts: Iterable[LabeledConcept]) -> Sequent:
@@ -436,10 +432,20 @@ class Proof:
     def conclusion(self) -> Sequent:
         return self.instance.conclusion
 
-    def nodes(self) -> Iterable["Proof"]:
-        yield self
-        for child in self.children:
-            yield from child.nodes()
+    def nodes(self) -> Iterator["Proof"]:
+        """Every node in pre-order; reversed, children come before parents."""
+        return (node for _, node in walk(self))
+
+
+def walk(root) -> Iterator[tuple[tuple[int, ...], object]]:
+    """Every node of a tree whose nodes have `children`, in pre-order, with
+    its path of child indices from the root; a loop, not a recursion."""
+    stack = [((), root)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        stack.extend((path + (i,), node.children[i])
+                     for i in reversed(range(len(node.children))))
 
 
 def proof_size(proof: Proof) -> int:
@@ -517,7 +523,7 @@ def apply_rule(ontology: Ontology, rule: str, conclusion: Sequent,
         return RuleInstance(rule, conclusion, (), witness, ())
 
     if rule == "id_eq":
-        if witness.pair is None:
+        if witness.pair is None or len(witness.pair) != 2:
             raise RuleError("(id_eq) needs its inequality atom")
         x, y = witness.pair
         if Neq(x, y) not in conclusion.atom_set():
@@ -657,6 +663,40 @@ def apply_rule(ontology: Ontology, rule: str, conclusion: Sequent,
     raise RuleError(f"unknown rule {rule!r}")
 
 
+class ProofError(RiqError):
+    """A proof node that does not re-derive, at `path` from the root."""
+
+    def __init__(self, message: str, path: tuple[int, ...]):
+        super().__init__(message)
+        self.path = path
+
+
+def rederive(ontology: Ontology, proof: Proof, rsystem: Optional[RSystem] = None
+             ) -> Iterator[tuple[tuple[int, ...], Proof, RuleInstance]]:
+    """Re-derive every node of a proof, in pre-order: the rule must apply to
+    the node's conclusion under its witness (side conditions re-verified),
+    and the premises must equal the children's conclusions as multisets.
+    Yields (path, node, re-derived instance with its premise maps); raises
+    ProofError at the first node that fails."""
+    if rsystem is None:
+        rsystem = build_rsystem(ontology)
+    for path, node in walk(proof):
+        inst = node.instance
+        try:
+            rederived = apply_rule(ontology, inst.rule, inst.conclusion,
+                                   inst.witness, rsystem)
+        except RiqError as exc:
+            raise ProofError(f"{inst.rule}: {exc}", path) from exc
+        if len(rederived.premises) != len(node.children):
+            raise ProofError(f"{inst.rule}: expected {len(rederived.premises)} "
+                             f"premises, proof has {len(node.children)}", path)
+        for i, (premise, child) in enumerate(zip(rederived.premises, node.children)):
+            # in the same order (as in every prover proof) nothing is hashed
+            if premise != child.conclusion and premise.key() != child.conclusion.key():
+                raise ProofError(f"{inst.rule}: premise {i} mismatch", path)
+        yield path, node, rederived
+
+
 @dataclass(frozen=True)
 class CheckResult:
     ok: bool
@@ -670,38 +710,22 @@ class CheckResult:
 
 def check_proof(ontology: Ontology, proof: Proof,
                 rsystem: Optional[RSystem] = None) -> CheckResult:
-    """Independently validate a proof: every node must re-derive under
-    apply_rule (side conditions re-verified from the stored witnesses) and
-    its premises must match the children's conclusions."""
-    if rsystem is None:
-        rsystem = build_rsystem(ontology)
-
-    def walk(node: Proof, path: tuple[int, ...]) -> CheckResult:
-        inst = node.instance
-        try:
-            rederived = apply_rule(ontology, inst.rule, inst.conclusion,
-                                   inst.witness, rsystem)
-        except RiqError as exc:
-            return CheckResult(False, f"{inst.rule}: {exc}", path)
-        if len(rederived.premises) != len(node.children):
-            return CheckResult(
-                False,
-                f"{inst.rule}: expected {len(rederived.premises)} premises, "
-                f"proof has {len(node.children)}", path)
-        for i, (premise, child) in enumerate(zip(rederived.premises, node.children)):
-            if premise.key() != child.conclusion.key():
-                return CheckResult(False, f"{inst.rule}: premise {i} mismatch", path)
-            result = walk(child, path + (i,))
-            if not result.ok:
-                return result
-        return CheckResult(True)
-
-    return walk(proof, ())
+    """Independently validate a proof: every node must re-derive (`rederive`)."""
+    try:
+        for _ in rederive(ontology, proof, rsystem):
+            pass
+    except ProofError as exc:
+        return CheckResult(False, str(exc), exc.path)
+    return CheckResult(True)
 
 
 # ---------------------------------------------------------------------------
 # Text round-trip for sequents
 # ---------------------------------------------------------------------------
+
+
+def _role(text: str) -> Role:
+    return Role(text[:-1], True) if text.endswith("-") else Role(text)
 
 
 def render_sequent(seq: Sequent) -> str:
@@ -718,58 +742,51 @@ def render_sequent(seq: Sequent) -> str:
 def parse_sequent(text: str) -> Sequent:
     """Inverse of render_sequent; used when re-validating serialized proofs,
     so internal names are allowed."""
-    parser = _Parser(_tokenize(text), internal=True)
+    return _parse_sequent(text, {})
+
+
+def _parse_sequent(text: str, memo: dict[str, LabeledConcept]) -> Sequent:
+    """`parse_sequent`, keeping each occurrence's parse in `memo`: the
+    sequents of a proof repeat their occurrences.  Concepts hold no commas,
+    so the consequent splits into occurrences before parsing."""
+    antecedent, sep, consequent = text.partition("|-")
+    parser = _Parser(_tokenize(antecedent + sep), internal=True)
     atoms: list[Atom] = []
     concepts: list[LabeledConcept] = []
-    if not (parser.peek().kind == "sym" and parser.peek().text == "|-"):
-        while True:
-            first = parser.next()
-            if first.kind != "name":
-                raise parser.error(f"expected an atom, found {first.text!r}", first)
-            nxt = parser.peek()
-            if nxt.kind == "sym" and nxt.text == "(":
-                parser.next()
-                src = parser.next()
-                parser.expect_sym(",")
-                dst = parser.next()
-                parser.expect_sym(")")
-                if src.kind != "name" or dst.kind != "name":
-                    raise parser.error("expected labels in role atom", src)
-                inverted = first.text.endswith("-")
-                name = first.text[:-1] if inverted else first.text
-                atoms.append(RoleAtom(Role(name, inverted), src.text, dst.text))
-            elif nxt.kind == "sym" and nxt.text in ("=", "!="):
-                parser.next()
-                other = parser.next()
-                if other.kind != "name":
-                    raise parser.error("expected a label", other)
-                if nxt.text == "=":
-                    atoms.append(Eq(first.text, other.text))
-                else:
-                    atoms.append(Neq(first.text, other.text))
-            else:
-                raise parser.error(f"malformed atom after {first.text!r}", nxt)
-            tok = parser.peek()
-            if tok.kind == "sym" and tok.text == ",":
-                parser.next()
-                continue
-            break
-    parser.expect_sym("|-")
-    while parser.peek().kind != "eof":
-        lab = parser.next()
-        if lab.kind != "name":
-            raise parser.error(f"expected a label, found {lab.text!r}", lab)
-        parser.expect_sym(":")
-        concept = parser.parse_expr()
-        concepts.append(LabeledConcept(lab.text, to_nnf(concept)))
-        tok = parser.peek()
-        if tok.kind == "sym" and tok.text == ",":
+    while not (parser.peek().kind == "sym" and parser.peek().text == "|-"):
+        if atoms:
+            parser.expect_sym(",")
+        first = parser.next()
+        if first.kind != "name":
+            raise parser.error(f"expected an atom, found {first.text!r}", first)
+        nxt = parser.peek()
+        if nxt.kind == "sym" and nxt.text == "(":
             parser.next()
-            continue
-        break
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise parser.error(f"trailing input {tok.text!r}", tok)
+            src = parser.next()
+            parser.expect_sym(",")
+            dst = parser.next()
+            parser.expect_sym(")")
+            if src.kind != "name" or dst.kind != "name":
+                raise parser.error("expected labels in role atom", src)
+            atoms.append(RoleAtom(_role(first.text), src.text, dst.text))
+        elif nxt.kind == "sym" and nxt.text in ("=", "!="):
+            parser.next()
+            other = parser.next()
+            if other.kind != "name":
+                raise parser.error("expected a label", other)
+            atoms.append((Eq if nxt.text == "=" else Neq)(first.text, other.text))
+        else:
+            raise parser.error(f"malformed atom after {first.text!r}", nxt)
+    parser.expect_sym("|-")
+    for occurrence in consequent.split(",") if consequent.strip() else ():
+        if occurrence not in memo:
+            lab, colon, body = occurrence.partition(":")
+            tokens = _tokenize(lab)
+            if not colon or len(tokens) != 2 or tokens[0].kind != "name":
+                raise ParseError(f"expected 'label : concept', found {occurrence.strip()!r}")
+            memo[occurrence] = LabeledConcept(tokens[0].text,
+                                              parse_concept(body, internal=True))
+        concepts.append(memo[occurrence])
     return make_sequent(atoms, concepts)
 
 
@@ -778,35 +795,12 @@ def parse_sequent(text: str) -> Sequent:
 # ---------------------------------------------------------------------------
 
 
-def _role_from_str(text: str) -> Role:
-    if text.endswith("-"):
-        return Role(text[:-1], True)
-    return Role(text)
-
-
 def _witness_to_dict(w: Witness) -> dict:
-    out: dict = {}
-    if w.label is not None:
-        out["label"] = w.label
+    """The set fields; `proof_to_json` writes tuples as lists, roles by `str`."""
+    out = {name: value for name, value in vars(w).items()
+           if value is not None and value != ()}
     if w.concept is not None:
         out["concept"] = render_concept(w.concept)
-    if w.pair is not None:
-        out["pair"] = list(w.pair)
-    if w.eq_path:
-        out["eq_path"] = list(w.eq_path)
-    if w.target is not None:
-        out["target"] = w.target
-    if w.targets:
-        out["targets"] = list(w.targets)
-    if w.fresh:
-        out["fresh"] = list(w.fresh)
-    if w.strings:
-        out["strings"] = [[str(r) for r in s] for s in w.strings]
-    if w.paths:
-        out["paths"] = [list(p) for p in w.paths]
-    if w.derivations:
-        out["derivations"] = [[[str(r) for r in step] for step in d]
-                              for d in w.derivations]
     return out
 
 
@@ -819,40 +813,67 @@ def _witness_from_dict(d: dict) -> Witness:
         target=d.get("target"),
         targets=tuple(d.get("targets", ())),
         fresh=tuple(d.get("fresh", ())),
-        strings=tuple(tuple(_role_from_str(r) for r in s) for s in d.get("strings", ())),
+        strings=tuple(tuple(map(_role, s)) for s in d.get("strings", ())),
         paths=tuple(tuple(p) for p in d.get("paths", ())),
-        derivations=tuple(tuple(tuple(_role_from_str(r) for r in step) for step in dv)
+        derivations=tuple(tuple(tuple(map(_role, step)) for step in dv)
                           for dv in d.get("derivations", ())),
     )
 
 
-def _proof_to_dict(proof: Proof) -> dict:
-    return {
-        "rule": proof.instance.rule,
-        "sequent": render_sequent(proof.conclusion),
-        "witness": _witness_to_dict(proof.instance.witness),
-        "premises": [_proof_to_dict(child) for child in proof.children],
-    }
-
-
 def proof_to_json(proof: Proof) -> str:
-    return json.dumps({"format": "riq-proof", "version": 1,
-                       "root": _proof_to_dict(proof)}, indent=2)
-
-
-def _proof_from_dict(d: dict) -> Proof:
-    children = tuple(_proof_from_dict(p) for p in d.get("premises", ()))
-    instance = RuleInstance(
-        rule=d["rule"],
-        conclusion=parse_sequent(d["sequent"]),
-        premises=tuple(child.conclusion for child in children),
-        witness=_witness_from_dict(d.get("witness", {})),
-    )
-    return Proof(instance, children)
+    """`riq-proof` version 2: the nodes in post order (children before their
+    parent, the root last), each naming its premises by index."""
+    nodes: list[dict] = []
+    done: list[int] = []
+    for node in reversed(list(proof.nodes())):
+        nodes.append({
+            "rule": node.instance.rule,
+            "sequent": render_sequent(node.conclusion),
+            "witness": _witness_to_dict(node.instance.witness),
+            "premises": [done.pop() for _ in node.children],
+        })
+        done.append(len(nodes) - 1)
+    return json.dumps({"format": "riq-proof", "version": 2, "nodes": nodes},
+                      default=str)
 
 
 def proof_from_json(text: str) -> Proof:
-    data = json.loads(text)
-    if data.get("format") != "riq-proof":
-        raise ParseError("not a riq proof file")
-    return _proof_from_dict(data["root"])
+    """Inverse of `proof_to_json`.  Raises ParseError unless the nodes form a
+    tree: each node but the root is the premise of exactly one later node."""
+    try:
+        data = json.loads(text)
+    except (RecursionError, ValueError) as exc:
+        raise ParseError(f"proof file is not JSON: {exc}") from exc
+    if not isinstance(data, dict) \
+            or (data.get("format"), data.get("version")) != ("riq-proof", 2) \
+            or not isinstance(data.get("nodes"), list) or not data["nodes"]:
+        raise ParseError("not a riq-proof version 2 file with a non-empty node list")
+    entries = data["nodes"]
+    occurrences: dict[str, LabeledConcept] = {}
+    built: list[Proof] = []
+    used: set[int] = set()
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and isinstance(entry.get("rule"), str)
+                and isinstance(entry.get("sequent"), str)
+                and isinstance(entry.get("premises", []), list)):
+            raise ParseError(f"node {i} needs a rule, a sequent and a premise list")
+        premises = entry.get("premises", [])
+        for j in premises:
+            if not (type(j) is int and 0 <= j < i) or j in used:
+                raise ParseError(f"node {i}: premise {j!r} is not an earlier, "
+                                 "unused node")
+            used.add(j)
+        try:
+            witness = _witness_from_dict(entry.get("witness", {}))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"node {i}: malformed witness: {exc}") from exc
+        children = tuple(built[j] for j in premises)
+        built.append(Proof(RuleInstance(
+            rule=entry["rule"],
+            conclusion=_parse_sequent(entry["sequent"], occurrences),
+            premises=tuple(child.conclusion for child in children),
+            witness=witness,
+        ), children))
+    if len(used) != len(entries) - 1:
+        raise ParseError("every node but the last must be a premise")
+    return built[-1]

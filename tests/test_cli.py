@@ -67,18 +67,51 @@ class TestVerify:
         run(capsys, "check", "-o", str(ontdir / "ab.riq"),
             "--sub", "A", "--sup", "B", "--emit-proof", str(proof_path))
         data = json.loads(proof_path.read_text())
-
-        def break_id(node):
+        for node in data["nodes"]:
             if node["rule"] == "id":
                 node["sequent"] = node["sequent"].replace(": A", ": B", 1)
-            for child in node["premises"]:
-                break_id(child)
-
-        break_id(data["root"])
         proof_path.write_text(json.dumps(data))
         code, out, _ = run(capsys, "verify", "--proof", str(proof_path),
                            "-o", str(ontdir / "ab.riq"))
         assert code == 1 and "INVALID" in out
+
+    def test_invalid_names_the_failing_node(self, ontdir, capsys):
+        # (or) at the root, (or) at 0, (id) at 0/0; break the (id) witness
+        proof_path = ontdir / "p.json"
+        run(capsys, "check", "-o", str(ontdir / "empty.riq"),
+            "--sub", "A and B", "--sup", "A", "--emit-proof", str(proof_path))
+        data = json.loads(proof_path.read_text())
+        assert [node["rule"] for node in data["nodes"]] == ["id", "or", "or"]
+        data["nodes"][0]["witness"]["concept"] = "B"
+        proof_path.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "verify", "--proof", str(proof_path),
+                           "-o", str(ontdir / "empty.riq"))
+        assert code == 1 and "INVALID at node 0/0: id: " in out
+
+    def test_deep_proof_round_trips(self, ontdir, capsys):
+        # 599 nodes deep: beyond the default recursion limit
+        proof_path = ontdir / "p.json"
+        big = " or ".join(f"A{i}" for i in range(300))
+        code, _, err = run(capsys, "check", "-o", str(ontdir / "empty.riq"),
+                           "--sub", big, "--sup", big, "--emit-proof", str(proof_path))
+        assert code == 0, err
+        code, out, err = run(capsys, "verify", "--proof", str(proof_path),
+                             "-o", str(ontdir / "empty.riq"))
+        assert code == 0 and "Proof valid" in out, err
+
+    @pytest.mark.parametrize("payload", [
+        [1, 2],
+        {"format": "riq-proof", "version": 1},
+        {"format": "riq-proof", "version": 2, "nodes": [{"rule": "id"}]},
+        {"format": "riq-proof", "version": 2,
+         "nodes": [{"rule": "id", "sequent": "|- x : A", "premises": [0]}]},
+    ], ids=["array", "no-nodes", "no-sequent", "premise-not-earlier"])
+    def test_malformed_proof_is_an_input_error(self, ontdir, capsys, payload):
+        proof_path = ontdir / "p.json"
+        proof_path.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "verify", "--proof", str(proof_path),
+                           "-o", str(ontdir / "empty.riq"))
+        assert code == 3 and "internal error" not in err
 
 
 class TestModel:

@@ -261,6 +261,22 @@ class TestAnnotateAndExtract:
         with pytest.raises(InterpolationError, match="exists"):
             annotate_partition(ont, corrupt(proof), split)
 
+    def test_reordered_premise_raises_interpolation_error(self):
+        # a child listing its concepts in another order still checks (premises
+        # compare as multisets), but its sides cannot be read off the premise map
+        from riq.sequent import check_proof
+
+        ont, proof, split = self._pipeline_parts(EMPTY_ONT, EMPTY_ONT,
+                                                 C("A and B"), C("A or E"))
+        child = proof.children[0]
+        shuffled = dataclasses.replace(child.conclusion,
+                                       consequent=child.conclusion.consequent[::-1])
+        reordered = Proof(proof.instance, (Proof(
+            dataclasses.replace(child.instance, conclusion=shuffled), child.children),))
+        assert check_proof(ont, reordered).ok
+        with pytest.raises(InterpolationError, match="another order"):
+            annotate_partition(ont, reordered, split)
+
 
 class TestPipeline:
     def test_conjunction_projection(self):

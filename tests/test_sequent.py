@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import json
+import sys
 
 import pytest
 
@@ -13,6 +15,7 @@ from riq.core import (
     make_ontology,
     normalize_ontology,
 )
+from riq.parser import ParseError
 from riq.rsystem import build_rsystem
 from riq.semantics import holds_antecedent, holds_consequent, is_model
 from riq.sequent import (
@@ -267,6 +270,96 @@ class TestProofChecking:
         again = proof_from_json(proof_to_json(proof))
         assert check_proof(EMPTY_ONT, again).ok
         assert render_sequent(again.conclusion) == render_sequent(proof.conclusion)
+
+    def test_failure_blames_the_corrupted_node(self):
+        # (and) over two excluded middles; corrupt the (id) under the second
+        conclusion = S("|- x : (A or not A) and (B or not B)")
+        and_inst = apply_rule(EMPTY_ONT, "and", conclusion,
+                              Witness(label="x", concept=C("(A or not A) and (B or not B)")))
+        branches = []
+        for premise, name in zip(and_inst.premises, "AB"):
+            disjunction = C(f"{name} or not {name}")
+            or_inst = apply_rule(EMPTY_ONT, "or", premise,
+                                 Witness(label="x", concept=disjunction))
+            id_inst = apply_rule(EMPTY_ONT, "id", or_inst.premises[0],
+                                 Witness(label="x", concept=ConceptName(name)))
+            branches.append(Proof(or_inst, (Proof(id_inst, ()),)))
+        proof = Proof(and_inst, tuple(branches))
+        assert check_proof(EMPTY_ONT, proof).ok
+        leaf = branches[1].children[0]
+        bogus = Proof(dataclasses.replace(
+            leaf.instance, witness=Witness(label="x", concept=A)), ())
+        bad = Proof(and_inst, (branches[0], Proof(branches[1].instance, (bogus,))))
+        verdict = check_proof(EMPTY_ONT, bad)
+        assert not verdict.ok
+        assert verdict.path == (1, 0)
+        assert verdict.message.startswith("id: ")
+        assert check_proof(EMPTY_ONT, proof_from_json(proof_to_json(bad))).path == (1, 0)
+
+    def test_nodes_in_pre_order(self):
+        proof = self.hand_proof()
+        assert [node.instance.rule for node in proof.nodes()] == ["or", "id"]
+
+    def test_v2_layout(self):
+        data = json.loads(proof_to_json(self.hand_proof()))
+        assert (data["format"], data["version"]) == ("riq-proof", 2)
+        assert [n["rule"] for n in data["nodes"]] == ["id", "or"]
+        assert [n["premises"] for n in data["nodes"]] == [[], [0]]
+        assert data["nodes"][-1]["sequent"] == "|- x : A or not A"
+
+
+class TestDeepProofs:
+    def test_depth_beyond_the_recursion_limit(self):
+        # C <= C for a 510-way disjunction: one (or) step per disjunct on
+        # each side, so the proof is deeper than the default recursion limit
+        from riq.prover import Proved, subsumes
+
+        big = C(" or ".join(f"A{i}" for i in range(510)))
+        result = subsumes(EMPTY_ONT, big, big)
+        assert isinstance(result, Proved)
+        depth = {id(result.proof): 1}
+        for node in result.proof.nodes():
+            for child in node.children:
+                depth[id(child)] = depth[id(node)] + 1
+        assert max(depth.values()) > sys.getrecursionlimit() == 1000
+        assert check_proof(EMPTY_ONT, result.proof).ok
+        text = proof_to_json(result.proof)
+        assert proof_to_json(proof_from_json(text)) == text
+
+
+class TestMalformedProofFiles:
+    @pytest.mark.parametrize("payload", [
+        "[1, 2]",
+        "not json",
+        json.dumps({"format": "riq-proof", "version": 1}),
+        json.dumps({"format": "riq-proof", "version": 2}),
+        json.dumps({"format": "riq-proof", "version": 2, "nodes": []}),
+        json.dumps({"format": "riq-proof", "version": 2, "nodes": [1]}),
+        json.dumps({"format": "riq-proof", "version": 2,
+                    "nodes": [{"sequent": "|- x : A"}]}),
+        json.dumps({"format": "riq-proof", "version": 2,
+                    "nodes": [{"rule": "id"}]}),
+        json.dumps({"format": "riq-proof", "version": 2,
+                    "nodes": [{"rule": "id", "sequent": "|- x : A", "premises": [0]}]}),
+        json.dumps({"format": "riq-proof", "version": 2,
+                    "nodes": [{"rule": "id", "sequent": "|- x : A", "premises": [1]}]}),
+        json.dumps({"format": "riq-proof", "version": 2,
+                    "nodes": [{"rule": "id", "sequent": "|- x : A", "premises": [-1]}]}),
+        json.dumps({"format": "riq-proof", "version": 2, "nodes": [
+            {"rule": "id", "sequent": "|- x : A"},
+            {"rule": "and", "sequent": "|- x : A", "premises": [0, 0]}]}),
+        json.dumps({"format": "riq-proof", "version": 2, "nodes": [
+            {"rule": "id", "sequent": "|- x : A"},
+            {"rule": "id", "sequent": "|- x : A"}]}),
+        json.dumps({"format": "riq-proof", "version": 2, "nodes": [
+            {"rule": "id", "sequent": "|- x : A"},
+            {"rule": "or", "sequent": "|- x : A", "premises": 0}]}),
+    ], ids=["array", "not-json", "v1", "no-nodes", "empty-nodes", "node-not-object",
+            "no-rule", "no-sequent", "self-premise", "later-premise", "negative-premise",
+            "shared-premise", "orphan-node", "premises-not-a-list"])
+    def test_parse_error(self, payload):
+        with pytest.raises(ParseError):
+            proof_from_json(payload)
 
 
 class TestSubstitutionAndWeakening:

@@ -52,40 +52,67 @@ class Role:
 
 
 class Concept:
-    """Base class of NNF concept nodes.  Negation occurs only on names."""
+    """Base class of NNF concept nodes.  Negation occurs only on names.
+
+    The hash is computed at construction from the children's cached hashes
+    (pickling rebuilds it), and equality walks both trees on a stack."""
 
     __slots__ = ()
 
+    def __post_init__(self) -> None:
+        fields = self.__dict__
+        fields["_hash"] = hash((type(self), *fields.values()))
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is not b:
+                if type(a) is not type(b) or a._hash != b._hash:
+                    return False
+                for x, y in zip(a.__dict__.values(), b.__dict__.values()):
+                    if isinstance(x, Concept):
+                        stack.append((x, y))
+                    elif x != y:
+                        return False
+        return True
+
+    def __reduce__(self):
+        return type(self), tuple(v for k, v in self.__dict__.items() if k != "_hash")
+
+
+@dataclass(frozen=True, eq=False)
 class ConceptName(Concept):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NegatedName(Concept):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Concept):
     left: Concept
     right: Concept
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(Concept):
     left: Concept
     right: Concept
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Exists(Concept):
     role: Role
     body: Concept
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Forall(Concept):
     role: Role
     body: Concept
@@ -96,7 +123,7 @@ def _check_cardinality(n: int) -> None:
         raise OntologyError(f"cardinality {n} out of range [0, {MAX_CARDINALITY}]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AtMost(Concept):
     n: int
     role: Role
@@ -104,9 +131,10 @@ class AtMost(Concept):
 
     def __post_init__(self) -> None:
         _check_cardinality(self.n)
+        super().__post_init__()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AtLeast(Concept):
     n: int
     role: Role
@@ -114,9 +142,10 @@ class AtLeast(Concept):
 
     def __post_init__(self) -> None:
         _check_cardinality(self.n)
+        super().__post_init__()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(Concept):
     """General negation, only valid in raw (pre-NNF) concept trees."""
 

@@ -203,11 +203,14 @@ def parse_concept(text: str, *, internal: bool = False,
     """Parse a concept and normalize it to NNF.  `not` over arbitrary
     subformulae is accepted and eliminated."""
     parser = _Parser(_tokenize(text, line), internal=internal, line=line)
-    raw = parser.parse_expr()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise parser.error(f"trailing input {tok.text!r}", tok)
-    return to_nnf(raw)
+    try:
+        raw = parser.parse_expr()
+        tok = parser.peek()
+        if tok.kind != "eof":
+            raise parser.error(f"trailing input {tok.text!r}", tok)
+        return to_nnf(raw)
+    except RecursionError:
+        raise ParseError("concept nested too deeply", line) from None
 
 
 # ---------------------------------------------------------------------------

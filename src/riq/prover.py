@@ -14,18 +14,20 @@ returned.  Search is depth-first, leftmost premise first, and fully
 deterministic; step/label/time budgets produce an explicit Unknown verdict
 instead of non-termination.
 
+The search is one loop over an explicit stack of pending nodes, so proof
+depth is bounded by the budgets, not by Python's recursion limit, and a
+search changes no process-wide setting.
+
 Each node's CFL closure is carried to its premises and to its next cycle:
 a premise with the same role edges reuses it, one with a fresh leaf edge
 extends it, and one whose equality classes merged builds its own.  Sibling
 branches therefore share closures, but a closure is never changed after
-construction, so branches still share no mutable state (label counters are
-search-local) and could be searched in parallel by cloning the search
-object; the single-threaded order is kept for reproducibility.
+construction, so branches share no mutable state (label counters are
+search-local).
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -132,9 +134,9 @@ class _Search:
                 return candidate
 
     def budget(self, seq: Sequent) -> Optional[Unknown]:
-        """Unknown when a bound is spent.  Called before every rule
-        application, so once the deadline has passed every pending sibling
-        sees it too and the search unwinds without further work."""
+        """Unknown when a bound is spent.  Called for every node popped from
+        the search stack, so once the deadline has passed every pending node
+        sees it too and the stack drains without further work."""
         self.steps += 1
         if self.steps > self.limits.max_steps:
             return Unknown("step limit reached")
@@ -281,66 +283,65 @@ class _Search:
                 return CflClosure(self.rsystem, graph.edge_list, carried)
         return CflClosure(self.rsystem, graph.edge_list)
 
-    def expand(self, seq: Sequent, branch: tuple[Sequent, ...], goal: Sequent,
-               delta_star: frozenset = frozenset(),
-               agenda: Optional[tuple[tuple, ...]] = None,
-               fresh_cycle: bool = True,
-               closure: Optional[CflClosure] = None) -> ProveResult:
-        over = self.budget(seq)
-        if over is not None:
-            return over
-        self.used_labels.update(seq.labels())
-        present = seq.concept_set()
-        delta_star = delta_star | present
-        graph = build_prop_graph(seq)
-
-        closing = self._closure_instance(seq, graph.eq, present)
-        if closing is not None:
-            return Proved(Proof(closing, ()))
-
-        closure = self.closure_for(graph, closure)
-
-        if agenda is None:
-            agenda = self.build_agenda(seq)
-            fresh_cycle = True
-
-        fired = None
-        rest: tuple[tuple, ...] = ()
-        for i, item in enumerate(agenda):
-            witness = self.realize(item, seq, graph, closure, present, delta_star)
-            if witness is not None:
-                fired = (item, witness)
-                rest = agenda[i + 1:]
-                if item[0] in self._REPEATING:
-                    rest = (item,) + rest
-                break
-
-        if fired is None:
-            if fresh_cycle:
-                # a complete cycle added nothing: the branch is saturated
-                interpretation, assignment = extract_countermodel(
-                    self.ontology, branch, goal)
-                return Refuted(interpretation, assignment, branch)
-            return self.expand(seq, branch, goal, delta_star, None, True, closure)
-
-        item, witness = fired
-        instance = apply_rule(self.ontology, item[0], seq, witness, self.rsystem)
-        children = []
-        pending_unknown: Optional[Unknown] = None
-        for premise in instance.premises:
-            result = self.expand(premise, branch + (premise,), goal,
-                                 delta_star, rest, False, closure)
-            if isinstance(result, Refuted):
-                return result
-            if isinstance(result, Unknown):
-                if pending_unknown is None:
-                    pending_unknown = result
-                # keep scanning siblings: one of them may still refute
+    def run(self, goal: Sequent) -> ProveResult:
+        """Pop nodes `(sequent, branch, delta_star, agenda, fresh_cycle,
+        closure)` off a stack, one budget step each.  A rule application
+        pushes its premises reversed, so the leftmost runs first, and a cycle
+        restart pushes its node again.  The first Refuted answers at once;
+        the first Unknown is kept while the other nodes may still refute.
+        Rule instances are recorded in pre-order; the proof is built from
+        them in reverse, children before their parent."""
+        stack = [(goal, (goal,), frozenset(), None, True, None)]
+        instances: list[RuleInstance] = []
+        unknown: Optional[Unknown] = None
+        while stack:
+            seq, branch, delta_star, agenda, fresh_cycle, closure = stack.pop()
+            over = self.budget(seq)
+            if over is not None:
+                unknown = unknown or over
                 continue
-            children.append(result.proof)
-        if pending_unknown is not None:
-            return pending_unknown
-        return Proved(Proof(instance, tuple(children)))
+            self.used_labels.update(seq.labels())
+            present = seq.concept_set()
+            delta_star = delta_star | present
+            graph = build_prop_graph(seq)
+
+            closing = self._closure_instance(seq, graph.eq, present)
+            if closing is not None:
+                instances.append(closing)
+                continue
+
+            closure = self.closure_for(graph, closure)
+
+            if agenda is None:
+                agenda = self.build_agenda(seq)
+                fresh_cycle = True
+
+            for i, item in enumerate(agenda):
+                witness = self.realize(item, seq, graph, closure, present, delta_star)
+                if witness is not None:
+                    break
+            else:
+                if fresh_cycle:
+                    # a complete cycle added nothing: the branch is saturated
+                    interpretation, assignment = extract_countermodel(
+                        self.ontology, branch, goal)
+                    return Refuted(interpretation, assignment, branch)
+                stack.append((seq, branch, delta_star, None, True, closure))
+                continue
+
+            rest = agenda[i + 1:]
+            if item[0] in self._REPEATING:
+                rest = (item,) + rest
+            instance = apply_rule(self.ontology, item[0], seq, witness, self.rsystem)
+            instances.append(instance)
+            stack.extend((premise, branch + (premise,), delta_star, rest, False, closure)
+                         for premise in reversed(instance.premises))
+        if unknown is not None:
+            return unknown
+        done: list[Proof] = []
+        for instance in reversed(instances):
+            done.append(Proof(instance, tuple(done.pop() for _ in instance.premises)))
+        return Proved(done[0])
 
 
 def prove(ontology: Ontology, goal: Sequent,
@@ -352,14 +353,10 @@ def prove(ontology: Ontology, goal: Sequent,
     """
     search = _Search(ontology, limits)
     search.used_labels.update(goal.labels())
-    previous = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(previous, 25_000))
     try:
-        return search.expand(goal, (goal,), goal)
+        return search.run(goal)
     except RecursionError:
-        return Unknown("proof depth exceeded the recursion limit")
-    finally:
-        sys.setrecursionlimit(previous)
+        return Unknown("concept nesting exceeded the recursion limit")
 
 
 def subsumes(ontology: Ontology, sub: Concept, sup: Concept,

@@ -203,39 +203,38 @@ class CflClosure:
 
     def witness(self, role: Role, u: Node, v: Node) -> tuple[RoleString, tuple[Node, ...]]:
         """A string S in the role's language and node path u -> v labeled by
-        S, reconstructed from the recorded reasons."""
-        reason = self.reasons.get((role, u, v))
-        if reason is None:
+        S: the base edges under the recorded reasons, left to right."""
+        if (role, u, v) not in self.reasons:
             raise KeyError(f"({u!r}, {v!r}) not reachable under {role}")
-        if reason[0] == "edge":
-            return (role,), (u, v)
-        _, prod, mids = reason
         string: list[Role] = []
         path: list[Node] = [u]
-        for ch, a, b in zip(prod.rhs, mids, mids[1:]):
-            sub_string, sub_path = self.witness(ch, a, b)
-            string.extend(sub_string)
-            path.extend(sub_path[1:])
+        stack = [(role, u, v)]
+        while stack:
+            key = stack.pop()
+            reason = self.reasons[key]
+            if reason[0] == "edge":
+                string.append(key[0])
+                path.append(key[2])
+            else:
+                _, prod, mids = reason
+                stack.extend(reversed(list(zip(prod.rhs, mids, mids[1:]))))
         return tuple(string), tuple(path)
 
     def derivation(self, role: Role, u: Node, v: Node) -> tuple[RoleString, ...]:
         """The one-step derivation of the witness string from (role,), for
-        independent re-checking of side conditions."""
-        reason = self.reasons[(role, u, v)]
-        if reason[0] == "edge":
-            return ((role,),)
-        _, prod, mids = reason
-        # first step: role -> rhs, then expand each rhs character in place
-        steps: list[RoleString] = [(role,), prod.rhs]
-        prefix: RoleString = ()
-        suffix = prod.rhs[1:]
-        for ch, a, b in zip(prod.rhs, mids, mids[1:]):
-            sub = self.derivation(ch, a, b)
-            for intermediate in sub[1:]:
-                steps.append(prefix + intermediate + suffix)
-            prefix = prefix + sub[-1]
-            suffix = suffix[1:]
-        return tuple(steps)
+        independent re-checking: each step rewrites the leftmost pair that is
+        not a base edge by its recorded production."""
+        form = [(role, u, v)]
+        steps: list[RoleString] = [(role,)]
+        done = 0  # form[:done] are base edges
+        while True:
+            while done < len(form) and self.reasons[form[done]][0] == "edge":
+                done += 1
+            if done == len(form):
+                return tuple(steps)
+            _, prod, mids = self.reasons[form[done]]
+            form[done:done + 1] = zip(prod.rhs, mids, mids[1:])
+            steps.append(tuple(key[0] for key in form))
 
 
 def cfl_closure(g: RSystem, edges: Iterable[tuple[Node, Role, Node]]

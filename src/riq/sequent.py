@@ -423,8 +423,10 @@ class RuleInstance:
     premise_maps: tuple[PremiseMap, ...] = field(default=(), compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Proof:
+    """A proof tree, equal only to itself; nothing on it recurses."""
+
     instance: RuleInstance
     children: tuple["Proof", ...] = ()
 

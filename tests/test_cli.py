@@ -283,3 +283,11 @@ class TestErrors:
         code, _, err = run(capsys, "check", "-o", str(ontdir / "bad.riq"),
                            "--sub", "A", "--sup", "B")
         assert code == 3 and "error" in err
+
+    @pytest.mark.parametrize("sub", ["(" * 600 + "A" + ")" * 600,
+                                     "some r . " * 400 + "A"],
+                             ids=["parentheses", "existentials"])
+    def test_deep_nesting_is_a_parse_error(self, ontdir, capsys, sub):
+        code, _, err = run(capsys, "check", "-o", str(ontdir / "empty.riq"),
+                           "--sub", sub, "--sup", "A")
+        assert code == 3 and "concept nested too deeply" in err

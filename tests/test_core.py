@@ -1,3 +1,6 @@
+import pickle
+import sys
+
 import pytest
 
 from riq.core import (
@@ -31,6 +34,31 @@ from conftest import C, random_concept, random_interpretation
 
 r = Role("r")
 A, B = ConceptName("A"), ConceptName("B")
+
+
+class TestConceptIdentity:
+    @staticmethod
+    def chain(n, last=A):
+        c = last
+        for i in range(n):
+            c = Or(ConceptName(f"A{i}"), c)
+        return c
+
+    def test_deep_concepts_hash_and_compare_without_recursion(self):
+        assert sys.getrecursionlimit() == 1000
+        a, b = self.chain(3000), self.chain(3000)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != self.chain(3000, B) and a != self.chain(2999)
+        assert len({a, b, self.chain(2999)}) == 2
+
+    def test_equality_distinguishes_every_field(self):
+        assert C("atmost 2 r . A") != C("atmost 3 r . A") != C("atmost 3 s . A")
+        assert C("some r . A") != C("only r . A") and C("A") != "A"
+
+    def test_pickle_rebuilds_the_hash(self):
+        c = C("some r . (A or atleast 2 r- . not B)")
+        assert b"_hash" not in pickle.dumps(c)
+        assert pickle.loads(pickle.dumps(c)) == c
 
 
 class TestNnfNegate:

@@ -1,3 +1,4 @@
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -80,24 +81,36 @@ class TestTimeBudget:
         assert all(n <= readings_on_time for n in applied)
 
 
+class TestNoGlobalState:
+    def test_search_leaves_the_recursion_limit_alone(self, monkeypatch):
+        def forbidden(limit):
+            raise AssertionError(f"setrecursionlimit({limit}) called")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", forbidden)
+        ont = make_ontology([RIA((r, s), t)], ())
+        result = subsumes(ont, C("some r . some s . A"), C("some t . A"), LIMITS)
+        assert isinstance(result, Proved)
+
+
 class TestClosureCarrying:
     def test_each_closure_is_built_on_a_new_edge_list(self, monkeypatch):
         """A premise that keeps its node's role edges reuses the node's CFL
         closure, so a search never builds two closures on one edge list."""
         built, expanded = [], []
         init = prover.CflClosure.__init__
-        expand = prover._Search.expand
+        budget = prover._Search.budget
 
         def recording_init(self, g, edges, *base):
             init(self, g, edges, *base)
             built.append(self.edges)
 
-        def counting_expand(self, *args, **kwargs):
+        def counting_budget(self, seq):
+            # the search spends one budget step per expanded node
             expanded.append(None)
-            return expand(self, *args, **kwargs)
+            return budget(self, seq)
 
         monkeypatch.setattr(prover.CflClosure, "__init__", recording_init)
-        monkeypatch.setattr(prover._Search, "expand", counting_expand)
+        monkeypatch.setattr(prover._Search, "budget", counting_budget)
         ont = make_ontology([RIA((r, r), r), RIA((r,), t)], ())
         chain = "A"
         for _ in range(12):

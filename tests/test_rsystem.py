@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from riq.core import RIA, Role, make_ontology
@@ -156,6 +158,20 @@ class TestCflClosure:
             if saturated_all:
                 checked += 1
         assert checked >= 60
+
+    def test_witness_of_a_long_path_needs_no_recursion(self):
+        # s -> r s composes one r edge per step: the witness of (0, 1200) is
+        # built from 1200 nested reasons, beyond the default recursion limit
+        assert sys.getrecursionlimit() == 1000
+        g = build_rsystem(ont(RIA((r, s), s)))
+        edges = [(i, r, i + 1) for i in range(1199)] + [(1199, s, 1200)]
+        closure = CflClosure(g, edges)
+        string, path = closure.witness(s, 0, 1200)
+        assert string == (r,) * 1199 + (s,)
+        assert path == tuple(range(1201))
+        derivation = closure.derivation(s, 0, 1200)
+        assert derivation[0] == (s,) and derivation[-1] == string
+        assert all(is_one_step(g, x1, x2) for x1, x2 in zip(derivation, derivation[1:]))
 
     def test_base_must_be_a_subset(self):
         g = build_rsystem(ont(RIA((r, s), t)))

@@ -324,7 +324,13 @@ class TestDeepProofs:
         assert max(depth.values()) > sys.getrecursionlimit() == 1000
         assert check_proof(EMPTY_ONT, result.proof).ok
         text = proof_to_json(result.proof)
-        assert proof_to_json(proof_from_json(text)) == text
+        again = proof_from_json(text)
+        assert proof_to_json(again) == text
+        # read back, the proof shares no concept objects with its goal
+        assert check_proof(EMPTY_ONT, again).ok
+        assert result.proof == result.proof and result.proof != again
+        assert len({result.proof, again}) == 2
+        assert repr(result.proof).startswith("<riq.sequent.Proof object")
 
 
 class TestMalformedProofFiles:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Union
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
 #: Largest n accepted in a number restriction; the (atmost n) rule creates
 #: n+1 fresh labels, so anything bigger is not desk-scale.
@@ -160,28 +161,56 @@ def is_literal(c: Concept) -> bool:
     return isinstance(c, (ConceptName, NegatedName))
 
 
-def nnf_negate(c: Concept) -> Concept:
-    """NNF-preserving negation.
+_UNARY = (Exists, Forall, AtMost, AtLeast, Not)
 
-    Number restrictions flip without negating the filler; TOP and BOT map to
-    each other so both keep their canonical shape.
+T = TypeVar("T")
+
+
+def fold_concept(c: Concept, combine: Callable[[Concept, Sequence], T],
+                 leaf: Optional[Callable[[Concept], bool]] = None) -> T:
+    """The one concept traversal: a post-order walk on an explicit stack, so
+    its depth is bounded by memory, not by the recursion limit.
+
+    ``combine(node, parts)`` gets the results of node's children, left
+    before right, and returns node's.  A node for which ``leaf(node)`` holds
+    gets no parts, and its children are not visited.
     """
-    if c == TOP:
-        return BOT
-    if c == BOT:
-        return TOP
+    results: list = []
+    todo: list = [c]
+    while todo:
+        node = todo.pop()
+        if type(node) is tuple:
+            # (node, k): its k children are done, their results on top
+            node, k = node
+            if k == 1:
+                results[-1] = combine(node, results[-1:])
+            else:
+                right = results.pop()
+                results[-1] = combine(node, (results[-1], right))
+        elif leaf is not None and leaf(node):
+            results.append(combine(node, ()))
+        elif isinstance(node, (And, Or)):
+            todo += (node, 2), node.right, node.left
+        elif isinstance(node, _UNARY):
+            todo += (node, 1), node.body
+        else:
+            results.append(combine(node, ()))
+    return results[0]
+
+
+def _negate_node(c: Concept, parts: Sequence[Concept]) -> Concept:
     if isinstance(c, ConceptName):
         return NegatedName(c.name)
     if isinstance(c, NegatedName):
         return ConceptName(c.name)
     if isinstance(c, And):
-        return Or(nnf_negate(c.left), nnf_negate(c.right))
+        return TOP if c == BOT else Or(*parts)
     if isinstance(c, Or):
-        return And(nnf_negate(c.left), nnf_negate(c.right))
+        return BOT if c == TOP else And(*parts)
     if isinstance(c, Exists):
-        return Forall(c.role, nnf_negate(c.body))
+        return Forall(c.role, parts[0])
     if isinstance(c, Forall):
-        return Exists(c.role, nnf_negate(c.body))
+        return Exists(c.role, parts[0])
     if isinstance(c, AtMost):
         return AtLeast(c.n + 1, c.role, c.body)
     if isinstance(c, AtLeast):
@@ -191,51 +220,74 @@ def nnf_negate(c: Concept) -> Concept:
     raise ValueError(f"not an NNF concept: {c!r}")
 
 
+def _negation_leaf(c: Concept) -> bool:
+    return isinstance(c, (AtMost, AtLeast, Not))
+
+
+def nnf_negate(c: Concept) -> Concept:
+    """NNF-preserving negation.
+
+    Number restrictions flip without negating the filler; TOP and BOT map to
+    each other so both keep their canonical shape.
+    """
+    return fold_concept(c, _negate_node, _negation_leaf)
+
+
+def _nnf_node(c: Concept, parts: Sequence[Concept]) -> Concept:
+    if isinstance(c, Not):
+        return nnf_negate(parts[0])
+    if isinstance(c, (ConceptName, NegatedName)):
+        return c
+    if isinstance(c, (And, Or)):
+        if parts[0] is c.left and parts[1] is c.right:
+            return c
+        return type(c)(*parts)
+    if parts[0] is c.body:
+        return c
+    if isinstance(c, (Exists, Forall)):
+        return type(c)(c.role, parts[0])
+    if isinstance(c, (AtMost, AtLeast)):
+        return type(c)(c.n, c.role, parts[0])
+    raise ValueError(f"not a concept: {c!r}")
+
+
 def to_nnf(raw: Concept) -> Concept:
-    """Push general negation inward, producing an equivalent NNF concept."""
-    if isinstance(raw, Not):
-        return nnf_negate(to_nnf(raw.body))
-    if isinstance(raw, (ConceptName, NegatedName)):
-        return raw
-    if isinstance(raw, And):
-        return And(to_nnf(raw.left), to_nnf(raw.right))
-    if isinstance(raw, Or):
-        return Or(to_nnf(raw.left), to_nnf(raw.right))
-    if isinstance(raw, Exists):
-        return Exists(raw.role, to_nnf(raw.body))
-    if isinstance(raw, Forall):
-        return Forall(raw.role, to_nnf(raw.body))
-    if isinstance(raw, AtMost):
-        return AtMost(raw.n, raw.role, to_nnf(raw.body))
-    if isinstance(raw, AtLeast):
-        return AtLeast(raw.n, raw.role, to_nnf(raw.body))
-    raise ValueError(f"not a concept: {raw!r}")
+    """Push general negation inward, producing an equivalent NNF concept;
+    subtrees without `Not` are kept as they are."""
+    return fold_concept(raw, _nnf_node)
+
+
+def _weight_node(c: Concept, parts: Sequence[int]) -> int:
+    if isinstance(c, (ConceptName, NegatedName)):
+        return 1
+    if isinstance(c, (And, Or)):
+        return parts[0] + parts[1] + 1
+    if isinstance(c, (Exists, Forall)):
+        return parts[0] + 1
+    if isinstance(c, AtMost):
+        return parts[0] + c.n + 1
+    if isinstance(c, AtLeast):
+        return parts[0] + c.n
+    raise ValueError(f"not an NNF concept: {c!r}")
 
 
 def weight(c: Concept) -> int:
     """Concept weight: literals 1, binary +1, quantifiers +1, atmost +n+1,
     atleast +n."""
-    if is_literal(c):
-        return 1
-    if isinstance(c, (And, Or)):
-        return weight(c.left) + weight(c.right) + 1
-    if isinstance(c, (Exists, Forall)):
-        return weight(c.body) + 1
-    if isinstance(c, AtMost):
-        return weight(c.body) + c.n + 1
-    if isinstance(c, AtLeast):
-        return weight(c.body) + c.n
-    raise ValueError(f"not an NNF concept: {c!r}")
+    return fold_concept(c, _weight_node)
 
 
 def subconcepts(c: Concept) -> Iterator[Concept]:
     """Yield c and all its subconcepts, preorder."""
-    yield c
-    if isinstance(c, (And, Or)):
-        yield from subconcepts(c.left)
-        yield from subconcepts(c.right)
-    elif isinstance(c, (Exists, Forall, AtMost, AtLeast, Not)):
-        yield from subconcepts(c.body)
+    todo = [c]
+    while todo:
+        node = todo.pop()
+        yield node
+        if isinstance(node, (And, Or)):
+            todo.append(node.right)
+            todo.append(node.left)
+        elif isinstance(node, _UNARY):
+            todo.append(node.body)
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +481,14 @@ class Ontology:
     declared_roles: frozenset[str] = frozenset()
     declared_concepts: frozenset[str] = frozenset()
 
+    @cached_property
+    def _negated_tbox(self) -> tuple[Concept, ...]:
+        # negated once, on first use, not for every fresh label
+        return tuple(nnf_negate(g.rhs) for g in self.tbox)
+
     def gci_list(self, label: str) -> tuple[tuple[str, Concept], ...]:
         """The multiset label : nnf_negate(C_i) in fixed tbox order."""
-        return tuple((label, nnf_negate(g.rhs)) for g in self.tbox)
+        return tuple((label, c) for c in self._negated_tbox)
 
 
 def _counting_roles(c: Concept) -> Iterator[Role]:

@@ -18,7 +18,7 @@ Franconi and Seylan, JAIR 2013), so no verification over the union is made.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import (
     And,
@@ -34,6 +34,7 @@ from .core import (
     Or,
     RiqError,
     cpt,
+    fold_concept,
     make_ontology,
     nnf_negate,
     union_ontology,
@@ -74,13 +75,16 @@ class ThetaRenaming:
 
 
 def rename_concept(c: Concept, mapping: Mapping[str, str]) -> Concept:
-    if isinstance(c, (ConceptName, NegatedName)):
-        return type(c)(mapping.get(c.name, c.name))
-    if isinstance(c, (And, Or)):
-        return type(c)(rename_concept(c.left, mapping), rename_concept(c.right, mapping))
-    if isinstance(c, (Exists, Forall, AtMost, AtLeast)):
-        return replace(c, body=rename_concept(c.body, mapping))
-    raise DefinabilityError(f"cannot rename {c!r}")
+    def rename(node: Concept, parts: Sequence[Concept]) -> Concept:
+        if isinstance(node, (ConceptName, NegatedName)):
+            return type(node)(mapping.get(node.name, node.name))
+        if isinstance(node, (And, Or)):
+            return type(node)(*parts)
+        if isinstance(node, (Exists, Forall, AtMost, AtLeast)):
+            return replace(node, body=parts[0])
+        raise DefinabilityError(f"cannot rename {node!r}")
+
+    return fold_concept(c, rename)
 
 
 def rename_outside_theta(o: Ontology, c: Concept, theta: Iterable[str]

@@ -43,6 +43,7 @@ from .core import (
     TOP,
     and_all,
     cpt,
+    fold_concept,
     nnf_negate,
     or_all,
     union_ontology,
@@ -240,13 +241,9 @@ def interpolant_concept(g: Interpolant, x: Label) -> Concept:
     return and_all(disjunctions)
 
 
-def collapse_topbot(c: Concept) -> Concept:
-    """TOP/BOT constant collapsing, the only simplification applied: boolean
-    units/absorbers plus the quantifier constants (some r . BOT = BOT,
-    only r . TOP = TOP, atleast 0 = TOP, atleast n . BOT = BOT,
-    atmost n . BOT = TOP)."""
+def _collapse_node(c: Concept, parts: Sequence[Concept]) -> Concept:
     if isinstance(c, And):
-        left, right = collapse_topbot(c.left), collapse_topbot(c.right)
+        left, right = parts
         if left == BOT or right == BOT:
             return BOT
         if left == TOP:
@@ -255,7 +252,7 @@ def collapse_topbot(c: Concept) -> Concept:
             return left
         return And(left, right)
     if isinstance(c, Or):
-        left, right = collapse_topbot(c.left), collapse_topbot(c.right)
+        left, right = parts
         if left == TOP or right == TOP:
             return TOP
         if left == BOT:
@@ -264,20 +261,24 @@ def collapse_topbot(c: Concept) -> Concept:
             return left
         return Or(left, right)
     if isinstance(c, Exists):
-        body = collapse_topbot(c.body)
-        return BOT if body == BOT else Exists(c.role, body)
+        return BOT if parts[0] == BOT else Exists(c.role, parts[0])
     if isinstance(c, Forall):
-        body = collapse_topbot(c.body)
-        return TOP if body == TOP else Forall(c.role, body)
+        return TOP if parts[0] == TOP else Forall(c.role, parts[0])
     if isinstance(c, AtMost):
-        body = collapse_topbot(c.body)
-        return TOP if body == BOT else AtMost(c.n, c.role, body)
+        return TOP if parts[0] == BOT else AtMost(c.n, c.role, parts[0])
     if isinstance(c, AtLeast):
         if c.n == 0:
             return TOP
-        body = collapse_topbot(c.body)
-        return BOT if body == BOT else AtLeast(c.n, c.role, body)
+        return BOT if parts[0] == BOT else AtLeast(c.n, c.role, parts[0])
     return c
+
+
+def collapse_topbot(c: Concept) -> Concept:
+    """TOP/BOT constant collapsing, the only simplification applied: boolean
+    units/absorbers plus the quantifier constants (some r . BOT = BOT,
+    only r . TOP = TOP, atleast 0 = TOP, atleast n . BOT = BOT,
+    atmost n . BOT = TOP)."""
+    return fold_concept(c, _collapse_node)
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +419,7 @@ def extract_interpolant(pp: PartitionedProof, o1: Ontology, o2: Ontology
             return interpolant(member(atoms=[atom]))
         return interpolant(member(atoms=[Eq(atom.left, atom.right)]))
 
+    names1, names2 = cpt(o1), cpt(o2)
     done: list[Interpolant] = []
     for _, node in reversed(list(walk(pp))):
         parts = [done.pop() for _ in node.children]
@@ -436,13 +438,15 @@ def extract_interpolant(pp: PartitionedProof, o1: Ontology, o2: Ontology
             else:
                 # the orthogonal wrap: swap partitions, combine, swap back
                 g = orthogonal(combine(node, [orthogonal(part) for part in parts]))
-        _check_lemma_properties(node, g, o1, o2)
+        _check_lemma_properties(node, g, names1, names2)
         done.append(g)
     return done[0]
 
 
 def _check_lemma_properties(node: PartitionedProof, g: Interpolant,
-                            o1: Ontology, o2: Ontology) -> None:
+                            names1: frozenset[str], names2: frozenset[str]) -> None:
+    """Check the interpolant lemma at one node; names1 and names2 are the
+    concept names of the left and the right ontology."""
     phi = {a for a, s in node.neq_sides.items() if s is Side.LEFT}
     psi = {a for a, s in node.neq_sides.items() if s is Side.RIGHT}
     seq_labels = set(node.conclusion.labels())
@@ -452,8 +456,8 @@ def _check_lemma_properties(node: PartitionedProof, g: Interpolant,
     right_concepts = [occ.concept for occ, side in
                       zip(node.conclusion.consequent, node.occ_sides)
                       if side is Side.RIGHT]
-    left_names = cpt(o1) | cpt(left_concepts)
-    right_names = cpt(o2) | cpt(right_concepts)
+    left_names = names1 | cpt(left_concepts)
+    right_names = names2 | cpt(right_concepts)
     for m in g.members:
         for atom in m.atoms:
             flipped = type(atom)(atom.right, atom.left)

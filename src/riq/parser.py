@@ -6,13 +6,16 @@ than `or`; quantifier bodies (`some`, `only`, `atmost n`, `atleast n`)
 extend maximally to the right; parentheses override.  Ontology files are
 line-oriented: `#` comments, optional `roles:`/`concepts:` declarations,
 `ria: R1 o ... o Rk <= R`, and `gci: C <= D` (normalized on load).
+
+The concept grammar is read by one operator-precedence loop and printed by
+one `core.fold_concept` walk, so nesting depth is bounded by memory, not by
+the recursion limit.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core import (
     MAX_CARDINALITY,
@@ -33,9 +36,12 @@ from .core import (
     RiqError,
     Role,
     TOP,
-    make_ontology,
-    nnf_negate,
+    and_all,
+    fold_concept,
+    normalize_ontology,
+    or_all,
     render_ria,
+    signature_of,
     to_nnf,
 )
 
@@ -63,11 +69,11 @@ class ParseError(RiqError):
         super().__init__(message + where)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "nat" | "name" | "sym" | "eof"
-    text: str
-    col: int
+#: A token is a tuple (kind, text, column), kind one of "nat", "name",
+#: "sym" and "eof".
+_Token = tuple[str, str, int]
+
+_QUANTIFIERS = {"some": Exists, "only": Forall, "atmost": AtMost, "atleast": AtLeast}
 
 
 def _tokenize(text: str, line: Optional[int] = None) -> list[_Token]:
@@ -75,19 +81,30 @@ def _tokenize(text: str, line: Optional[int] = None) -> list[_Token]:
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
+        if m is None:
             rest = text[pos:].lstrip()
             if not rest:
                 break
             raise ParseError(f"unexpected character {rest[0]!r}", line, pos + 1)
         pos = m.end()
-        for kind in ("nat", "name", "sym"):
-            val = m.group(kind)
-            if val is not None:
-                tokens.append(_Token(kind, val, m.start(kind) + 1))
-                break
-    tokens.append(_Token("eof", "", len(text) + 1))
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind) + 1))
+    tokens.append(("eof", "", len(text) + 1))
     return tokens
+
+
+class _Frame:
+    """A concept still open in `_Parser.parse_expr`: its opener (None at the
+    top, "(" or a quantifier's constructor and leading arguments), the
+    `not`s before its next operand, and its `or` operands so far, each the
+    list of its `and` operands."""
+
+    __slots__ = ("opener", "nots", "ors")
+
+    def __init__(self, opener) -> None:
+        self.opener = opener
+        self.nots = 0
+        self.ors: list[list[Concept]] = [[]]
 
 
 class _Parser:
@@ -102,22 +119,24 @@ class _Parser:
         return self.tokens[self.pos]
 
     def next(self) -> _Token:
+        """The next token; at the end, the eof token again and again."""
         tok = self.tokens[self.pos]
-        self.pos += 1
+        if tok[0] != "eof":
+            self.pos += 1
         return tok
 
     def error(self, message: str, tok: Optional[_Token] = None) -> ParseError:
         tok = tok or self.peek()
-        return ParseError(message, self.line, tok.col)
+        return ParseError(message, self.line, tok[2])
 
     def expect_sym(self, sym: str) -> None:
         tok = self.next()
-        if tok.kind != "sym" or tok.text != sym:
-            raise self.error(f"expected {sym!r}, found {tok.text!r}", tok)
+        if tok[0] != "sym" or tok[1] != sym:
+            raise self.error(f"expected {sym!r}, found {tok[1]!r}", tok)
 
     def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "name" and tok.text == word
+        kind, text, _ = self.peek()
+        return kind == "name" and text == word
 
     def check_name(self, name: str, tok: _Token, what: str) -> str:
         if name in KEYWORDS:
@@ -128,74 +147,92 @@ class _Parser:
 
     def parse_role(self) -> Role:
         tok = self.next()
-        if tok.kind != "name":
-            raise self.error(f"expected a role, found {tok.text!r}", tok)
-        inverted = tok.text.endswith("-")
-        name = tok.text[:-1] if inverted else tok.text
+        kind, text, _ = tok
+        if kind != "name":
+            raise self.error(f"expected a role, found {text!r}", tok)
+        inverted = text.endswith("-")
+        name = text[:-1] if inverted else text
         return Role(self.check_name(name, tok, "role name"), inverted)
 
     # concept grammar -------------------------------------------------------
 
     def parse_expr(self) -> Concept:
-        parts = [self.parse_and()]
-        while self.at_keyword("or"):
-            self.next()
-            parts.append(self.parse_and())
-        out = parts[-1]
-        for part in reversed(parts[:-1]):
-            out = Or(part, out)
-        return out
+        """One concept, read by one operator-precedence loop.
 
-    def parse_and(self) -> Concept:
-        parts = [self.parse_unary()]
-        while self.at_keyword("and"):
-            self.next()
-            parts.append(self.parse_unary())
-        out = parts[-1]
-        for part in reversed(parts[:-1]):
-            out = And(part, out)
-        return out
+        Each open parenthesis and quantifier body is a `_Frame` on an
+        explicit stack.  An operand ends at `and`, which continues the
+        frame's `and` chain, at `or`, which starts its next `or` operand, or
+        at anything else, which closes the frame and makes it an operand of
+        the frame below.  Chains nest to the right.
+        """
+        frames = [_Frame(None)]
+        frame = frames[-1]
+        while True:
+            tok = self.next()
+            kind, text, _ = tok
+            if kind == "name" and text == "not":
+                frame.nots += 1
+                continue
+            if kind == "name" and text in _QUANTIFIERS:
+                frame = _Frame(self.quantifier_opener(tok))
+                frames.append(frame)
+                continue
+            if kind == "sym" and text == "(":
+                frame = _Frame("(")
+                frames.append(frame)
+                continue
+            value = self.atom(tok)
+            while True:
+                for _ in range(frame.nots):
+                    value = Not(value)
+                frame.nots = 0
+                frame.ors[-1].append(value)
+                if self.at_keyword("and"):
+                    self.next()
+                    break
+                if self.at_keyword("or"):
+                    self.next()
+                    frame.ors.append([])
+                    break
+                value = or_all([and_all(ands) for ands in frame.ors])
+                frames.pop()
+                if frame.opener is None:
+                    return value
+                if frame.opener == "(":
+                    self.expect_sym(")")
+                else:
+                    op, args = frame.opener
+                    value = op(*args, value)
+                frame = frames[-1]
 
-    def parse_unary(self) -> Concept:
-        tok = self.peek()
-        if tok.kind == "name" and tok.text == "not":
-            self.next()
-            return Not(self.parse_unary())
-        if tok.kind == "name" and tok.text in ("some", "only"):
-            self.next()
-            role = self.parse_role()
-            self.expect_sym(".")
-            body = self.parse_expr()
-            return Exists(role, body) if tok.text == "some" else Forall(role, body)
-        if tok.kind == "name" and tok.text in ("atmost", "atleast"):
-            self.next()
+    def quantifier_opener(self, tok: _Token) -> tuple[type, tuple]:
+        """Read a quantifier's head up to its `.`: its constructor and the
+        arguments before the body."""
+        op = _QUANTIFIERS[tok[1]]
+        if op is Exists or op is Forall:
+            args: tuple = (self.parse_role(),)
+        else:
             nat = self.next()
-            if nat.kind != "nat":
-                raise self.error(f"expected a number after {tok.text!r}", nat)
-            n = int(nat.text)
+            if nat[0] != "nat":
+                raise self.error(f"expected a number after {tok[1]!r}", nat)
+            n = int(nat[1])
             if n > MAX_CARDINALITY:
                 raise self.error(f"cardinality {n} out of range", nat)
-            role = self.parse_role()
-            self.expect_sym(".")
-            body = self.parse_expr()
-            return AtMost(n, role, body) if tok.text == "atmost" else AtLeast(n, role, body)
-        return self.parse_primary()
+            args = (n, self.parse_role())
+        self.expect_sym(".")
+        return op, args
 
-    def parse_primary(self) -> Concept:
-        tok = self.next()
-        if tok.kind == "sym" and tok.text == "(":
-            inner = self.parse_expr()
-            self.expect_sym(")")
-            return inner
-        if tok.kind == "name":
-            if tok.text == "TOP":
+    def atom(self, tok: _Token) -> Concept:
+        kind, text, _ = tok
+        if kind == "name":
+            if text == "TOP":
                 return TOP
-            if tok.text == "BOT":
+            if text == "BOT":
                 return BOT
-            if tok.text.endswith("-"):
-                raise self.error(f"{tok.text!r} is not a concept name", tok)
-            return ConceptName(self.check_name(tok.text, tok, "concept name"))
-        raise self.error(f"expected a concept, found {tok.text!r}", tok)
+            if text.endswith("-"):
+                raise self.error(f"{text!r} is not a concept name", tok)
+            return ConceptName(self.check_name(text, tok, "concept name"))
+        raise self.error(f"expected a concept, found {text!r}", tok)
 
 
 def parse_concept(text: str, *, internal: bool = False,
@@ -203,14 +240,11 @@ def parse_concept(text: str, *, internal: bool = False,
     """Parse a concept and normalize it to NNF.  `not` over arbitrary
     subformulae is accepted and eliminated."""
     parser = _Parser(_tokenize(text, line), internal=internal, line=line)
-    try:
-        raw = parser.parse_expr()
-        tok = parser.peek()
-        if tok.kind != "eof":
-            raise parser.error(f"trailing input {tok.text!r}", tok)
-        return to_nnf(raw)
-    except RecursionError:
-        raise ParseError("concept nested too deeply", line) from None
+    raw = parser.parse_expr()
+    tok = parser.peek()
+    if tok[0] != "eof":
+        raise parser.error(f"trailing input {tok[1]!r}", tok)
+    return to_nnf(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +274,12 @@ def parse_ontology(text: str, *, strict: bool = False) -> Ontology:
         if head in ("roles", "concepts"):
             parser = _Parser(_tokenize(rest, lineno), line=lineno)
             target = declared_roles if head == "roles" else declared_concepts
-            while parser.peek().kind != "eof":
+            while parser.peek()[0] != "eof":
                 tok = parser.next()
-                if tok.kind != "name":
-                    raise parser.error(f"expected a name, found {tok.text!r}", tok)
-                target.add(parser.check_name(tok.text, tok, head[:-1] + " name"))
-                if parser.peek().kind == "sym" and parser.peek().text == ",":
+                if tok[0] != "name":
+                    raise parser.error(f"expected a name, found {tok[1]!r}", tok)
+                target.add(parser.check_name(tok[1], tok, head[:-1] + " name"))
+                if parser.peek()[:2] == ("sym", ","):
                     parser.next()
         elif head == "ria":
             parser = _Parser(_tokenize(rest, lineno), line=lineno)
@@ -256,8 +290,8 @@ def parse_ontology(text: str, *, strict: bool = False) -> Ontology:
             parser.expect_sym("<=")
             rhs = parser.parse_role()
             tok = parser.peek()
-            if tok.kind != "eof":
-                raise parser.error(f"trailing input {tok.text!r}", tok)
+            if tok[0] != "eof":
+                raise parser.error(f"trailing input {tok[1]!r}", tok)
             rias.append(RIA(tuple(lhs), rhs))
         else:
             lhs_text, sep2, rhs_text = rest.partition("<=")
@@ -267,18 +301,10 @@ def parse_ontology(text: str, *, strict: bool = False) -> Ontology:
             rhs = parse_concept(rhs_text, line=lineno)
             gcis.append(GCI(lhs, rhs))
 
-    normalized = []
-    for g in gcis:
-        if g.lhs == TOP:
-            normalized.append(GCI(TOP, g.rhs))
-        else:
-            normalized.append(GCI(TOP, Or(nnf_negate(g.lhs), g.rhs)))
-    ont = make_ontology(rias, normalized)
+    ont = normalize_ontology(gcis, rias)
     ont = Ontology(ont.rbox, ont.tbox, ont.regularity,
                    frozenset(declared_roles), frozenset(declared_concepts))
     if strict:
-        from .core import signature_of
-
         used = signature_of(ont).roles
         missing = sorted(used - declared_roles)
         if missing:
@@ -296,53 +322,62 @@ _LEVEL_AND = 2
 _LEVEL_ATOM = 4
 
 
-def _render(c: Concept) -> tuple[str, int, bool]:
-    """Return (text, precedence level, open-ended).
+def _render_node(c: Concept, parts: Sequence[tuple]) -> tuple[object, int, bool]:
+    """(pieces, precedence level, open-ended) of c from those of its parts.
 
-    A rendering is open-ended when its right spine terminates in a bare
-    quantifier body, which would swallow any following operand; callers
-    parenthesize open-ended left operands.
+    The pieces are a string or a tuple of pieces, so no node copies the
+    text of its parts.  A rendering is open-ended when its right spine
+    terminates in a bare quantifier body, which would swallow any following
+    operand; open-ended left operands are parenthesized.
     """
-    if c == TOP:
-        return "TOP", _LEVEL_ATOM, False
-    if c == BOT:
-        return "BOT", _LEVEL_ATOM, False
     if isinstance(c, ConceptName):
         return c.name, _LEVEL_ATOM, False
     if isinstance(c, NegatedName):
-        return f"not {c.name}", _LEVEL_ATOM, False
+        return "not " + c.name, _LEVEL_ATOM, False
     if isinstance(c, Not):
-        text, level, open_ended = _render(c.body)
+        text, level, open_ended = parts[0]
         if level < _LEVEL_ATOM:
-            return f"not ({text})", _LEVEL_ATOM, False
-        return f"not {text}", _LEVEL_ATOM, open_ended
+            return ("not (", text, ")"), _LEVEL_ATOM, False
+        return ("not ", text), _LEVEL_ATOM, open_ended
     if isinstance(c, (Exists, Forall, AtMost, AtLeast)):
-        body_text, _, _ = _render(c.body)
         if isinstance(c, Exists):
-            head = f"some {c.role}"
+            head = f"some {c.role} . "
         elif isinstance(c, Forall):
-            head = f"only {c.role}"
+            head = f"only {c.role} . "
         elif isinstance(c, AtMost):
-            head = f"atmost {c.n} {c.role}"
+            head = f"atmost {c.n} {c.role} . "
         else:
-            head = f"atleast {c.n} {c.role}"
-        return f"{head} . {body_text}", _LEVEL_QUANT, True
-    if isinstance(c, (And, Or)):
-        op = "and" if isinstance(c, And) else "or"
-        level = _LEVEL_AND if isinstance(c, And) else _LEVEL_OR
-        ltext, llevel, lopen = _render(c.left)
-        if llevel <= level or lopen:
-            ltext = f"({ltext})"
-        rtext, rlevel, ropen = _render(c.right)
-        if 0 < rlevel < level:
-            rtext = f"({rtext})"
-            ropen = False
-        return f"{ltext} {op} {rtext}", level, ropen
-    raise ValueError(f"cannot render {c!r}")
+            head = f"atleast {c.n} {c.role} . "
+        return (head, parts[0][0]), _LEVEL_QUANT, True
+    if isinstance(c, And):
+        if c == BOT:
+            return "BOT", _LEVEL_ATOM, False
+        op, level = " and ", _LEVEL_AND
+    elif isinstance(c, Or):
+        if c == TOP:
+            return "TOP", _LEVEL_ATOM, False
+        op, level = " or ", _LEVEL_OR
+    else:
+        raise ValueError(f"cannot render {c!r}")
+    (ltext, llevel, lopen), (rtext, rlevel, ropen) = parts
+    if llevel <= level or lopen:
+        ltext = ("(", ltext, ")")
+    if 0 < rlevel < level:
+        rtext = ("(", rtext, ")")
+        ropen = False
+    return (ltext, op, rtext), level, ropen
 
 
 def render_concept(c: Concept) -> str:
-    return _render(c)[0]
+    pieces = [fold_concept(c, _render_node)[0]]
+    out = []
+    while pieces:
+        piece = pieces.pop()
+        if isinstance(piece, str):
+            out.append(piece)
+        else:
+            pieces.extend(reversed(piece))
+    return "".join(out)
 
 
 def render_gci(g: GCI) -> str:

@@ -16,7 +16,9 @@ instead of non-termination.
 
 The search is one loop over an explicit stack of pending nodes, so proof
 depth is bounded by the budgets, not by Python's recursion limit, and a
-search changes no process-wide setting.
+search changes no process-wide setting.  The concept walks it uses are
+loops too (`core.fold_concept`), so no concept is too deeply nested to
+search.
 
 Each node's CFL closure is carried to its premises and to its next cycle:
 a premise with the same role edges reuses it, one with a fresh leaf edge
@@ -353,10 +355,7 @@ def prove(ontology: Ontology, goal: Sequent,
     """
     search = _Search(ontology, limits)
     search.used_labels.update(goal.labels())
-    try:
-        return search.run(goal)
-    except RecursionError:
-        return Unknown("concept nesting exceeded the recursion limit")
+    return search.run(goal)
 
 
 def subsumes(ontology: Ontology, sub: Concept, sup: Concept,

@@ -31,6 +31,7 @@ from .core import (
     RiqError,
     Role,
     TOP,
+    fold_concept,
     signature_of,
 )
 from .sequent import Eq, Neq, RoleAtom, Sequent, _atom_labels
@@ -74,29 +75,33 @@ LabelAssignment = Mapping[str, Element]
 def interpret_concept(i: Interpretation, c: Concept) -> frozenset[Element]:
     """Extension of an NNF concept under the usual clauses, including the
     counting clauses for atmost/atleast."""
-    if isinstance(c, ConceptName):
-        return i.concept_ext(c.name)
-    if isinstance(c, NegatedName):
-        return frozenset(i.domain) - i.concept_ext(c.name)
-    if isinstance(c, And):
-        return interpret_concept(i, c.left) & interpret_concept(i, c.right)
-    if isinstance(c, Or):
-        return interpret_concept(i, c.left) | interpret_concept(i, c.right)
-    if isinstance(c, (Exists, Forall, AtMost, AtLeast)):
-        body = interpret_concept(i, c.body)
-        pairs = i.role_ext(c.role)
-        successors: dict[Element, set[Element]] = {a: set() for a in i.domain}
-        for a, b in pairs:
-            successors[a].add(b)
-        if isinstance(c, Exists):
-            return frozenset(a for a in i.domain if successors[a] & body)
-        if isinstance(c, Forall):
-            return frozenset(a for a in i.domain if successors[a] <= body)
-        counts = {a: len(successors[a] & body) for a in i.domain}
-        if isinstance(c, AtMost):
-            return frozenset(a for a in i.domain if counts[a] <= c.n)
-        return frozenset(a for a in i.domain if counts[a] >= c.n)
-    raise SemanticsError(f"cannot interpret {c!r}")
+
+    def extension(node: Concept, parts: Sequence[frozenset[Element]]) -> frozenset[Element]:
+        if isinstance(node, ConceptName):
+            return i.concept_ext(node.name)
+        if isinstance(node, NegatedName):
+            return frozenset(i.domain) - i.concept_ext(node.name)
+        if isinstance(node, And):
+            return parts[0] & parts[1]
+        if isinstance(node, Or):
+            return parts[0] | parts[1]
+        if isinstance(node, (Exists, Forall, AtMost, AtLeast)):
+            body = parts[0]
+            pairs = i.role_ext(node.role)
+            successors: dict[Element, set[Element]] = {a: set() for a in i.domain}
+            for a, b in pairs:
+                successors[a].add(b)
+            if isinstance(node, Exists):
+                return frozenset(a for a in i.domain if successors[a] & body)
+            if isinstance(node, Forall):
+                return frozenset(a for a in i.domain if successors[a] <= body)
+            counts = {a: len(successors[a] & body) for a in i.domain}
+            if isinstance(node, AtMost):
+                return frozenset(a for a in i.domain if counts[a] <= node.n)
+            return frozenset(a for a in i.domain if counts[a] >= node.n)
+        raise SemanticsError(f"cannot interpret {node!r}")
+
+    return fold_concept(c, extension)
 
 
 def _compose(left: PairSet, right: PairSet) -> PairSet:
@@ -211,39 +216,43 @@ def _transpose(rext: int, n: int) -> int:
 
 def _eval_bits(c: Concept, cexts: Mapping[str, int], rexts: Mapping[str, int], n: int) -> int:
     full = (1 << n) - 1
-    if isinstance(c, ConceptName):
-        if c.name in cexts:
-            return cexts[c.name]
-        if c.name == RESERVED_NAME:
-            return 0
-        raise SemanticsError(f"unknown concept name {c.name!r}")
-    if isinstance(c, NegatedName):
-        return full & ~_eval_bits(ConceptName(c.name), cexts, rexts, n)
-    if isinstance(c, And):
-        return _eval_bits(c.left, cexts, rexts, n) & _eval_bits(c.right, cexts, rexts, n)
-    if isinstance(c, Or):
-        return _eval_bits(c.left, cexts, rexts, n) | _eval_bits(c.right, cexts, rexts, n)
-    if isinstance(c, (Exists, Forall, AtMost, AtLeast)):
-        body = _eval_bits(c.body, cexts, rexts, n)
-        rext = rexts.get(c.role.name, 0)
-        if c.role.inverted:
-            rext = _transpose(rext, n)
-        rows = _rows(rext, n)
-        out = 0
-        for i in range(n):
-            hits = rows[i] & body
-            if isinstance(c, Exists):
-                ok = hits != 0
-            elif isinstance(c, Forall):
-                ok = (rows[i] & ~body & full) == 0
-            elif isinstance(c, AtMost):
-                ok = bin(hits).count("1") <= c.n
+
+    def bits(node: Concept, parts: Sequence[int]) -> int:
+        if isinstance(node, (ConceptName, NegatedName)):
+            if node.name in cexts:
+                ext = cexts[node.name]
+            elif node.name == RESERVED_NAME:
+                ext = 0
             else:
-                ok = bin(hits).count("1") >= c.n
-            if ok:
-                out |= 1 << i
-        return out
-    raise SemanticsError(f"cannot interpret {c!r}")
+                raise SemanticsError(f"unknown concept name {node.name!r}")
+            return ext if isinstance(node, ConceptName) else full & ~ext
+        if isinstance(node, And):
+            return parts[0] & parts[1]
+        if isinstance(node, Or):
+            return parts[0] | parts[1]
+        if isinstance(node, (Exists, Forall, AtMost, AtLeast)):
+            body = parts[0]
+            rext = rexts.get(node.role.name, 0)
+            if node.role.inverted:
+                rext = _transpose(rext, n)
+            rows = _rows(rext, n)
+            out = 0
+            for i in range(n):
+                hits = rows[i] & body
+                if isinstance(node, Exists):
+                    ok = hits != 0
+                elif isinstance(node, Forall):
+                    ok = (rows[i] & ~body & full) == 0
+                elif isinstance(node, AtMost):
+                    ok = bin(hits).count("1") <= node.n
+                else:
+                    ok = bin(hits).count("1") >= node.n
+                if ok:
+                    out |= 1 << i
+            return out
+        raise SemanticsError(f"cannot interpret {node!r}")
+
+    return fold_concept(c, bits)
 
 
 def _compose_bits(left: int, right: int, n: int) -> int:

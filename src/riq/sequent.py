@@ -731,9 +731,20 @@ def _role(text: str) -> Role:
 
 
 def render_sequent(seq: Sequent) -> str:
+    return _render_sequent(seq, {})
+
+
+def _render_sequent(seq: Sequent, memo: dict[Concept, str]) -> str:
+    """`render_sequent`, keeping each concept's text in `memo`: the sequents
+    of a proof repeat their concepts."""
+    texts = []
+    for occ in seq.consequent:
+        text = memo.get(occ.concept)
+        if text is None:
+            text = memo[occ.concept] = render_concept(occ.concept)
+        texts.append(f"{occ.label} : {text}")
     left = ", ".join(str(atom) for atom in seq.antecedent)
-    right = ", ".join(f"{occ.label} : {render_concept(occ.concept)}"
-                      for occ in seq.consequent)
+    right = ", ".join(texts)
     if left and right:
         return f"{left} |- {right}"
     if left:
@@ -755,38 +766,36 @@ def _parse_sequent(text: str, memo: dict[str, LabeledConcept]) -> Sequent:
     parser = _Parser(_tokenize(antecedent + sep), internal=True)
     atoms: list[Atom] = []
     concepts: list[LabeledConcept] = []
-    while not (parser.peek().kind == "sym" and parser.peek().text == "|-"):
+    while parser.peek()[:2] != ("sym", "|-"):
         if atoms:
             parser.expect_sym(",")
         first = parser.next()
-        if first.kind != "name":
-            raise parser.error(f"expected an atom, found {first.text!r}", first)
-        nxt = parser.peek()
-        if nxt.kind == "sym" and nxt.text == "(":
-            parser.next()
+        if first[0] != "name":
+            raise parser.error(f"expected an atom, found {first[1]!r}", first)
+        nxt = parser.next()
+        if nxt[:2] == ("sym", "("):
             src = parser.next()
             parser.expect_sym(",")
             dst = parser.next()
             parser.expect_sym(")")
-            if src.kind != "name" or dst.kind != "name":
+            if src[0] != "name" or dst[0] != "name":
                 raise parser.error("expected labels in role atom", src)
-            atoms.append(RoleAtom(_role(first.text), src.text, dst.text))
-        elif nxt.kind == "sym" and nxt.text in ("=", "!="):
-            parser.next()
+            atoms.append(RoleAtom(_role(first[1]), src[1], dst[1]))
+        elif nxt[:2] in (("sym", "="), ("sym", "!=")):
             other = parser.next()
-            if other.kind != "name":
+            if other[0] != "name":
                 raise parser.error("expected a label", other)
-            atoms.append((Eq if nxt.text == "=" else Neq)(first.text, other.text))
+            atoms.append((Eq if nxt[1] == "=" else Neq)(first[1], other[1]))
         else:
-            raise parser.error(f"malformed atom after {first.text!r}", nxt)
+            raise parser.error(f"malformed atom after {first[1]!r}", nxt)
     parser.expect_sym("|-")
     for occurrence in consequent.split(",") if consequent.strip() else ():
         if occurrence not in memo:
             lab, colon, body = occurrence.partition(":")
             tokens = _tokenize(lab)
-            if not colon or len(tokens) != 2 or tokens[0].kind != "name":
+            if not colon or len(tokens) != 2 or tokens[0][0] != "name":
                 raise ParseError(f"expected 'label : concept', found {occurrence.strip()!r}")
-            memo[occurrence] = LabeledConcept(tokens[0].text,
+            memo[occurrence] = LabeledConcept(tokens[0][1],
                                               parse_concept(body, internal=True))
         concepts.append(memo[occurrence])
     return make_sequent(atoms, concepts)
@@ -827,10 +836,11 @@ def proof_to_json(proof: Proof) -> str:
     parent, the root last), each naming its premises by index."""
     nodes: list[dict] = []
     done: list[int] = []
+    texts: dict[Concept, str] = {}
     for node in reversed(list(proof.nodes())):
         nodes.append({
             "rule": node.instance.rule,
-            "sequent": render_sequent(node.conclusion),
+            "sequent": _render_sequent(node.conclusion, texts),
             "witness": _witness_to_dict(node.instance.witness),
             "premises": [done.pop() for _ in node.children],
         })

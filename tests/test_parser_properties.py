@@ -1,0 +1,105 @@
+"""Property tests for the text formats: malformed input raises only the
+package's own errors, and rendering round-trips through the parser at any
+nesting depth."""
+
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from riq.core import (
+    BOT,
+    TOP,
+    And,
+    AtLeast,
+    AtMost,
+    ConceptName,
+    Exists,
+    Forall,
+    NegatedName,
+    Or,
+    RiqError,
+    Role,
+)
+from riq.parser import parse_concept, parse_ontology, render_concept
+from riq.sequent import parse_sequent, proof_from_json
+
+TOKENS = ("A", "B", "r", "s-", "x", "y", "_T", "A'", "0", "2", "99999999999",
+          "and", "or", "not", "some", "only", "atmost", "atleast", "TOP", "BOT",
+          "o", "(", ")", ".", ",", ":", "=", "!=", "<=", "|-", "{", "}", "[", "]",
+          '"', "gci:", "ria:", "roles:", "concepts:", "\n", "#", "@")
+
+#: well-formed inputs, whose prefixes are truncated inputs
+SENTENCES = (
+    "r ( x , y ) , x = y , y != x |- x : some r . A and B , y : not A",
+    "ria: r o s- <= r",
+    "gci: atmost 2 r . ( A or not B ) <= only s- . TOP",
+)
+
+token_text = st.one_of(
+    st.lists(st.sampled_from(TOKENS), max_size=16).map(" ".join),
+    st.builds(lambda s, n: " ".join(s.split()[:n]), st.sampled_from(SENTENCES),
+              st.integers(0, 30)))
+
+
+def proof_file(text: str) -> str:
+    """A one-node proof whose sequent and witness concept are `text`."""
+    return json.dumps({"format": "riq-proof", "version": 2, "nodes": [
+        {"rule": "id", "sequent": text, "witness": {"label": "x0", "concept": text},
+         "premises": []}]})
+
+
+@settings(max_examples=300, deadline=None)
+@given(token_text)
+def test_malformed_text_raises_only_riq_errors(text):
+    for parse, arg in ((parse_concept, text), (parse_ontology, text),
+                       (parse_ontology, "gci: " + text), (parse_sequent, text),
+                       (proof_from_json, text), (proof_from_json, proof_file(text))):
+        try:
+            parse(arg)
+        except RiqError:
+            pass
+
+
+ROLES = st.builds(Role, st.sampled_from(("r", "s")), st.booleans())
+LEAVES = st.one_of(st.builds(ConceptName, st.sampled_from(("A", "B"))),
+                   st.builds(NegatedName, st.sampled_from(("A", "B"))),
+                   st.sampled_from((TOP, BOT)))
+
+
+def extend(inner):
+    return st.one_of(
+        st.builds(And, inner, inner), st.builds(Or, inner, inner),
+        st.builds(Exists, ROLES, inner), st.builds(Forall, ROLES, inner),
+        st.builds(AtMost, st.integers(0, 3), ROLES, inner),
+        st.builds(AtLeast, st.integers(0, 3), ROLES, inner))
+
+
+concepts = st.recursive(LEAVES, extend, max_leaves=12)
+
+#: ways to put a concept one level deeper
+WRAPPERS = (
+    lambda c, d: And(c, d), lambda c, d: And(d, c),
+    lambda c, d: Or(c, d), lambda c, d: Or(d, c),
+    lambda c, d: Exists(Role("r"), c), lambda c, d: Forall(Role("s", True), c),
+    lambda c, d: AtMost(1, Role("r"), c), lambda c, d: AtLeast(2, Role("s"), c),
+)
+
+
+@st.composite
+def deep_concepts(draw):
+    """A random concept, wrapped in a repeated pattern of wrappers: up to
+    about 3000 levels, far beyond the default recursion limit."""
+    c = draw(concepts)
+    pattern = draw(st.lists(st.sampled_from(WRAPPERS), min_size=1, max_size=4))
+    other = draw(concepts)
+    for _ in range(draw(st.sampled_from((0, 1, 5, 800)))):
+        for wrap in pattern:
+            c = wrap(c, other)
+    return c
+
+
+@settings(max_examples=60, deadline=None)
+@given(deep_concepts())
+def test_rendering_round_trips(c):
+    assert parse_concept(render_concept(c)) == c

@@ -233,28 +233,63 @@ def nnf_negate(c: Concept) -> Concept:
     return fold_concept(c, _negate_node, _negation_leaf)
 
 
-def _nnf_node(c: Concept, parts: Sequence[Concept]) -> Concept:
+#: A raw subtree's NNF in three polarities: (positive, negated, negated
+#: twice), that is, (p, nnf_negate(p), nnf_negate(nnf_negate(p))).  The
+#: negations are None where `nnf_negate` makes them cheaply, when a `Not`
+#: above asks: for a subtree whose only `Not`s are on names, and for a
+#: number restriction, whose filler `nnf_negate` does not enter.
+_Polar = tuple[Concept, Optional[Concept], Optional[Concept]]
+
+
+def _polarize(part: _Polar) -> _Polar:
+    pos, neg, negneg = part
+    if neg is not None:
+        return part
+    if is_literal(pos):
+        return pos, _negate_node(pos, ()), pos
+    neg = nnf_negate(pos)
+    return pos, neg, nnf_negate(neg)
+
+
+def _nnf_node(c: Concept, parts: Sequence[_Polar]) -> _Polar:
+    if not parts:
+        return c, None, None
     if isinstance(c, Not):
-        return nnf_negate(parts[0])
-    if isinstance(c, (ConceptName, NegatedName)):
-        return c
+        if is_literal(parts[0][0]):
+            return _negate_node(parts[0][0], ()), None, None
+        # nnf_negate is an involution on its own results
+        _, neg, negneg = _polarize(parts[0])
+        return neg, negneg, neg
     if isinstance(c, (And, Or)):
-        if parts[0] is c.left and parts[1] is c.right:
-            return c
-        return type(c)(*parts)
-    if parts[0] is c.body:
-        return c
+        (lp, ln, _), (rp, rn, _) = parts
+        pos = c if lp is c.left and rp is c.right else type(c)(lp, rp)
+        if ln is None and rn is None:
+            return pos, None, None
+        (_, ln, lnn), (_, rn, rnn) = map(_polarize, parts)
+        if isinstance(c, And):
+            neg = TOP if pos == BOT else Or(ln, rn)
+            return pos, neg, BOT if neg == TOP else And(lnn, rnn)
+        neg = BOT if pos == TOP else And(ln, rn)
+        return pos, neg, TOP if neg == BOT else Or(lnn, rnn)
+    body, neg, negneg = parts[0]
     if isinstance(c, (Exists, Forall)):
-        return type(c)(c.role, parts[0])
-    if isinstance(c, (AtMost, AtLeast)):
-        return type(c)(c.n, c.role, parts[0])
-    raise ValueError(f"not a concept: {c!r}")
+        pos = c if body is c.body else type(c)(c.role, body)
+        if neg is None:
+            return pos, None, None
+        dual = Forall if isinstance(c, Exists) else Exists
+        return pos, dual(c.role, neg), type(c)(c.role, negneg)
+    # nnf_negate does not enter number restrictions: their negation is cheap
+    pos = c if body is c.body else type(c)(c.n, c.role, body)
+    return pos, None, None
 
 
 def to_nnf(raw: Concept) -> Concept:
     """Push general negation inward, producing an equivalent NNF concept;
-    subtrees without `Not` are kept as they are."""
-    return fold_concept(raw, _nnf_node)
+    subtrees without `Not` are kept as they are.
+
+    The walk carries each subtree's negations up, so ``Not(body)`` is
+    exactly ``nnf_negate(to_nnf(body))``, in time linear in the tree."""
+    return fold_concept(raw, _nnf_node)[0]
 
 
 def _weight_node(c: Concept, parts: Sequence[int]) -> int:

@@ -9,10 +9,11 @@ C <= C'.  A proof of that subsumption yields, by interpolation, a concept
 over theta equivalent to C under O.
 
 One proof search, of the split goal, decides implicit definability and
-yields the interpolant I, which is verified under O alone (checked proofs of
-C <= I and I <= C).  As cpt(I) lies in theta and O_theta is a renamed copy
-of O, both directions hold under O u O_theta iff they hold under O (ten Cate,
-Franconi and Seylan, JAIR 2013), so no verification over the union is made.
+yields the interpolant's simplified concept I, which is verified under O
+alone (checked proofs of C <= I and I <= C).  As cpt(I) lies in theta and
+O_theta is a renamed copy of O, both directions hold under O u O_theta iff
+they hold under O (ten Cate, Franconi and Seylan, JAIR 2013), so no
+verification over the union is made.
 """
 
 from __future__ import annotations

@@ -14,18 +14,22 @@ constructs); rules whose principal sits on the left are handled by the
 orthogonal wrap (orthogonal, mirrored right-side combination, orthogonal).
 
 One proof search, of the split goal, yields the interpolant
-(``extract_concept_interpolant``).  ``compute_concept_interpolant`` then
-verifies it: an exact signature check and proofs of both subsumption
-directions, each passed through ``check_proof``.  The checked proofs are the
-certificate; a proof the checker rejects is a prover bug and raises.
+(``extract_concept_interpolant``), whose concept is simplified by
+``simplify_concept``: structural rules that hold in every interpretation,
+so the verification searches do not spend their budget on dead structure.
+``compute_concept_interpolant`` then verifies the simplified concept: an
+exact signature check and proofs of both subsumption directions, each
+passed through ``check_proof``.  The checked proofs are the certificate; a
+proof the checker rejects is a prover bug and raises.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import ClassVar, Mapping, Optional, Sequence, Union
+from typing import Callable, ClassVar, Mapping, Optional, Sequence, Union
 
 from .core import (
     AtLeast,
@@ -48,7 +52,7 @@ from .core import (
     or_all,
     union_ontology,
 )
-from .parser import parse_concept, render_concept
+from .parser import concept_renderer, parse_concept, render_concept
 from .prover import (
     Proved,
     ProveResult,
@@ -241,44 +245,158 @@ def interpolant_concept(g: Interpolant, x: Label) -> Concept:
     return and_all(disjunctions)
 
 
-def _collapse_node(c: Concept, parts: Sequence[Concept]) -> Concept:
-    if isinstance(c, And):
-        left, right = parts
-        if left == BOT or right == BOT:
+# ---------------------------------------------------------------------------
+# Simplification
+# ---------------------------------------------------------------------------
+
+
+class _Run:
+    """An And or Or node whose run is not flattened yet: ``parts`` are
+    concepts and runs of the same connective."""
+
+    __slots__ = ("op", "parts")
+
+    def __init__(self, op: type, parts: Sequence) -> None:
+        self.op = op
+        self.parts = parts
+
+
+def _is_constant(c: Concept) -> bool:
+    return c == TOP or c == BOT
+
+
+def _is_top(c: Concept) -> bool:
+    return c == TOP or (isinstance(c, AtLeast) and c.n == 0)
+
+
+def _operands(c: Union[Concept, _Run], op: type) -> list[Concept]:
+    """The operands of the maximal ``op`` run at c, left to right."""
+    out: list[Concept] = []
+    todo = [c]
+    while todo:
+        x = todo.pop()
+        if type(x) is _Run:
+            todo.extend(reversed(x.parts))
+        elif type(x) is op and not _is_constant(x):
+            todo += x.right, x.left
+        else:
+            out.append(x)
+    return out
+
+
+def _existential_roles(conjuncts: Sequence[Concept]) -> Counter[Role]:
+    """For each role r, how many conjuncts imply some r . TOP."""
+    return Counter(c.role for c in conjuncts
+                   if isinstance(c, Exists) or (isinstance(c, AtLeast) and c.n >= 1))
+
+
+def _only_bot(c: Concept, roles: Counter[Role]) -> bool:
+    return isinstance(c, Forall) and c.role in roles and c.body == BOT
+
+
+def _absorb(operands: list[Concept], inner: type) -> list[Concept]:
+    """Drop each operand whose ``inner`` operands are a proper superset of
+    another operand's: CNF absorption for a conjunction (inner Or), DNF
+    absorption for a disjunction (inner And)."""
+    sets = [frozenset(_operands(c, inner)) for c in operands]
+    singles = {c for c, s in zip(operands, sets) if len(s) == 1}
+    multi = [s for s in sets if len(s) > 1]
+    return [c for c, s in zip(operands, sets)
+            if len(s) == 1 or (s.isdisjoint(singles) and not any(t < s for t in multi))]
+
+
+def _finish_or(run: Union[Concept, _Run], render: Callable[[Concept], str]) -> Concept:
+    disjuncts = list(dict.fromkeys(_operands(run, Or)))
+    if any(_is_top(d) for d in disjuncts):
+        return TOP
+    disjuncts = [d for d in disjuncts if d != BOT]
+    foralls = Counter(d.role for d in disjuncts if isinstance(d, Forall))
+    if any(isinstance(d, Exists) and d.body == TOP and d.role in foralls
+           for d in disjuncts):
+        return TOP  # only r . X or some r . TOP
+    # only r . BOT implies every other only r . X
+    disjuncts = [d for d in disjuncts
+                 if not (isinstance(d, Forall) and foralls[d.role] > 1 and d.body == BOT)]
+    return or_all(sorted(_absorb(disjuncts, And), key=render))
+
+
+def _finish_and(run: Union[Concept, _Run], render: Callable[[Concept], str]) -> Concept:
+    conjuncts = _operands(run, And)
+    changed = True
+    while changed:
+        conjuncts = list(dict.fromkeys(c for c in conjuncts if not _is_top(c)))
+        if BOT in conjuncts:
             return BOT
-        if left == TOP:
-            return right
-        if right == TOP:
-            return left
-        return And(left, right)
-    if isinstance(c, Or):
-        left, right = parts
-        if left == TOP or right == TOP:
-            return TOP
-        if left == BOT:
-            return right
-        if right == BOT:
-            return left
-        return Or(left, right)
-    if isinstance(c, Exists):
-        return BOT if parts[0] == BOT else Exists(c.role, parts[0])
-    if isinstance(c, Forall):
-        return TOP if parts[0] == TOP else Forall(c.role, parts[0])
-    if isinstance(c, AtMost):
-        return TOP if parts[0] == BOT else AtMost(c.n, c.role, parts[0])
-    if isinstance(c, AtLeast):
-        if c.n == 0:
-            return TOP
-        return BOT if parts[0] == BOT else AtLeast(c.n, c.role, parts[0])
-    return c
+        roles = _existential_roles(conjuncts)
+        # some r . X makes only r . BOT false, also inside a sibling disjunction
+        changed = False
+        kept = []
+        for c in conjuncts:
+            if _only_bot(c, roles):
+                return BOT
+            if isinstance(c, Or) and c != TOP:
+                disjuncts = _operands(c, Or)
+                rest = [d for d in disjuncts if not _only_bot(d, roles)]
+                if len(rest) < len(disjuncts):
+                    changed = True
+                    kept += _operands(or_all(rest), And)
+                    continue
+            kept.append(c)
+        conjuncts = kept
+    # some r . TOP is implied by any other some r . X or atleast n r . X
+    conjuncts = [c for c in conjuncts
+                 if not (isinstance(c, Exists) and roles[c.role] > 1 and c.body == TOP)]
+    return and_all(sorted(_absorb(conjuncts, Or), key=render))
 
 
-def collapse_topbot(c: Concept) -> Concept:
-    """TOP/BOT constant collapsing, the only simplification applied: boolean
-    units/absorbers plus the quantifier constants (some r . BOT = BOT,
-    only r . TOP = TOP, atleast 0 = TOP, atleast n . BOT = BOT,
-    atmost n . BOT = TOP)."""
-    return fold_concept(c, _collapse_node)
+def _simplify_node(c: Concept, parts: Sequence, finish: Callable) -> Union[Concept, _Run]:
+    if not parts:
+        return c
+    if isinstance(c, (And, Or)):
+        # a run of the other connective is an operand: finish it here
+        return _Run(type(c), [p if type(p) is not _Run or p.op is type(c) else finish(p)
+                              for p in parts])
+    body = finish(parts[0])
+    if isinstance(c, Exists) and body == BOT:
+        return BOT
+    if isinstance(c, Forall) and body == TOP:
+        return TOP
+    if isinstance(c, AtMost) and body == BOT:
+        return TOP
+    if isinstance(c, AtLeast) and c.n > 0 and body == BOT:
+        return BOT
+    return c if body is c.body else replace(c, body=body)
+
+
+def simplify_concept(c: Concept) -> Concept:
+    """An equivalent concept, by structural rules that hold in every
+    interpretation whatever the RBox (roles compared exactly):
+
+    - TOP and BOT as units and absorbers of and/or; some r . BOT = BOT,
+      only r . TOP = TOP, atmost n r . BOT = TOP, atleast n r . BOT = BOT
+      for n >= 1; atleast 0 r . X counts as TOP inside and/or;
+    - each maximal and/or run flattened, without duplicates, its operands
+      sorted by their rendering, and absorbed: a conjunct whose disjuncts
+      include another conjunct's goes, and dually for disjuncts;
+    - in a disjunction, only r . BOT goes beside another only r . X, and
+      only r . X with some r . TOP is TOP;
+    - in a conjunction, some r . TOP goes beside another some r . X or
+      atleast n r . X (n >= 1), and those make only r . BOT false, as a
+      conjunct or as a disjunct of a conjunct.
+
+    No rule makes a concept heavier, so ``weight`` never grows; that is why
+    atleast 0 r . X, lighter than TOP, is not replaced by it on its own.
+    """
+    # each operand is rendered for sorting, once, in the run it joins
+    render = concept_renderer()
+
+    def finish(x: Union[Concept, _Run]) -> Concept:
+        if type(x) is not _Run:
+            return x
+        return (_finish_and if x.op is And else _finish_or)(x, render)
+
+    return finish(fold_concept(c, lambda node, parts: _simplify_node(node, parts, finish),
+                               _is_constant))
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +695,8 @@ def extract_concept_interpolant(o1: Ontology, o2: Ontology, c: Concept, d: Conce
                                 limits: SearchLimits = SearchLimits()
                                 ) -> InterpolationResult:
     """Prove the split subsumption goal over O1 u O2, partition the proof,
-    extract the interpolant and assemble its concept, which is not yet
-    verified.  This is the one proof search of the extraction."""
+    extract the interpolant and assemble its simplified concept, which is
+    not yet verified.  This is the one proof search of the extraction."""
     goal = split_goal(o1, o2, c, d)
     ont = union_ontology(o1, o2)
     result = prove(ont, goal, limits)
@@ -594,7 +712,7 @@ def extract_concept_interpolant(o1: Ontology, o2: Ontology, c: Concept, d: Conce
     )
     pp = annotate_partition(ont, result.proof, split)
     g = extract_interpolant(pp, o1, o2)
-    concept = collapse_topbot(interpolant_concept(g, "x0"))
+    concept = simplify_concept(interpolant_concept(g, "x0"))
     return InterpolationResult("ok", concept, g, result.proof, result)
 
 

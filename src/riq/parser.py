@@ -15,7 +15,7 @@ the recursion limit.
 from __future__ import annotations
 
 import re
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .core import (
     MAX_CARDINALITY,
@@ -368,16 +368,42 @@ def _render_node(c: Concept, parts: Sequence[tuple]) -> tuple[object, int, bool]
     return (ltext, op, rtext), level, ropen
 
 
-def render_concept(c: Concept) -> str:
-    pieces = [fold_concept(c, _render_node)[0]]
+def _join(pieces: object) -> str:
+    todo = [pieces]
     out = []
-    while pieces:
-        piece = pieces.pop()
+    while todo:
+        piece = todo.pop()
         if isinstance(piece, str):
             out.append(piece)
         else:
-            pieces.extend(reversed(piece))
+            todo.extend(reversed(piece))
     return "".join(out)
+
+
+def render_concept(c: Concept) -> str:
+    return _join(fold_concept(c, _render_node)[0])
+
+
+def concept_renderer() -> Callable[[Concept], str]:
+    """A ``render_concept`` for concepts built on concepts it rendered
+    before: their text is reused, not walked again.  A concept's text is
+    kept, by identity, until a rendering uses it inside a larger concept, so
+    the renderer holds little more than the text of the concepts it rendered
+    last."""
+    done: dict[int, tuple[Concept, tuple[str, int, bool]]] = {}
+
+    def node(c: Concept, parts: Sequence[tuple]) -> tuple[object, int, bool]:
+        if not parts and id(c) in done:
+            return done.pop(id(c))[1]
+        return _render_node(c, parts)
+
+    def render(c: Concept) -> str:
+        if id(c) not in done:
+            pieces, level, open_ended = fold_concept(c, node, lambda n: id(n) in done)
+            done[id(c)] = c, (_join(pieces), level, open_ended)
+        return done[id(c)][1][0]
+
+    return render
 
 
 def render_gci(g: GCI) -> str:

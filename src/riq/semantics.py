@@ -483,12 +483,39 @@ def model_to_dict(i: Interpretation, assignment: Optional[LabelAssignment] = Non
     return out
 
 
+def _list(items: object, where: str, size: Optional[int] = None) -> list:
+    if not isinstance(items, list) or (size is not None and len(items) != size):
+        raise SemanticsError(f"{where} must be a list" + (f" of {size}" if size else ""))
+    return items
+
+
+def _elements(items: object, domain: frozenset, where: str, size: Optional[int] = None
+              ) -> tuple[Element, ...]:
+    for e in _list(items, where, size):
+        if not isinstance(e, str) or e not in domain:
+            raise SemanticsError(f"{where}: {e!r} is not a domain element")
+    return tuple(items)
+
+
 def model_from_dict(d: dict) -> tuple[Interpretation, Optional[dict[str, Element]]]:
-    i = Interpretation(
-        tuple(d["domain"]),
-        {name: frozenset(elems) for name, elems in d.get("concepts", {}).items()},
-        {name: frozenset(tuple(p) for p in pairs)
-         for name, pairs in d.get("roles", {}).items()},
-    )
-    assignment = d.get("assignment")
-    return i, dict(assignment) if assignment is not None else None
+    """The interpretation and assignment that ``model_to_dict`` writes;
+    malformed input raises SemanticsError."""
+    if not isinstance(d, dict):
+        raise SemanticsError("a model must be a JSON object")
+    domain = _list(d.get("domain"), "model domain")
+    if not all(isinstance(e, str) for e in domain) or len(set(domain)) != len(domain):
+        raise SemanticsError("model domain must list distinct strings")
+    known = frozenset(domain)
+    fields = {key: d.get(key, {}) for key in ("concepts", "roles", "assignment")}
+    for key, value in fields.items():
+        if not isinstance(value, dict) or not all(isinstance(k, str) for k in value):
+            raise SemanticsError(f"model {key} must be a JSON object")
+    concepts = {name: frozenset(_elements(elems, known, f"concept {name}"))
+                for name, elems in fields["concepts"].items()}
+    roles = {name: frozenset(_elements(p, known, f"pair of role {name}", 2)
+                             for p in _list(pairs, f"role {name}"))
+             for name, pairs in fields["roles"].items()}
+    assignment = fields["assignment"]
+    _elements(list(assignment.values()), known, "assignment")
+    return (Interpretation(tuple(domain), concepts, roles),
+            dict(assignment) if "assignment" in d else None)

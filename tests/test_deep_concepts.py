@@ -1,14 +1,15 @@
 """Concepts far deeper than the default recursion limit go through every
 concept walk: parsing, NNF, rendering, negation, weight, subconcepts,
-renaming, TOP/BOT collapsing and both evaluators."""
+renaming, simplification and both evaluators."""
 
 import sys
 
 import pytest
 
-from riq.core import nnf_negate, subconcepts, weight
+from riq.core import (And, ConceptName, NegatedName, Or, nnf_negate, or_all, subconcepts,
+                      weight)
 from riq.definability import rename_concept
-from riq.interpolation import collapse_topbot
+from riq.interpolation import simplify_concept
 from riq.parser import parse_concept, render_concept
 from riq.semantics import Interpretation, _eval_bits, interpret_concept
 
@@ -21,13 +22,13 @@ INTERPRETATION = Interpretation(
 )
 
 
-@pytest.mark.parametrize("text", [
-    " or ".join(["A", "B"] * (DEPTH // 2)),
-    "(" * DEPTH + "A" + " and B)" * DEPTH,
-    "some r . " * DEPTH + "B",
-    "not " * DEPTH + "not B",
+@pytest.mark.parametrize("text, simple", [
+    (" or ".join(["A", "B"] * (DEPTH // 2)), "A or B"),
+    ("(" * DEPTH + "A" + " and B)" * DEPTH, "A and B"),
+    ("some r . " * DEPTH + "B", None),
+    ("not " * DEPTH + "not B", None),
 ], ids=["or-chain", "parentheses", "existentials", "negations"])
-def test_every_walk_handles_deep_concepts(text):
+def test_every_walk_handles_deep_concepts(text, simple):
     assert sys.getrecursionlimit() == 1000
     c = parse_concept(text)
     nodes = list(subconcepts(c))
@@ -39,8 +40,41 @@ def test_every_walk_handles_deep_concepts(text):
     renamed = rename_concept(c, {"A": "A'", "B": "B'"})
     assert renamed != c
     assert rename_concept(renamed, {"A'": "A", "B'": "B"}) == c
-    assert collapse_topbot(c) == c
+    assert simplify_concept(c) == (c if simple is None else parse_concept(simple))
 
     extension = interpret_concept(INTERPRETATION, c)
     bits = _eval_bits(c, {"A": 0b01, "B": 0b10}, {"r": 0b1010}, 2)
     assert extension == {f"e{i}" for i in range(2) if bits >> i & 1}
+
+
+def test_distinct_disjuncts_flatten_once():
+    """A right-nested chain of 10 000 distinct disjuncts is flattened once, at
+    its top, not again at each of its levels."""
+    names = [f"A{i}" for i in range(DEPTH)]
+    c = parse_concept(" or ".join(reversed(names)))
+    assert simplify_concept(c) == or_all(ConceptName(name) for name in sorted(names))
+
+
+def test_nested_negation_is_linear():
+    """Each `not` takes its body's negation from the walk instead of negating
+    the body again."""
+    n = DEPTH // 2
+    c = parse_concept("not (A and " * n + "B" + ")" * n)
+    # to_nnf(not (A and X)) = not A or nnf_negate(to_nnf(X)), and its negation
+    # is A and to_nnf(X)
+    pos, neg = ConceptName("B"), NegatedName("B")
+    for _ in range(n):
+        pos, neg = Or(NegatedName("A"), neg), And(ConceptName("A"), pos)
+    assert c == pos
+
+
+def test_alternating_runs_simplify():
+    """Runs nested 10 000 deep: each operand's rendering, the sort key, is
+    made once and reused by the runs above it."""
+    n = DEPTH // 2
+    c = parse_concept("A and (B or (" * n + "E" + "))" * n)
+    simple = simplify_concept(c)
+    assert weight(simple) == weight(c)
+    assert simplify_concept(simple) == simple
+    exts = {"A": 0b01, "B": 0b10, "E": 0b11}
+    assert _eval_bits(simple, exts, {}, 2) == _eval_bits(c, exts, {}, 2)

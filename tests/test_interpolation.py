@@ -1,18 +1,27 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riq.core import (
     BOT,
+    And,
+    AtLeast,
+    AtMost,
     ConceptName,
+    Exists,
+    Forall,
     GCI,
     NegatedName,
+    Or,
     RIA,
     Role,
     TOP,
     cpt,
     make_ontology,
     normalize_ontology,
+    weight,
 )
 from riq.interpolation import (
     EMPTY,
@@ -22,7 +31,6 @@ from riq.interpolation import (
     Side,
     annotate_partition,
     box_interpolant,
-    collapse_topbot,
     compute_concept_interpolant,
     extract_interpolant,
     interpolant,
@@ -32,10 +40,14 @@ from riq.interpolation import (
     leq_interpolant,
     member,
     orthogonal,
+    simplify_concept,
     verify_interpolant,
 )
 from riq import interpolation
+from riq.definability import explicit_definition
+from riq.parser import render_concept
 from riq.prover import Proved, SearchLimits, Unknown, prove
+from riq.semantics import _eval_bits
 from riq.sequent import Eq, LabeledConcept, Neq, Proof, make_sequent
 from conftest import C, EMPTY_ONT, O, random_concept
 
@@ -180,17 +192,153 @@ class TestInterpolantConcept:
 
 
 class TestCollapse:
+    """TOP and BOT as constants of simplify_concept."""
+
     def test_or_bot(self):
-        assert collapse_topbot(C("BOT or A")) == A
+        assert simplify_concept(C("BOT or A")) == A
 
     def test_and_top(self):
-        assert collapse_topbot(C("A and TOP")) == A
+        assert simplify_concept(C("A and TOP")) == A
 
     def test_nested(self):
-        assert collapse_topbot(C("(BOT or A) and (TOP or B)")) == A
+        assert simplify_concept(C("(BOT or A) and (TOP or B)")) == A
 
     def test_quantifier_body(self):
-        assert collapse_topbot(C("only r . (BOT or A)")) == C("only r . A")
+        assert simplify_concept(C("only r . (BOT or A)")) == C("only r . A")
+
+    @pytest.mark.parametrize("text, expected", [
+        ("some r . BOT", "BOT"), ("only r . TOP", "TOP"),
+        ("atmost 1 r . BOT", "TOP"), ("atleast 2 r . BOT", "BOT"),
+        ("A and (atleast 0 r . B)", "A"), ("A or atleast 0 r . B", "TOP"),
+        # weight(atleast 0 r . A) = 1 < weight(TOP) = 3: kept on its own
+        ("atleast 0 r . (A or BOT)", "atleast 0 r . A"),
+    ])
+    def test_quantifier_constants(self, text, expected):
+        assert simplify_concept(C(text)) == C(expected)
+
+
+def simplified(text: str) -> str:
+    return render_concept(simplify_concept(C(text)))
+
+
+class TestSimplify:
+    def test_runs_flatten_without_duplicates_in_rendering_order(self):
+        c = simplify_concept(C("(E or B) or (A or (B or (E or A)))"))
+        assert c == Or(A, Or(B, E))
+        assert simplify_concept(C("B and E and (A and B)")) == And(A, And(B, E))
+
+    def test_output_does_not_depend_on_operand_order(self, rng):
+        operands = ["A", "not B", "some r . E", "(only r . A) or B", "atmost 1 r . B"]
+        outputs = set()
+        for _ in range(10):
+            rng.shuffle(operands)
+            outputs.add(simplified(" and ".join(f"({x})" for x in operands)))
+        assert len(outputs) == 1
+
+    def test_cnf_absorption(self):
+        assert simplified("(A or B) and A") == "A"
+        assert simplified("(A or B or E) and (B or A)") == "A or B"
+        assert simplified("(A or B) and (A or E)") == "(A or B) and (A or E)"
+
+    def test_dnf_absorption(self):
+        assert simplified("A or (A and B)") == "A"
+        assert simplified("(A and B and E) or (B and A)") == "A and B"
+
+    def test_only_bot_absorbed_by_only(self):
+        assert simplified("(only r . BOT) or only r . A") == "only r . A"
+        # roles must match exactly, inverse flag included
+        assert simplified("(only r- . BOT) or only r . A") == \
+            "(only r . A) or only r- . BOT"
+
+    def test_only_or_some_top_is_top(self):
+        assert simplify_concept(C("(only r . A) or B or some r . TOP")) == TOP
+        assert simplify_concept(C("(only r . A) or some r- . TOP")) != TOP
+
+    def test_some_top_absorbed_by_some_or_atleast(self):
+        assert simplified("(some r . TOP) and some r . A") == "some r . A"
+        assert simplified("(some r . TOP) and atleast 2 r . A") == "atleast 2 r . A"
+        assert simplified("(some r . TOP) and atleast 0 r . A") == "some r . TOP"
+        assert simplified("(some r . TOP) and some r- . A") == \
+            "(some r . TOP) and some r- . A"
+
+    def test_some_makes_only_bot_false(self):
+        assert simplify_concept(C("(only r . BOT) and some r . A")) == BOT
+        assert simplify_concept(C("(only r . BOT) and atleast 1 r . A")) == BOT
+        assert simplified("((only r . BOT) or B) and some r . A") == \
+            "B and some r . A"
+        assert simplified("((only r . BOT) or some r . B) and some r . TOP") == \
+            "some r . B"
+
+    def test_only_bot_false_repeats_until_stable(self):
+        # the first disjunction shrinks to some s . A, which clears the second
+        assert simplified("((only r . BOT) or some s . A) and ((only s . BOT) or E) "
+                          "and some r . B") == "E and (some r . B) and some s . A"
+
+
+ROLES = st.builds(Role, st.sampled_from(("r", "s")), st.booleans())
+NAMES = st.one_of(st.builds(ConceptName, st.sampled_from(("A", "B"))),
+                  st.builds(NegatedName, st.sampled_from(("A", "B"))))
+#: names, constants and the quantified constants the rules match
+LEAVES = st.one_of(NAMES, st.sampled_from((TOP, BOT)),
+                   st.builds(Exists, ROLES, st.just(TOP)),
+                   st.builds(Forall, ROLES, st.just(BOT)),
+                   st.builds(AtLeast, st.integers(0, 1), ROLES, NAMES))
+#: NNF concepts over A, B and two roles
+NNF_CONCEPTS = st.recursive(LEAVES, lambda inner: st.one_of(
+    st.builds(And, inner, inner), st.builds(Or, inner, inner),
+    st.builds(Exists, ROLES, inner), st.builds(Forall, ROLES, inner),
+    st.builds(AtMost, st.integers(0, 2), ROLES, inner),
+    st.builds(AtLeast, st.integers(0, 2), ROLES, inner)), max_leaves=14)
+
+
+@st.composite
+def interpretations(draw):
+    """Concept and role extensions as bitmasks over a domain of 1 to 3."""
+    n = draw(st.integers(1, 3))
+    names = st.integers(0, (1 << n) - 1)
+    pairs = st.integers(0, (1 << (n * n)) - 1)
+    return {"A": draw(names), "B": draw(names)}, {"r": draw(pairs), "s": draw(pairs)}, n
+
+
+class TestSimplifyProperties:
+    @settings(max_examples=400, deadline=None)
+    @given(NNF_CONCEPTS, st.lists(interpretations(), min_size=1, max_size=8))
+    def test_equivalent_in_every_interpretation(self, c, models):
+        simple = simplify_concept(c)
+        for cexts, rexts, n in models:
+            assert _eval_bits(simple, cexts, rexts, n) == _eval_bits(c, cexts, rexts, n)
+
+    @settings(max_examples=400, deadline=None)
+    @given(NNF_CONCEPTS)
+    def test_weight_never_grows(self, c):
+        assert weight(simplify_concept(c)) <= weight(c)
+
+
+#: The interp-define benchmark's ontologies and budget: these four goals
+#: were answered "unknown" while the verification searches spent the step
+#: bound on the extracted concept's dead structure.
+LEFT_ONTOLOGY = "gci: A <= some r . B\ngci: B <= only r . B\n"
+RIGHT_ONTOLOGY = "gci: some r . B <= E\ngci: E <= B\n"
+DEFINED_ONTOLOGY = ("gci: A <= B and some r . E\ngci: B and some r . E <= A\n"
+                    "gci: E <= only r . E\ngci: E <= not B\n")
+WORKLOAD_LIMITS = SearchLimits(max_steps=1500, max_labels=40, max_seconds_hint=600)
+
+
+class TestSimplifiedConceptsVerify:
+    def test_interpolant_is_simplified_and_verified(self):
+        result = compute_concept_interpolant(
+            O(LEFT_ONTOLOGY), O(RIGHT_ONTOLOGY), C("A and (some r . A)"),
+            C("E or (only r . E)"), WORKLOAD_LIMITS)
+        assert result.status == "ok"
+        assert result.concept == C("some r . B")
+
+    @pytest.mark.parametrize("concept", [
+        "A and (some r . B)", "A or (only r . B)", "A or (only r . E)"])
+    def test_definition_is_verified(self, concept):
+        result = explicit_definition(O(DEFINED_ONTOLOGY), C(concept), ("B", "E"),
+                                     WORKLOAD_LIMITS)
+        assert result.status == "ok"
+        assert result.report.ok
 
 
 class TestAnnotateAndExtract:
@@ -221,7 +369,7 @@ class TestAnnotateAndExtract:
                                                  A, C("B or not B"))
         pp = annotate_partition(ont, proof, split)
         g = extract_interpolant(pp, EMPTY_ONT, EMPTY_ONT)
-        assert collapse_topbot(interpolant_concept(g, "x0")) == TOP
+        assert simplify_concept(interpolant_concept(g, "x0")) == TOP
 
     def test_forall_premise_tags(self):
         ont, proof, split = self._pipeline_parts(

@@ -1,6 +1,6 @@
 """Property tests for the text formats: malformed input raises only the
-package's own errors, and rendering round-trips through the parser at any
-nesting depth."""
+package's own errors, rendering round-trips through the parser at any
+nesting depth, and general negation normalizes as its definition says."""
 
 import json
 
@@ -17,11 +17,15 @@ from riq.core import (
     Exists,
     Forall,
     NegatedName,
+    Not,
     Or,
     RiqError,
     Role,
+    nnf_negate,
+    to_nnf,
 )
-from riq.parser import parse_concept, parse_ontology, render_concept
+from riq.parser import concept_renderer, parse_concept, parse_ontology, render_concept
+from riq.semantics import model_from_dict, model_to_dict
 from riq.sequent import parse_sequent, proof_from_json
 
 TOKENS = ("A", "B", "r", "s-", "x", "y", "_T", "A'", "0", "2", "99999999999",
@@ -103,3 +107,58 @@ def deep_concepts(draw):
 @given(deep_concepts())
 def test_rendering_round_trips(c):
     assert parse_concept(render_concept(c)) == c
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(concepts, min_size=1, max_size=4), st.lists(st.sampled_from(WRAPPERS)))
+def test_renderer_reuses_text_as_render_concept_would(parts, wrappers):
+    render = concept_renderer()
+    c = parts[0]
+    for part, wrap in zip(parts[1:], wrappers):
+        assert render(c) == render_concept(c)
+        assert render(part) == render_concept(part)
+        c = wrap(c, part)
+    assert render(c) == render_concept(c)
+    assert [render(part) for part in parts] == [render_concept(part) for part in parts]
+
+
+#: concepts with general negation anywhere, also over TOP, BOT and atleast 0
+raw_concepts = st.recursive(LEAVES, lambda inner: st.one_of(
+    extend(inner), st.builds(Not, inner)), max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_concepts)
+def test_negation_normalizes_as_defined(body):
+    assert to_nnf(Not(body)) == nnf_negate(to_nnf(body))
+
+
+#: JSON values a model file might hold, with the keys a model uses
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-1, 3), st.sampled_from(("a", "b", "A"))),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(("domain", "concepts", "roles", "assignment",
+                                         "A", "r", "x0")), inner, max_size=4)),
+    max_leaves=10)
+
+VALID_MODEL = {"domain": ["a", "b"], "concepts": {"A": ["a"]},
+               "roles": {"r": [["a", "b"]]}, "assignment": {"x0": "b"}}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(json_values,
+                 st.builds(lambda key, value: {**VALID_MODEL, key: value},
+                           st.sampled_from(sorted(VALID_MODEL)), json_values)))
+def test_malformed_model_raises_only_riq_errors(data):
+    try:
+        interpretation, assignment = model_from_dict(data)
+    except RiqError:
+        return
+    domain = set(interpretation.domain)
+    assert all(ext <= domain for ext in interpretation.concepts.values())
+    assert all(len(pair) == 2 and set(pair) <= domain
+               for pairs in interpretation.roles.values() for pair in pairs)
+    assert set((assignment or {}).values()) <= domain
+    assert model_from_dict(model_to_dict(interpretation, assignment)) == \
+        (interpretation, assignment)

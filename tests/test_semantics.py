@@ -201,6 +201,18 @@ class TestModelSerialization:
         assert back == i
         assert assignment == {"x0": "d"}
 
+    @pytest.mark.parametrize("data", [
+        {}, {"domain": 3}, {"domain": ["a"], "concepts": [1]},
+        {"domain": ["a"], "concepts": {"A": ["b"]}},
+        {"domain": ["a"], "roles": {"r": [["a"]]}},
+        {"domain": ["a"], "roles": {"r": [["a", "a", "a"]]}},
+        {"domain": ["a", "a"]}, {"domain": ["a"], "assignment": {"x0": "b"}},
+    ], ids=["empty", "domain-not-list", "concepts-not-object", "element-outside",
+            "short-pair", "long-pair", "repeated-element", "assignment-outside"])
+    def test_malformed_model_is_rejected(self, data):
+        with pytest.raises(SemanticsError):
+            model_from_dict(data)
+
 
 class TestModelCache:
     def test_cache_stays_bounded(self):

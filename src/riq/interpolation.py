@@ -19,8 +19,12 @@ One proof search, of the split goal, yields the interpolant
 so the verification searches do not spend their budget on dead structure.
 ``compute_concept_interpolant`` then verifies the simplified concept: an
 exact signature check and proofs of both subsumption directions, each
-passed through ``check_proof``.  The checked proofs are the certificate; a
-proof the checker rejects is a prover bug and raises.
+passed through ``check_proof``.  That is the definition of a concept
+interpolant, so it is the answer's one certificate, independent of how the
+concept was read off the proof: extraction checks no property at the proof
+nodes (the paper's Lemma 5 is a test-side property), only that the root
+interpolant is atom-free and over the root label.  A proof the checker
+rejects is a prover bug and raises.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .core import (
     AtMost,
     BOT,
     Concept,
+    ConceptName,
     Exists,
     Forall,
     And,
@@ -140,7 +145,8 @@ def _dominates(small: Member, big: Member) -> bool:
 
 
 def prune_dominated(members) -> frozenset[Member]:
-    """Drop members that componentwise extend another member.
+    """The minimal members: drop each member that componentwise extends
+    another.
 
     A member that is a superset of another is a weaker conjunct of the
     assembled concept, and every orthogonal pick over it can reuse the pick
@@ -148,9 +154,13 @@ def prune_dominated(members) -> frozenset[Member]:
     asserts (this is exactly the redundancy behind the double-orthogonal
     domination property).  Keeping interpolants antichains is what makes the
     orthogonal wrap tractable in practice.
+
+    Members are visited by size alone: a strict dominator is strictly
+    smaller, and members of equal size dominate each other only when equal,
+    so the kept set is the set of minimal members in any visiting order.
     """
     kept: list[Member] = []
-    for m in sorted(members, key=lambda m: (len(m.atoms) + len(m.concepts), m.key())):
+    for m in sorted(members, key=lambda m: len(m.atoms) + len(m.concepts)):
         if not any(_dominates(k, m) for k in kept):
             kept.append(m)
     return frozenset(kept)
@@ -167,25 +177,19 @@ def orthogonal(g: Interpolant) -> Interpolant:
     """All choice functions picking exactly one negated element from each
     member: equality atoms flip polarity, concepts are NNF-negated.
     Duplicates and dominated picks merge; the empty interpolant yields the
-    single empty member, and any empty member kills the product."""
+    single empty member, and any empty member kills the product.
+
+    Members, atoms and concepts are visited in no particular order.  Each
+    step keeps only the minimal partial picks, and every extension of a
+    dominated pick is dominated by the same extension of its dominator, so
+    the result is the set of minimal elements of the whole product."""
     partial: list[Member] = [Member(frozenset(), frozenset())]
-    for m in sorted(prune_dominated(g.members), key=Member.key):
-        options: list[tuple[str, object]] = []
-        for atom in sorted(m.atoms, key=str):
-            if isinstance(atom, Eq):
-                options.append(("atom", Neq(atom.left, atom.right)))
-            else:
-                options.append(("atom", Eq(atom.left, atom.right)))
-        for lab, c in sorted(m.concepts, key=lambda lc: (lc[0], render_concept(lc[1]))):
-            options.append(("concept", (lab, nnf_negate(c))))
-        grown: set[Member] = set()
-        for p in partial:
-            for kind, item in options:
-                if kind == "atom":
-                    grown.add(Member(p.atoms | {item}, p.concepts))
-                else:
-                    grown.add(Member(p.atoms, p.concepts | {item}))
-        # partial picks dominated by another complete the same way, weaker
+    for m in prune_dominated(g.members):
+        flipped = [Neq(a.left, a.right) if isinstance(a, Eq) else Eq(a.left, a.right)
+                   for a in m.atoms]
+        negated = [(lab, nnf_negate(c)) for lab, c in m.concepts]
+        grown = {Member(p.atoms | {atom}, p.concepts) for p in partial for atom in flipped}
+        grown |= {Member(p.atoms, p.concepts | {lc}) for p in partial for lc in negated}
         partial = list(prune_dominated(grown))
     return Interpolant(frozenset(partial))
 
@@ -284,10 +288,24 @@ def _operands(c: Union[Concept, _Run], op: type) -> list[Concept]:
     return out
 
 
+def _implies_some(c: Concept) -> bool:
+    """Whether c is some r . X or atleast n r . X with n >= 1."""
+    return isinstance(c, Exists) or (isinstance(c, AtLeast) and c.n >= 1)
+
+
+def _is_some_top(c: Concept) -> bool:
+    return isinstance(c, Exists) and c.body == TOP
+
+
+def _complementary(operands: Sequence[Concept]) -> bool:
+    """Whether some name occurs among the operands both as B and not B."""
+    names = {c.name for c in operands if isinstance(c, ConceptName)}
+    return any(isinstance(c, NegatedName) and c.name in names for c in operands)
+
+
 def _existential_roles(conjuncts: Sequence[Concept]) -> Counter[Role]:
     """For each role r, how many conjuncts imply some r . TOP."""
-    return Counter(c.role for c in conjuncts
-                   if isinstance(c, Exists) or (isinstance(c, AtLeast) and c.n >= 1))
+    return Counter(c.role for c in conjuncts if _implies_some(c))
 
 
 def _only_bot(c: Concept, roles: Counter[Role]) -> bool:
@@ -307,16 +325,18 @@ def _absorb(operands: list[Concept], inner: type) -> list[Concept]:
 
 def _finish_or(run: Union[Concept, _Run], render: Callable[[Concept], str]) -> Concept:
     disjuncts = list(dict.fromkeys(_operands(run, Or)))
-    if any(_is_top(d) for d in disjuncts):
+    if any(_is_top(d) for d in disjuncts) or _complementary(disjuncts):
         return TOP
     disjuncts = [d for d in disjuncts if d != BOT]
     foralls = Counter(d.role for d in disjuncts if isinstance(d, Forall))
-    if any(isinstance(d, Exists) and d.body == TOP and d.role in foralls
-           for d in disjuncts):
+    some_top = {d.role for d in disjuncts if _is_some_top(d)}
+    if some_top & foralls.keys():
         return TOP  # only r . X or some r . TOP
-    # only r . BOT implies every other only r . X
+    # only r . BOT implies every other only r . X; some r . X and
+    # atleast n r . X (n >= 1) imply some r . TOP
     disjuncts = [d for d in disjuncts
-                 if not (isinstance(d, Forall) and foralls[d.role] > 1 and d.body == BOT)]
+                 if not (isinstance(d, Forall) and foralls[d.role] > 1 and d.body == BOT)
+                 and not (_implies_some(d) and d.role in some_top and not _is_some_top(d))]
     return or_all(sorted(_absorb(disjuncts, And), key=render))
 
 
@@ -325,7 +345,7 @@ def _finish_and(run: Union[Concept, _Run], render: Callable[[Concept], str]) -> 
     changed = True
     while changed:
         conjuncts = list(dict.fromkeys(c for c in conjuncts if not _is_top(c)))
-        if BOT in conjuncts:
+        if BOT in conjuncts or _complementary(conjuncts):
             return BOT
         roles = _existential_roles(conjuncts)
         # some r . X makes only r . BOT false, also inside a sibling disjunction
@@ -344,8 +364,7 @@ def _finish_and(run: Union[Concept, _Run], render: Callable[[Concept], str]) -> 
             kept.append(c)
         conjuncts = kept
     # some r . TOP is implied by any other some r . X or atleast n r . X
-    conjuncts = [c for c in conjuncts
-                 if not (isinstance(c, Exists) and roles[c.role] > 1 and c.body == TOP)]
+    conjuncts = [c for c in conjuncts if not (_is_some_top(c) and roles[c.role] > 1)]
     return and_all(sorted(_absorb(conjuncts, Or), key=render))
 
 
@@ -378,7 +397,9 @@ def simplify_concept(c: Concept) -> Concept:
     - each maximal and/or run flattened, without duplicates, its operands
       sorted by their rendering, and absorbed: a conjunct whose disjuncts
       include another conjunct's goes, and dually for disjuncts;
-    - in a disjunction, only r . BOT goes beside another only r . X, and
+    - a name B beside not B makes a disjunction TOP and a conjunction BOT;
+    - in a disjunction, only r . BOT goes beside another only r . X,
+      some r . X and atleast n r . X (n >= 1) go beside some r . TOP, and
       only r . X with some r . TOP is TOP;
     - in a conjunction, some r . TOP goes beside another some r . X or
       atleast n r . X (n >= 1), and those make only r . BOT false, as a
@@ -487,14 +508,16 @@ def annotate_partition(ontology: Ontology, proof: Proof,
 # ---------------------------------------------------------------------------
 
 
-def extract_interpolant(pp: PartitionedProof, o1: Ontology, o2: Ontology
-                        ) -> Interpolant:
-    """Downward-from-leaves pass assigning an interpolant to every node.
+def extract_interpolant(pp: PartitionedProof) -> Interpolant:
+    """Downward-from-leaves pass assigning an interpolant to every node;
+    returns the root's.
 
     Initial rules produce the leaf interpolants (orthogonal-wrapped when
     the principal is on the left); interpolant-preserving rules take the
     union of their premises' interpolants; the universal and atmost rules
-    apply their dedicated constructs.
+    apply their dedicated constructs.  No node's interpolant is checked
+    here: the answer's certificate is the verification of the assembled
+    concept (``VerificationReport.verify``), which does not trust this pass.
     """
 
     def combine(node: PartitionedProof, parts: list[Interpolant]) -> Interpolant:
@@ -537,7 +560,6 @@ def extract_interpolant(pp: PartitionedProof, o1: Ontology, o2: Ontology
             return interpolant(member(atoms=[atom]))
         return interpolant(member(atoms=[Eq(atom.left, atom.right)]))
 
-    names1, names2 = cpt(o1), cpt(o2)
     done: list[Interpolant] = []
     for _, node in reversed(list(walk(pp))):
         parts = [done.pop() for _ in node.children]
@@ -556,44 +578,8 @@ def extract_interpolant(pp: PartitionedProof, o1: Ontology, o2: Ontology
             else:
                 # the orthogonal wrap: swap partitions, combine, swap back
                 g = orthogonal(combine(node, [orthogonal(part) for part in parts]))
-        _check_lemma_properties(node, g, names1, names2)
         done.append(g)
     return done[0]
-
-
-def _check_lemma_properties(node: PartitionedProof, g: Interpolant,
-                            names1: frozenset[str], names2: frozenset[str]) -> None:
-    """Check the interpolant lemma at one node; names1 and names2 are the
-    concept names of the left and the right ontology."""
-    phi = {a for a, s in node.neq_sides.items() if s is Side.LEFT}
-    psi = {a for a, s in node.neq_sides.items() if s is Side.RIGHT}
-    seq_labels = set(node.conclusion.labels())
-    left_concepts = [occ.concept for occ, side in
-                     zip(node.conclusion.consequent, node.occ_sides)
-                     if side is Side.LEFT]
-    right_concepts = [occ.concept for occ, side in
-                      zip(node.conclusion.consequent, node.occ_sides)
-                      if side is Side.RIGHT]
-    left_names = names1 | cpt(left_concepts)
-    right_names = names2 | cpt(right_concepts)
-    for m in g.members:
-        for atom in m.atoms:
-            flipped = type(atom)(atom.right, atom.left)
-            if isinstance(atom, Eq):
-                if Neq(atom.left, atom.right) not in phi and \
-                   Neq(atom.right, atom.left) not in phi:
-                    raise InterpolationError(
-                        f"equality {atom} lacks a matching left inequality")
-            elif atom not in psi and flipped not in psi:
-                raise InterpolationError(
-                    f"inequality {atom} lacks a matching right inequality")
-        if not m.labels() <= seq_labels:
-            raise InterpolationError("interpolant label outside the sequent")
-        names = cpt([c for _, c in m.concepts])
-        if not names <= left_names & right_names:
-            raise InterpolationError(
-                f"interpolant names {sorted(names - (left_names & right_names))} "
-                "outside the shared signature")
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +697,7 @@ def extract_concept_interpolant(o1: Ontology, o2: Ontology, c: Concept, d: Conce
         left_gcis=len(o1.tbox),
     )
     pp = annotate_partition(ont, result.proof, split)
-    g = extract_interpolant(pp, o1, o2)
+    g = extract_interpolant(pp)
     concept = simplify_concept(interpolant_concept(g, "x0"))
     return InterpolationResult("ok", concept, g, result.proof, result)
 

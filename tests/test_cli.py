@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import riq
 from riq.cli import main
 
 
@@ -142,6 +147,45 @@ class TestModel:
         ont = parse_ontology((ontdir / "empty.riq").read_text())
         goal = goal_sequent(ont, parse_concept("A"), parse_concept("B"))
         assert falsifies(interpretation, assignment, ont, goal)
+
+
+class TestHashSeed:
+    """Sets of interpolant members, atoms and concepts iterate in an order
+    that follows Python's string hashing; nothing printed or emitted may."""
+
+    LEFT = "gci: A <= some r . B\ngci: B <= only r . B\n"
+    RIGHT = "gci: some r . B <= E\ngci: E <= B\n"
+    DEFINED = ("gci: A <= B and some r . E\ngci: B and some r . E <= A\n"
+               "gci: E <= only r . E\ngci: E <= not B\n")
+    LIMITS = ("--max-steps", "1500", "--max-labels", "40")
+
+    def _run(self, workdir: Path, seed: str):
+        workdir.mkdir()
+        for name, text in (("left", self.LEFT), ("right", self.RIGHT),
+                           ("defined", self.DEFINED)):
+            (workdir / f"{name}.riq").write_text(text)
+        src = str(Path(riq.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        outputs = []
+        for argv in (("interpolate", "--o1", "left.riq", "--o2", "right.riq",
+                      "--sub", "A and (some r . A)", "--sup", "E or (only r . E)",
+                      "--emit-interp", "interpolant.json"),
+                     ("define", "-o", "defined.riq", "--concept", "A or (only r . B)",
+                      "--theta", "B,E", "--emit-def", "definition.txt",
+                      "--emit-proofs", "proofs")):
+            done = subprocess.run([sys.executable, "-m", "riq.cli", *argv, *self.LIMITS],
+                                  cwd=workdir, env=env, capture_output=True, text=True,
+                                  timeout=300)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        emitted = {str(p.relative_to(workdir)): p.read_bytes()
+                   for p in sorted(workdir.rglob("*")) if p.is_file() and p.suffix != ".riq"}
+        assert len(emitted) == 6  # interpolant, definition and four proofs
+        return outputs, emitted
+
+    def test_output_does_not_depend_on_the_hash_seed(self, tmp_path):
+        assert self._run(tmp_path / "seed0", "0") == self._run(tmp_path / "seed1", "1")
 
 
 class TestInterpolateAndDefine:

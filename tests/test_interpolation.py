@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -18,9 +19,13 @@ from riq.core import (
     RIA,
     Role,
     TOP,
+    and_all,
     cpt,
     make_ontology,
+    nnf_negate,
     normalize_ontology,
+    or_all,
+    union_ontology,
     weight,
 )
 from riq.interpolation import (
@@ -41,6 +46,7 @@ from riq.interpolation import (
     member,
     orthogonal,
     simplify_concept,
+    split_goal,
     verify_interpolant,
 )
 from riq import interpolation
@@ -48,7 +54,7 @@ from riq.definability import explicit_definition
 from riq.parser import render_concept
 from riq.prover import Proved, SearchLimits, Unknown, prove
 from riq.semantics import _eval_bits
-from riq.sequent import Eq, LabeledConcept, Neq, Proof, make_sequent
+from riq.sequent import Eq, LabeledConcept, Neq, Proof, make_sequent, walk
 from conftest import C, EMPTY_ONT, O, random_concept
 
 r = Role("r")
@@ -115,6 +121,54 @@ def _random_interpolant(rng, max_elements=3):
                                  random_concept(rng, depth=1, atleast_min=1)))
         members.append(mk(atoms, concepts))
     return Interpolant(frozenset(members))
+
+
+def _overlapping_interpolant(rng):
+    """Up to four members drawn from a pool of six elements, so that members
+    share elements and often dominate one another."""
+    labels = ["x", "y", "z"]
+    pool = []
+    for _ in range(6):
+        a, b = rng.sample(labels, 2)
+        if rng.random() < 0.4:
+            pool.append(Eq(a, b) if rng.random() < 0.5 else Neq(a, b))
+        else:
+            pool.append((a, random_concept(rng, depth=1, atleast_min=1)))
+    members = []
+    for _ in range(rng.randint(0, 4)):
+        picked = rng.sample(pool, rng.randint(0, 3))
+        members.append(mk([e for e in picked if isinstance(e, (Eq, Neq))],
+                          [e for e in picked if isinstance(e, tuple)]))
+    return members
+
+
+def _minimal(members):
+    return frozenset(m for m in members
+                     if not any(k != m and k.atoms <= m.atoms and k.concepts <= m.concepts
+                                for k in members))
+
+
+class TestUnsortedAlgebra:
+    """prune_dominated and orthogonal against brute force: their results do
+    not depend on the order in which they visit members and elements."""
+
+    def test_prune_dominated_keeps_the_minimal_members(self, rng):
+        for _ in range(300):
+            members = _overlapping_interpolant(rng)
+            rng.shuffle(members)
+            assert interpolation.prune_dominated(members) == _minimal(members)
+
+    def test_orthogonal_is_the_minimal_product(self, rng):
+        for _ in range(300):
+            g = Interpolant(frozenset(_overlapping_interpolant(rng)))
+            choices = [[("atom", Neq(a.left, a.right) if isinstance(a, Eq)
+                         else Eq(a.left, a.right)) for a in m.atoms]
+                       + [("concept", (lab, nnf_negate(c))) for lab, c in m.concepts]
+                       for m in g.members]
+            product = {mk([x for kind, x in pick if kind == "atom"],
+                          [x for kind, x in pick if kind == "concept"])
+                       for pick in itertools.product(*choices)}
+            assert orthogonal(g).members == _minimal(product)
 
 
 class TestBoxInterpolant:
@@ -269,6 +323,26 @@ class TestSimplify:
         assert simplified("((only r . BOT) or some r . B) and some r . TOP") == \
             "some r . B"
 
+    def test_some_top_absorbs_some_and_atleast_in_disjunction(self):
+        assert simplified("(some r . A) or (atleast 2 r . B) or some r . TOP") == \
+            "some r . TOP"
+        assert simplified("(some r . TOP) or atleast 0 r . A") == "TOP"
+        # roles must match exactly, inverse flag included
+        assert simplified("(some r . TOP) or (some r- . A) or some s . A") == \
+            "(some r . TOP) or (some r- . A) or some s . A"
+        # the extracted shape of interp-define's gids 3, 7 and 11
+        assert simplified("((only r . BOT) or some r . B) and "
+                          "((some r . B) or some r . TOP)") == "some r . B"
+
+    def test_complementary_names(self):
+        assert simplify_concept(C("A or B or not A")) == TOP
+        assert simplify_concept(C("A and (some r . B) and not A")) == BOT
+        assert simplified("A or not B") == "A or not B"
+        assert simplified("A and not B") == "A and not B"
+        # the extracted shape of interp-define's gid 22
+        assert simplified("(B or not B) and (not B or some r . E)") == \
+            "not B or some r . E"
+
     def test_only_bot_false_repeats_until_stable(self):
         # the first disjunction shrinks to some s . A, which clears the second
         assert simplified("((only r . BOT) or some s . A) and ((only s . BOT) or E) "
@@ -281,11 +355,15 @@ NAMES = st.one_of(st.builds(ConceptName, st.sampled_from(("A", "B"))),
 #: names, constants and the quantified constants the rules match
 LEAVES = st.one_of(NAMES, st.sampled_from((TOP, BOT)),
                    st.builds(Exists, ROLES, st.just(TOP)),
+                   st.builds(Exists, ROLES, NAMES),
                    st.builds(Forall, ROLES, st.just(BOT)),
                    st.builds(AtLeast, st.integers(0, 1), ROLES, NAMES))
-#: NNF concepts over A, B and two roles
+#: NNF concepts over A, B and two roles; flat runs of 2 to 4 operands put
+#: complementary names and same-role quantifiers side by side
 NNF_CONCEPTS = st.recursive(LEAVES, lambda inner: st.one_of(
     st.builds(And, inner, inner), st.builds(Or, inner, inner),
+    st.lists(inner, min_size=2, max_size=4).map(and_all),
+    st.lists(inner, min_size=2, max_size=4).map(or_all),
     st.builds(Exists, ROLES, inner), st.builds(Forall, ROLES, inner),
     st.builds(AtMost, st.integers(0, 2), ROLES, inner),
     st.builds(AtLeast, st.integers(0, 2), ROLES, inner)), max_leaves=14)
@@ -343,24 +421,14 @@ class TestSimplifiedConceptsVerify:
 
 class TestAnnotateAndExtract:
     def _pipeline_parts(self, o1, o2, sub, sup):
-        from riq.core import nnf_negate, union_ontology
-
-        ont = union_ontology(o1, o2)
-        left = tuple(LabeledConcept(lab, cc) for lab, cc in o1.gci_list("x0"))
-        left += (LabeledConcept("x0", nnf_negate(sub)),)
-        right = (LabeledConcept("x0", sup),)
-        right += tuple(LabeledConcept(lab, cc) for lab, cc in o2.gci_list("x0"))
-        goal = make_sequent((), left + right)
-        result = prove(ont, goal, LIMITS)
+        ont, result, split = split_parts(o1, o2, sub, sup)
         assert isinstance(result, Proved)
-        split = EndSplit((Side.LEFT,) * len(left) + (Side.RIGHT,) * len(right),
-                         {}, len(o1.tbox))
         return ont, result.proof, split
 
     def test_id_leaf_sides(self):
         ont, proof, split = self._pipeline_parts(EMPTY_ONT, EMPTY_ONT, A, A)
         pp = annotate_partition(ont, proof, split)
-        g = extract_interpolant(pp, EMPTY_ONT, EMPTY_ONT)
+        g = extract_interpolant(pp)
         assert interpolant_concept(g, "x0") == A
 
     def test_right_only_closure_gives_trivial_interpolant(self):
@@ -368,7 +436,7 @@ class TestAnnotateAndExtract:
         ont, proof, split = self._pipeline_parts(EMPTY_ONT, EMPTY_ONT,
                                                  A, C("B or not B"))
         pp = annotate_partition(ont, proof, split)
-        g = extract_interpolant(pp, EMPTY_ONT, EMPTY_ONT)
+        g = extract_interpolant(pp)
         assert simplify_concept(interpolant_concept(g, "x0")) == TOP
 
     def test_forall_premise_tags(self):
@@ -426,6 +494,50 @@ class TestAnnotateAndExtract:
             annotate_partition(ont, reordered, split)
 
 
+def split_parts(o1, o2, sub, sup, limits=LIMITS):
+    """The union ontology, the result of proving the split goal over it,
+    and the goal's split into the left and the right part."""
+    ont = union_ontology(o1, o2)
+    goal = split_goal(o1, o2, sub, sup)
+    left = len(o1.tbox) + 1
+    split = EndSplit((Side.LEFT,) * left + (Side.RIGHT,) * (len(goal.consequent) - left),
+                     {}, len(o1.tbox))
+    return ont, prove(ont, goal, limits), split
+
+
+def split_proof(o1, o2, sub, sup, limits=LIMITS):
+    """The partitioned proof of the split goal, or None when it is not
+    proved within ``limits``."""
+    ont, result, split = split_parts(o1, o2, sub, sup, limits)
+    if not isinstance(result, Proved):
+        return None
+    return annotate_partition(ont, result.proof, split)
+
+
+def assert_lemma5(pp, o1, o2):
+    """The interpolant lemma, properties (1)-(4), at every node of pp, each
+    node's interpolant extracted from its own subtree: (1) an equality atom
+    negates an inequality of the left part, an inequality atom is one of the
+    right part; (2) its labels occur in the sequent; (3)-(4) its names occur
+    in both parts, each part with its own ontology."""
+    names1, names2 = cpt(o1), cpt(o2)
+    for _, node in walk(pp):
+        g = extract_interpolant(node)
+        phi = {frozenset((a.left, a.right)) for a, s in node.neq_sides.items()
+               if s is Side.LEFT}
+        psi = {frozenset((a.left, a.right)) for a, s in node.neq_sides.items()
+               if s is Side.RIGHT}
+        sides = list(zip(node.conclusion.consequent, node.occ_sides))
+        shared = ((names1 | cpt([o.concept for o, s in sides if s is Side.LEFT]))
+                  & (names2 | cpt([o.concept for o, s in sides if s is Side.RIGHT])))
+        for m in g.members:
+            for atom in m.atoms:
+                assert frozenset((atom.left, atom.right)) in (
+                    phi if isinstance(atom, Eq) else psi), atom
+            assert m.labels() <= set(node.conclusion.labels())
+            assert cpt([c for _, c in m.concepts]) <= shared
+
+
 class TestPipeline:
     def test_conjunction_projection(self):
         out = compute_concept_interpolant(EMPTY_ONT, EMPTY_ONT,
@@ -451,12 +563,16 @@ class TestPipeline:
         assert out.status == "refuted"
 
     def test_lemma5_properties_enforced(self):
-        # extraction validates properties (1)-(4) at every node; a run on a
-        # propagation-heavy goal exercises them
+        # properties (1)-(4) at every node of a propagation-heavy proof
         ont = make_ontology([RIA((r,), Role("s"))], ())
-        out = compute_concept_interpolant(ont, EMPTY_ONT, C("some r . A"),
-                                          C("some s . (A or B)"), LIMITS)
-        assert out.status == "ok"
+        sub, sup = C("some r . A"), C("some s . (A or B)")
+        assert_lemma5(split_proof(ont, EMPTY_ONT, sub, sup), ont, EMPTY_ONT)
+        assert compute_concept_interpolant(ont, EMPTY_ONT, sub, sup, LIMITS).status == "ok"
+        # and of one whose node interpolants carry (in)equality atoms
+        pp = split_proof(EMPTY_ONT, EMPTY_ONT, C("atmost 1 r . A"),
+                         C("atmost 2 r . (A and B)"))
+        assert_lemma5(pp, EMPTY_ONT, EMPTY_ONT)
+        assert any(m.atoms for _, node in walk(pp) for m in extract_interpolant(node).members)
 
 
 class TestPipelineFuzz:
@@ -494,6 +610,38 @@ class TestPipelineFuzz:
             assert cpt(out.concept) <= cpt(o1, sub) & cpt(o2, sup)
             done += 1
         assert done >= 30
+
+
+class TestLemma5Fuzz:
+    def test_random_split_proofs(self, rng):
+        """Properties (1)-(4) at every node of random split proofs, drawn as
+        in TestPipelineFuzz, with counting restrictions so that the atmost
+        rule adds inequality atoms to some of them; a smaller step budget
+        proves the same goals and gives up sooner on the rest."""
+        from conftest import random_ontology
+        from riq.core import OntologyError
+
+        limits = SearchLimits(max_steps=400, max_labels=40, max_seconds_hint=10)
+        done = with_atoms = 0
+        for _ in range(400):
+            if done >= 40:
+                break
+            o1 = random_ontology(rng, names=("A", "B"), roles=("r",), max_gcis=1)
+            o2 = random_ontology(rng, names=("B", "E"), roles=("r",), max_gcis=1)
+            try:
+                union_ontology(o1, o2)
+            except OntologyError:
+                continue  # merged rbox can break simplicity of counting roles
+            sub = random_concept(rng, names=("A", "B"), roles=("r",), depth=2)
+            sup = random_concept(rng, names=("B", "E"), roles=("r",), depth=2)
+            pp = split_proof(o1, o2, sub, sup, limits)
+            if pp is None:
+                continue
+            assert_lemma5(pp, o1, o2)
+            done += 1
+            with_atoms += any(n.neq_sides for _, n in walk(pp))
+        assert done >= 30
+        assert with_atoms >= 3
 
 
 class TestInconclusiveVerification:

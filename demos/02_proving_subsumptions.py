@@ -12,7 +12,6 @@ import json
 from riq import (
     Proved,
     SearchLimits,
-    build_rsystem,
     check_proof,
     parse_concept,
     parse_ontology,
@@ -46,8 +45,8 @@ verdict = check_proof(ontology, result.proof)
 print("checker: ", "valid" if verdict.ok else verdict.message)
 
 # The propagation side condition used above comes from the rewrite system of
-# the ontology: t derives the string "r s".
-print("productions:", sorted(str(p) for p in build_rsystem(ontology).productions))
+# the ontology (built once, on first use): t derives the string "r s".
+print("productions:", sorted(str(p) for p in ontology.rsystem.productions))
 
 # Proofs serialize to a stable, flat JSON shape: a list of nodes (rule,
 # rendered sequent, witness, premises as indices of earlier nodes) with the

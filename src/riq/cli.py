@@ -22,7 +22,7 @@ from .definability import explicit_definition
 from .interpolation import compute_concept_interpolant, interpolant_to_json
 from .parser import parse_concept, parse_ontology, render_concept
 from .prover import Proved, Refuted, SearchLimits, Unknown, goal_sequent, prove
-from .rsystem import build_rsystem
+from .rsystem import CflClosure
 from .semantics import (
     OracleGuardError,
     find_countermodel_bounded,
@@ -211,15 +211,13 @@ def _cmd_info(args) -> int:
     print(f"tbox axioms: {len(ontology.tbox)}, rias: {len(ontology.rbox)}")
     report = ontology.regularity
     print("regular rbox: " + ("yes" if report.ok else f"NO ({report.message})"))
-    rsystem = build_rsystem(ontology)
+    rsystem = ontology.rsystem
     print("productions:")
     for prod in sorted(rsystem.productions, key=str):
         print(f"  {prod}")
     if not rsystem.productions:
         print("  (none)")
     if args.sequent:
-        from .rsystem import CflClosure
-
         seq = parse_sequent(args.sequent)
         graph = build_prop_graph(seq)
         closure = CflClosure(rsystem, graph.edge_list)

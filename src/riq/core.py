@@ -8,9 +8,13 @@ All values are immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
+
+if TYPE_CHECKING:
+    from .rsystem import RSystem
 
 #: Largest n accepted in a number restriction; the (atmost n) rule creates
 #: n+1 fresh labels, so anything bigger is not desk-scale.
@@ -360,50 +364,37 @@ class RegularityReport:
     message: str = ""
 
 
-def _simplicity_rias(rbox: Iterable[RIA]) -> list[RIA]:
-    """Mirror RIAs with an inverse rhs onto the underlying name.
+def _non_simple_roles(rbox: Iterable[RIA]) -> frozenset[str]:
+    """The names of the non-simple roles of rbox.
 
-    w <= s- constrains s exactly like inv(w) <= s; the recursive simplicity
-    definition only speaks about role names.
+    A name is simple when every RIA into it (or into its inverse, which
+    constrains it alike) has a single role on the left whose name is simple.
+    The simple names are the least fixpoint of that rule, found with a
+    worklist; a name on a cycle of single-role RIAs never becomes simple.
     """
-    out = []
-    for ria in rbox:
-        if ria.rhs.inverted:
-            out.append(RIA(tuple(r.inverse() for r in reversed(ria.lhs)), Role(ria.rhs.name)))
-        else:
-            out.append(ria)
-    return out
+    rias = tuple(rbox)
+    # per name, its RIAs not yet known to come from a simple role; a complex
+    # RIA never is
+    pending = Counter(ria.rhs.name for ria in rias)
+    dependents: dict[str, list[str]] = {}
+    for ria in rias:
+        if len(ria.lhs) == 1:
+            dependents.setdefault(ria.lhs[0].name, []).append(ria.rhs.name)
+    todo = [name for name in dependents if not pending[name]]
+    simple = set(todo)
+    while todo:
+        for target in dependents.get(todo.pop(), ()):
+            pending[target] -= 1
+            if not pending[target]:
+                simple.add(target)
+                todo.append(target)
+    return frozenset(pending.keys() - simple)
 
 
 def is_simple(r: Role, rbox: Iterable[RIA]) -> bool:
-    """Whether r is a simple role w.r.t. rbox.
-
-    An inverse role is simple iff its name is.  Roles on a dependency cycle
-    through the single-role clause are treated as non-simple (greatest
-    fixpoint refuted by cycles).
-    """
-    rias = _simplicity_rias(rbox)
-    state: dict[str, Optional[bool]] = {}
-
-    def simple_name(name: str) -> bool:
-        if name in state:
-            # None marks "in progress": a cycle refutes simplicity
-            return state[name] is True
-        state[name] = None
-        verdict = True
-        for ria in rias:
-            if ria.rhs.name != name:
-                continue
-            if len(ria.lhs) != 1:
-                verdict = False
-                break
-            if not simple_name(ria.lhs[0].name):
-                verdict = False
-                break
-        state[name] = verdict
-        return verdict
-
-    return simple_name(r.name)
+    """Whether r is a simple role w.r.t. rbox; an inverse role is simple iff
+    its name is (see `_non_simple_roles`)."""
+    return r.name not in _non_simple_roles(rbox)
 
 
 def _regular_clause_options(ria: RIA) -> list[frozenset[tuple[str, str]]]:
@@ -437,51 +428,46 @@ def find_regular_order(rbox: Iterable[RIA]) -> RegularityReport:
     digraph for cycles.
     """
     rias = tuple(rbox)
-    constraints: set[tuple[str, str]] = set()
-    contributed: dict[tuple[str, str], list[RIA]] = {}
+    harvested: dict[RIA, frozenset[tuple[str, str]]] = {}
     no_clause = []
     for ria in rias:
         options = _regular_clause_options(ria)
-        if not options:
+        if options:
+            harvested[ria] = min(options, key=len)
+        else:
             no_clause.append(ria)
-            continue
-        best = min(options, key=len)
-        constraints |= best
-        for pair in best:
-            contributed.setdefault(pair, []).append(ria)
     if no_clause:
         names = ", ".join(render_ria(x) for x in no_clause)
         return RegularityReport(False, offenders=tuple(no_clause),
                                 message=f"no regularity clause matches: {names}")
-    # cycle check on the constraint digraph (s, r) meaning s < r
-    succs: dict[str, set[str]] = {}
-    for s, r in constraints:
-        succs.setdefault(s, set()).add(r)
-    color: dict[str, int] = {}
-    cycle_nodes: set[str] = set()
-
-    def visit(node: str, stack: list[str]) -> bool:
-        color[node] = 1
-        stack.append(node)
-        for nxt in succs.get(node, ()):
-            if color.get(nxt) == 1:
-                cycle_nodes.update(stack[stack.index(nxt):])
-                return True
-            if color.get(nxt, 0) == 0 and visit(nxt, stack):
-                return True
-        stack.pop()
-        color[node] = 2
-        return False
-
-    for node in sorted(succs):
-        if color.get(node, 0) == 0 and visit(node, []):
-            offenders = tuple(ria for pair, rs in contributed.items()
-                              if pair[0] in cycle_nodes and pair[1] in cycle_nodes
-                              for ria in rs)
-            return RegularityReport(False, offenders=offenders,
-                                    message="constraint cycle through "
-                                            + ", ".join(sorted(cycle_nodes)))
-    return RegularityReport(True, order=frozenset(constraints))
+    constraints = frozenset().union(*harvested.values())
+    # cycle check on the constraint digraph (s, r) meaning s < r: a
+    # depth-first search over sorted roots and successors, so the cycle it
+    # reports does not depend on hashing
+    succs: dict[str, list[str]] = {}
+    for s, r in sorted(constraints):
+        succs.setdefault(s, []).append(r)
+    done: set[str] = set()
+    for root in sorted(succs):
+        # the path from root, each node with the successors it has left
+        path = {} if root in done else {root: iter(succs[root])}
+        while path:
+            node, successors = next(reversed(path.items()))
+            nxt = next(successors, None)
+            if nxt is None:
+                path.popitem()
+                done.add(node)
+            elif nxt in path:
+                names = list(path)
+                cycle = set(names[names.index(nxt):])
+                offenders = tuple(ria for ria in rias
+                                  if any(s in cycle and r in cycle for s, r in harvested[ria]))
+                return RegularityReport(False, offenders=offenders,
+                                        message="constraint cycle through "
+                                                + ", ".join(sorted(cycle)))
+            elif nxt not in done:
+                path[nxt] = iter(succs.get(nxt, ()))
+    return RegularityReport(True, order=constraints)
 
 
 def ria_matches_clause(ria: RIA, order: frozenset[tuple[str, str]]) -> bool:
@@ -517,6 +503,14 @@ class Ontology:
     declared_concepts: frozenset[str] = frozenset()
 
     @cached_property
+    def rsystem(self) -> RSystem:
+        """The R-system of the RBox (`rsystem.build_rsystem`), built once, on
+        first use."""
+        from .rsystem import build_rsystem  # local import to avoid a cycle
+
+        return build_rsystem(self)
+
+    @cached_property
     def _negated_tbox(self) -> tuple[Concept, ...]:
         # negated once, on first use, not for every fresh label
         return tuple(nnf_negate(g.rhs) for g in self.tbox)
@@ -541,11 +535,12 @@ def make_ontology(rias: Iterable[RIA], gcis: Iterable[GCI]) -> Ontology:
     """
     rbox = tuple(rias)
     tbox = tuple(gcis)
+    non_simple = _non_simple_roles(rbox)
     for g in tbox:
         if g.lhs != TOP:
             raise OntologyError(f"GCI not normalized: {g!r}")
         for role in _counting_roles(g.rhs):
-            if not is_simple(role, rbox):
+            if role.name in non_simple:
                 raise OntologyError(
                     f"role {role} under a number restriction is not simple")
     return Ontology(rbox, tbox, find_regular_order(rbox))

@@ -67,7 +67,6 @@ from .prover import (
     goal_sequent,
     prove,
 )
-from .rsystem import build_rsystem
 from .sequent import (
     Eq,
     LabeledConcept,
@@ -303,24 +302,49 @@ def _complementary(operands: Sequence[Concept]) -> bool:
     return any(isinstance(c, NegatedName) and c.name in names for c in operands)
 
 
-def _existential_roles(conjuncts: Sequence[Concept]) -> Counter[Role]:
-    """For each role r, how many conjuncts imply some r . TOP."""
-    return Counter(c.role for c in conjuncts if _implies_some(c))
-
-
-def _only_bot(c: Concept, roles: Counter[Role]) -> bool:
+def _only_bot(c: Concept, roles: set[Role]) -> bool:
     return isinstance(c, Forall) and c.role in roles and c.body == BOT
 
 
+def _weakest(d: Concept) -> Concept:
+    """some r . TOP for some r . X and atleast n r . X (n >= 1), which imply
+    it; d itself otherwise."""
+    return Exists(d.role, TOP) if _implies_some(d) else d
+
+
 def _absorb(operands: list[Concept], inner: type) -> list[Concept]:
-    """Drop each operand whose ``inner`` operands are a proper superset of
-    another operand's: CNF absorption for a conjunction (inner Or), DNF
-    absorption for a disjunction (inner And)."""
+    """Drop each operand that another operand makes redundant, where an
+    ``inner`` operand implies itself and its `_weakest`.  In a conjunction
+    (inner Or, CNF) a conjunct goes when every disjunct of another conjunct
+    implies one of its disjuncts; in a disjunction (inner And, DNF) a
+    disjunct goes when every conjunct of another disjunct is implied by one
+    of its conjuncts.  Of two operands that make each other redundant, the
+    first stays."""
     sets = [frozenset(_operands(c, inner)) for c in operands]
-    singles = {c for c, s in zip(operands, sets) if len(s) == 1}
-    multi = [s for s in sets if len(s) > 1]
-    return [c for c, s in zip(operands, sets)
-            if len(s) == 1 or (s.isdisjoint(singles) and not any(t < s for t in multi))]
+    # d of operand j relates to operand i (CNF: d implies one of its members;
+    # DNF: one of its members implies d) iff one of d's probes is in reach[i]
+    if inner is Or:
+        reach = sets
+        probes = [[{d, _weakest(d)} for d in s] for s in sets]
+    else:
+        reach = [s | {_weakest(d) for d in s} for s in sets]
+        probes = [[{d} for d in s] for s in sets]
+    holders: dict[Concept, set[int]] = {}
+    for j, ps in enumerate(probes):
+        for d in set().union(*ps):
+            holders.setdefault(d, set()).add(j)
+
+    def redundant_beside(j: int, i: int) -> bool:
+        """Whether operand i is redundant beside operand j."""
+        return all(not reach[i].isdisjoint(p) for p in probes[j])
+
+    kept = []
+    for i, c in enumerate(operands):
+        rivals = set().union(*(holders.get(d, ()) for d in reach[i])) - {i}
+        if not any(redundant_beside(j, i) and (j < i or not redundant_beside(i, j))
+                   for j in rivals):
+            kept.append(c)
+    return kept
 
 
 def _finish_or(run: Union[Concept, _Run], render: Callable[[Concept], str]) -> Concept:
@@ -329,14 +353,11 @@ def _finish_or(run: Union[Concept, _Run], render: Callable[[Concept], str]) -> C
         return TOP
     disjuncts = [d for d in disjuncts if d != BOT]
     foralls = Counter(d.role for d in disjuncts if isinstance(d, Forall))
-    some_top = {d.role for d in disjuncts if _is_some_top(d)}
-    if some_top & foralls.keys():
+    if any(_is_some_top(d) and d.role in foralls for d in disjuncts):
         return TOP  # only r . X or some r . TOP
-    # only r . BOT implies every other only r . X; some r . X and
-    # atleast n r . X (n >= 1) imply some r . TOP
+    # only r . BOT implies every other only r . X
     disjuncts = [d for d in disjuncts
-                 if not (isinstance(d, Forall) and foralls[d.role] > 1 and d.body == BOT)
-                 and not (_implies_some(d) and d.role in some_top and not _is_some_top(d))]
+                 if not (isinstance(d, Forall) and foralls[d.role] > 1 and d.body == BOT)]
     return or_all(sorted(_absorb(disjuncts, And), key=render))
 
 
@@ -347,8 +368,8 @@ def _finish_and(run: Union[Concept, _Run], render: Callable[[Concept], str]) -> 
         conjuncts = list(dict.fromkeys(c for c in conjuncts if not _is_top(c)))
         if BOT in conjuncts or _complementary(conjuncts):
             return BOT
-        roles = _existential_roles(conjuncts)
         # some r . X makes only r . BOT false, also inside a sibling disjunction
+        roles = {c.role for c in conjuncts if _implies_some(c)}
         changed = False
         kept = []
         for c in conjuncts:
@@ -363,8 +384,6 @@ def _finish_and(run: Union[Concept, _Run], render: Callable[[Concept], str]) -> 
                     continue
             kept.append(c)
         conjuncts = kept
-    # some r . TOP is implied by any other some r . X or atleast n r . X
-    conjuncts = [c for c in conjuncts if not (_is_some_top(c) and roles[c.role] > 1)]
     return and_all(sorted(_absorb(conjuncts, Or), key=render))
 
 
@@ -395,15 +414,15 @@ def simplify_concept(c: Concept) -> Concept:
       only r . TOP = TOP, atmost n r . BOT = TOP, atleast n r . BOT = BOT
       for n >= 1; atleast 0 r . X counts as TOP inside and/or;
     - each maximal and/or run flattened, without duplicates, its operands
-      sorted by their rendering, and absorbed: a conjunct whose disjuncts
-      include another conjunct's goes, and dually for disjuncts;
+      sorted by their rendering, and absorbed (`_absorb`): a conjunct goes
+      when every disjunct of another conjunct implies one of its disjuncts,
+      and dually for disjuncts, where some r . X and atleast n r . X
+      (n >= 1) imply some r . TOP;
     - a name B beside not B makes a disjunction TOP and a conjunction BOT;
-    - in a disjunction, only r . BOT goes beside another only r . X,
-      some r . X and atleast n r . X (n >= 1) go beside some r . TOP, and
+    - in a disjunction, only r . BOT goes beside another only r . X, and
       only r . X with some r . TOP is TOP;
-    - in a conjunction, some r . TOP goes beside another some r . X or
-      atleast n r . X (n >= 1), and those make only r . BOT false, as a
-      conjunct or as a disjunct of a conjunct.
+    - in a conjunction, some r . X and atleast n r . X (n >= 1) make
+      only r . BOT false, as a conjunct or as a disjunct of a conjunct.
 
     No rule makes a concept heavier, so ``weight`` never grows; that is why
     atleast 0 r . X, lighter than TOP, is not replaced by it on its own.
@@ -609,12 +628,11 @@ class VerificationReport:
         """Check that ``mid`` uses only ``allowed`` names, and prove
         ``sub <= mid`` and ``mid <= sup`` over ``ont`` with checked proofs."""
         extra = cpt(mid) - allowed
-        rsystem = build_rsystem(ont)
         directions = []
         for name, (lo, hi) in zip(cls.DIRECTIONS, ((sub, mid), (mid, sup))):
             result = prove(ont, goal_sequent(ont, lo, hi), limits)
             if isinstance(result, Proved):
-                checked = check_proof(ont, result.proof, rsystem)
+                checked = check_proof(ont, result.proof)
                 if not checked.ok:
                     raise cls.ERROR(
                         f"prover emitted an invalid proof: {name}: {checked.message}")

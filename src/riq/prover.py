@@ -50,7 +50,7 @@ from .core import (
     subconcepts,
     is_literal,
 )
-from .rsystem import CflClosure, RSystem, build_rsystem
+from .rsystem import CflClosure
 from .semantics import (
     Interpretation,
     falsifies,
@@ -121,7 +121,6 @@ class _Search:
     def __init__(self, ontology: Ontology, limits: SearchLimits):
         self.ontology = ontology
         self.limits = limits
-        self.rsystem: RSystem = build_rsystem(ontology)
         self.steps = 0
         self.started = time.monotonic()
         self.used_labels: set[str] = set()
@@ -158,20 +157,17 @@ class _Search:
             if isinstance(occ.concept, ConceptName):
                 if (occ.label, NegatedName(occ.concept.name)) in present:
                     return apply_rule(self.ontology, "id", seq,
-                                      Witness(label=occ.label, concept=occ.concept),
-                                      self.rsystem)
+                                      Witness(label=occ.label, concept=occ.concept))
         for atom in seq.antecedent:
             if isinstance(atom, Neq) and eqc.connected(atom.left, atom.right):
                 path = eqc.path(atom.left, atom.right)
                 return apply_rule(self.ontology, "id_eq", seq,
                                   Witness(pair=(atom.left, atom.right),
-                                          eq_path=path),
-                                  self.rsystem)
+                                          eq_path=path))
         for occ in seq.consequent:
             if isinstance(occ.concept, AtLeast) and occ.concept.n == 0:
                 return apply_rule(self.ontology, "atleast", seq,
-                                  Witness(label=occ.label, concept=occ.concept),
-                                  self.rsystem)
+                                  Witness(label=occ.label, concept=occ.concept))
         return None
 
     # ------------------------------------------------------------------
@@ -282,8 +278,8 @@ class _Search:
             if carried.edges == graph.edge_list:
                 return carried
             if carried.edge_set <= graph.edges:
-                return CflClosure(self.rsystem, graph.edge_list, carried)
-        return CflClosure(self.rsystem, graph.edge_list)
+                return CflClosure(self.ontology.rsystem, graph.edge_list, carried)
+        return CflClosure(self.ontology.rsystem, graph.edge_list)
 
     def run(self, goal: Sequent) -> ProveResult:
         """Pop nodes `(sequent, branch, delta_star, agenda, fresh_cycle,
@@ -334,7 +330,7 @@ class _Search:
             rest = agenda[i + 1:]
             if item[0] in self._REPEATING:
                 rest = (item,) + rest
-            instance = apply_rule(self.ontology, item[0], seq, witness, self.rsystem)
+            instance = apply_rule(self.ontology, item[0], seq, witness)
             instances.append(instance)
             stack.extend((premise, branch + (premise,), delta_star, rest, False, closure)
                          for premise in reversed(instance.premises))

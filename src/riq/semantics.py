@@ -10,10 +10,9 @@ interpret_concept, keeping the oracle an independent route from the prover.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .core import (
     And,
@@ -319,22 +318,18 @@ def _permute_rext(mask: int, perm: Sequence[int], n: int) -> int:
     return out
 
 
-@functools.lru_cache(maxsize=64)
 def _canonical_models_of(o: Ontology, names: tuple[str, ...],
                          roles: tuple[str, ...], n: int
-                         ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+                         ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All models of o on n elements, one representative per isomorphism
-    class (lexicographically minimal encoding).
+    class (lexicographically minimal encoding), generated lazily.
 
     Role vectors are enumerated in the outer loop so RIA violations prune the
-    concept enumeration wholesale; the 64 most recently used results are
-    cached, which makes repeated oracle queries against the same ontology
-    cheap and keeps memory bounded when every ontology is new.
+    concept enumeration wholesale.
     """
     perms = [p for p in itertools.permutations(range(n)) if p != tuple(range(n))]
     rperm_tables = [([_permute_cext(m, perm) for m in range(1 << n)],
                      perm) for perm in perms]
-    out = []
     for rvec in itertools.product(range(1 << (n * n)), repeat=len(roles)):
         if not _rbox_ok_bits(o, dict(zip(roles, rvec)), n):
             continue
@@ -351,8 +346,7 @@ def _canonical_models_of(o: Ontology, names: tuple[str, ...],
                 continue
             if not _tbox_ok_bits(o, dict(zip(names, cvec)), dict(zip(roles, rvec)), n):
                 continue
-            out.append((cvec, rvec))
-    return tuple(out)
+            yield cvec, rvec
 
 
 def _to_interpretation(names: tuple[str, ...], roles: tuple[str, ...],

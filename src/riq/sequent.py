@@ -42,7 +42,7 @@ from .core import (
     weight,
 )
 from .parser import ParseError, _Parser, _tokenize, parse_concept, render_concept
-from .rsystem import CflClosure, RoleString, RSystem, build_rsystem, is_one_step
+from .rsystem import CflClosure, RoleString, RSystem, is_one_step
 
 Label = str
 
@@ -106,8 +106,14 @@ def _atom_labels(atom: Atom) -> tuple[Label, ...]:
 
 @dataclass(frozen=True)
 class Sequent:
+    """A well-formed sequent: the well-formedness conditions are checked once,
+    when it is made, so no sequent exists that breaks them."""
+
     antecedent: tuple[Atom, ...]
     consequent: tuple[LabeledConcept, ...]
+
+    def __post_init__(self) -> None:
+        _validate(self)
 
     def labels(self) -> tuple[Label, ...]:
         """All labels, ordered by first occurrence (antecedent first)."""
@@ -140,13 +146,11 @@ class Sequent:
 
 def make_sequent(atoms: Iterable[Atom], concepts: Iterable[LabeledConcept]) -> Sequent:
     """Deduplicate atoms (set semantics, insertion order kept), keep the
-    consequent as a multiset, and validate the well-formedness conditions."""
+    consequent as a multiset; `Sequent` validates the result."""
     seen: dict[Atom, None] = {}
     for atom in atoms:
         seen.setdefault(atom)
-    seq = Sequent(tuple(seen), tuple(concepts))
-    _validate(seq)
-    return seq
+    return Sequent(tuple(seen), tuple(concepts))
 
 
 def _validate(seq: Sequent) -> None:
@@ -507,13 +511,11 @@ def _ctx(n: int, skip: int) -> list[Provenance]:
 
 
 def apply_rule(ontology: Ontology, rule: str, conclusion: Sequent,
-               witness: Witness, rsystem: Optional[RSystem] = None) -> RuleInstance:
+               witness: Witness) -> RuleInstance:
     """Construct the premises of a rule application bottom-up, verifying the
-    side condition carried by the witness.  Raises RuleError if the rule does
-    not apply."""
-    _validate(conclusion)
-    if rsystem is None:
-        rsystem = build_rsystem(ontology)
+    side condition carried by the witness against the ontology's R-system.
+    Raises RuleError if the rule does not apply."""
+    rsystem = ontology.rsystem
     cons = conclusion.consequent
 
     if rule == "id":
@@ -673,20 +675,17 @@ class ProofError(RiqError):
         self.path = path
 
 
-def rederive(ontology: Ontology, proof: Proof, rsystem: Optional[RSystem] = None
+def rederive(ontology: Ontology, proof: Proof
              ) -> Iterator[tuple[tuple[int, ...], Proof, RuleInstance]]:
     """Re-derive every node of a proof, in pre-order: the rule must apply to
     the node's conclusion under its witness (side conditions re-verified),
     and the premises must equal the children's conclusions as multisets.
     Yields (path, node, re-derived instance with its premise maps); raises
     ProofError at the first node that fails."""
-    if rsystem is None:
-        rsystem = build_rsystem(ontology)
     for path, node in walk(proof):
         inst = node.instance
         try:
-            rederived = apply_rule(ontology, inst.rule, inst.conclusion,
-                                   inst.witness, rsystem)
+            rederived = apply_rule(ontology, inst.rule, inst.conclusion, inst.witness)
         except RiqError as exc:
             raise ProofError(f"{inst.rule}: {exc}", path) from exc
         if len(rederived.premises) != len(node.children):
@@ -710,11 +709,10 @@ class CheckResult:
         return self.ok
 
 
-def check_proof(ontology: Ontology, proof: Proof,
-                rsystem: Optional[RSystem] = None) -> CheckResult:
+def check_proof(ontology: Ontology, proof: Proof) -> CheckResult:
     """Independently validate a proof: every node must re-derive (`rederive`)."""
     try:
-        for _ in rederive(ontology, proof, rsystem):
+        for _ in rederive(ontology, proof):
             pass
     except ProofError as exc:
         return CheckResult(False, str(exc), exc.path)

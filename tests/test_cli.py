@@ -159,14 +159,26 @@ class TestHashSeed:
                "gci: E <= only r . E\ngci: E <= not B\n")
     LIMITS = ("--max-steps", "1500", "--max-labels", "40")
 
+    #: three constraint cycles through a: a <-> b, a <-> c and a -> d -> e -> a
+    THREE_CYCLES = "".join(f"ria: {s} <= {r}\n" for s, r in (
+        ("a", "b"), ("b", "a"), ("a", "c"), ("c", "a"), ("a", "d"), ("d", "e"), ("e", "a")))
+
+    @staticmethod
+    def _cli(workdir: Path, seed: str, *argv: str) -> str:
+        src = str(Path(riq.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-m", "riq.cli", *argv],
+                              cwd=workdir, env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
     def _run(self, workdir: Path, seed: str):
         workdir.mkdir()
         for name, text in (("left", self.LEFT), ("right", self.RIGHT),
                            ("defined", self.DEFINED)):
             (workdir / f"{name}.riq").write_text(text)
-        src = str(Path(riq.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONHASHSEED=seed,
-                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
         outputs = []
         for argv in (("interpolate", "--o1", "left.riq", "--o2", "right.riq",
                       "--sub", "A and (some r . A)", "--sup", "E or (only r . E)",
@@ -174,11 +186,7 @@ class TestHashSeed:
                      ("define", "-o", "defined.riq", "--concept", "A or (only r . B)",
                       "--theta", "B,E", "--emit-def", "definition.txt",
                       "--emit-proofs", "proofs")):
-            done = subprocess.run([sys.executable, "-m", "riq.cli", *argv, *self.LIMITS],
-                                  cwd=workdir, env=env, capture_output=True, text=True,
-                                  timeout=300)
-            assert done.returncode == 0, done.stderr
-            outputs.append(done.stdout)
+            outputs.append(self._cli(workdir, seed, *argv, *self.LIMITS))
         emitted = {str(p.relative_to(workdir)): p.read_bytes()
                    for p in sorted(workdir.rglob("*")) if p.is_file() and p.suffix != ".riq"}
         assert len(emitted) == 6  # interpolant, definition and four proofs
@@ -186,6 +194,13 @@ class TestHashSeed:
 
     def test_output_does_not_depend_on_the_hash_seed(self, tmp_path):
         assert self._run(tmp_path / "seed0", "0") == self._run(tmp_path / "seed1", "1")
+
+    def test_regularity_report_does_not_depend_on_the_hash_seed(self, tmp_path):
+        (tmp_path / "cycles.riq").write_text(self.THREE_CYCLES)
+        outputs = {self._cli(tmp_path, seed, "info", "-o", "cycles.riq")
+                   for seed in "0123"}
+        assert len(outputs) == 1
+        assert "regular rbox: NO (constraint cycle through a, b)\n" in outputs.pop()
 
 
 class TestInterpolateAndDefine:

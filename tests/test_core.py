@@ -2,6 +2,8 @@ import pickle
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riq.core import (
     And,
@@ -34,6 +36,12 @@ from conftest import C, random_concept, random_interpretation
 
 r = Role("r")
 A, B = ConceptName("A"), ConceptName("B")
+
+ROLE_POOL = tuple(Role(name, inverted) for name in "rstu" for inverted in (False, True))
+ROLES = st.sampled_from(ROLE_POOL)
+#: RIAs over four role names and their inverses, most of them single-role
+RIAS = st.builds(RIA, st.one_of(st.tuples(ROLES),
+                                st.lists(ROLES, min_size=1, max_size=3).map(tuple)), ROLES)
 
 
 class TestConceptIdentity:
@@ -162,6 +170,29 @@ class TestSimpleRoles:
     def test_inverse_rhs_mirrored(self):
         rbox = (RIA((Role("r"), Role("s")), Role("t", True)),)
         assert not is_simple(Role("t"), rbox)
+
+    @staticmethod
+    def walk_meets_complex_or_repeats(name: str, rbox) -> bool:
+        """The definition, walked: follow every RIA into a name (or its
+        inverse) back to its left side, on every path from ``name``."""
+        todo = [(name, ())]
+        while todo:
+            current, seen = todo.pop()
+            if current in seen:
+                return True
+            for ria in rbox:
+                if ria.rhs.name == current:
+                    if len(ria.lhs) != 1:
+                        return True
+                    todo.append((ria.lhs[0].name, seen + (current,)))
+        return False
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(RIAS, max_size=7))
+    def test_matches_the_definitional_walk(self, rbox):
+        for role in ROLE_POOL:
+            assert is_simple(role, rbox) == (
+                not self.walk_meets_complex_or_repeats(role.name, rbox)), (role, rbox)
 
 
 class TestRegularity:

@@ -1,19 +1,23 @@
 """Concepts far deeper than the default recursion limit go through every
 concept walk: parsing, NNF, rendering, negation, weight, subconcepts,
-renaming, simplification and both evaluators."""
+renaming, simplification and both evaluators.  RIA chains far longer than
+the limit go through the RBox analysis: simplicity and regularity."""
 
 import sys
 
 import pytest
 
-from riq.core import (And, ConceptName, NegatedName, Or, nnf_negate, or_all, subconcepts,
-                      weight)
+from riq.cli import main
+from riq.core import (And, ConceptName, NegatedName, OntologyError, Or, Role, is_simple,
+                      nnf_negate, or_all, subconcepts, weight)
 from riq.definability import rename_concept
 from riq.interpolation import simplify_concept
-from riq.parser import parse_concept, render_concept
+from riq.parser import parse_concept, parse_ontology, render_concept
 from riq.semantics import Interpretation, _eval_bits, interpret_concept
 
 DEPTH = 10_000
+#: r0 <= r1, ..., r4999 <= r5000
+CHAIN = "".join(f"ria: r{i} <= r{i + 1}\n" for i in range(5000))
 
 INTERPRETATION = Interpretation(
     domain=("e0", "e1"),
@@ -78,3 +82,22 @@ def test_alternating_runs_simplify():
     assert simplify_concept(simple) == simple
     exts = {"A": 0b01, "B": 0b10, "E": 0b11}
     assert _eval_bits(simple, exts, {}, 2) == _eval_bits(c, exts, {}, 2)
+
+
+def test_long_ria_chain(tmp_path, capsys):
+    assert sys.getrecursionlimit() == 1000
+    ontology = parse_ontology(CHAIN + "gci: A <= atmost 1 r5000 . B\n")
+    assert ontology.regularity.ok
+    assert is_simple(Role("r5000"), ontology.rbox)
+    (tmp_path / "chain.riq").write_text(CHAIN)
+    assert main(["info", "-o", str(tmp_path / "chain.riq")]) == 0
+    out = capsys.readouterr().out
+    assert "regular rbox: yes\n" in out and "  r5000 -> r4999\n" in out
+
+
+def test_long_ria_chain_from_a_complex_ria():
+    """r0 o r0 <= r0 makes r0, and so every role up the chain, non-simple."""
+    rbox = parse_ontology(CHAIN + "ria: r0 o r0 <= r0\n").rbox
+    assert not is_simple(Role("r5000", True), rbox)
+    with pytest.raises(OntologyError, match="r5000 under a number restriction"):
+        parse_ontology(CHAIN + "ria: r0 o r0 <= r0\ngci: A <= atmost 1 r5000 . B\n")

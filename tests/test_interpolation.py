@@ -334,6 +334,27 @@ class TestSimplify:
         assert simplified("((only r . BOT) or some r . B) and "
                           "((some r . B) or some r . TOP)") == "some r . B"
 
+    def test_implied_some_top_absorbed_in_runs(self):
+        # the extracted shape of interp-define's gid 14
+        assert simplified("(not B or some r . B) and (not B or some r . TOP)") == \
+            "not B or some r . B"
+        assert simplified("(A or atleast 2 r . B) and (A or B or some r . TOP)") == \
+            "A or atleast 2 r . B"
+        assert simplified("(A and some r . B) or (A and some r . TOP)") == \
+            "A and some r . TOP"
+        # roles must match exactly, and only the implied side goes
+        assert simplified("(A or some r . B) and (A or some r- . TOP)") == \
+            "(A or some r . B) and (A or some r- . TOP)"
+        assert simplified("(A or some r . TOP) and (A or some r . B)") == \
+            "A or some r . B"
+
+    def test_absorb_keeps_the_first_of_two_equivalent_operands(self):
+        # not a finished run: some r . B beside some r . TOP makes the two
+        # conjuncts imply each other, and exactly one of them may go
+        pair = [C("(some r . B) or some r . TOP"), C("some r . TOP")]
+        assert interpolation._absorb(pair, Or) == pair[:1]
+        assert interpolation._absorb(pair[::-1], Or) == pair[1:]
+
     def test_complementary_names(self):
         assert simplify_concept(C("A or B or not A")) == TOP
         assert simplify_concept(C("A and (some r . B) and not A")) == BOT
@@ -358,12 +379,27 @@ LEAVES = st.one_of(NAMES, st.sampled_from((TOP, BOT)),
                    st.builds(Exists, ROLES, NAMES),
                    st.builds(Forall, ROLES, st.just(BOT)),
                    st.builds(AtLeast, st.integers(0, 1), ROLES, NAMES))
+
+
+def implied_pair(shared: list, role: Role, n: int, body, conjunction: bool,
+                 swap: bool):
+    """``(S or Q) and (S or some r . TOP)`` with Q = some r . body (n = 0)
+    or atleast n r . body, or its dual ``(S and Q) or (S and some r . TOP)``:
+    the shape in which absorption uses that Q implies some r . TOP."""
+    outer, join = (and_all, or_all) if conjunction else (or_all, and_all)
+    strong = Exists(role, body) if n == 0 else AtLeast(n, role, body)
+    pair = [join(shared + [strong]), join(shared + [Exists(role, TOP)])]
+    return outer(pair[::-1] if swap else pair)
+
+
 #: NNF concepts over A, B and two roles; flat runs of 2 to 4 operands put
 #: complementary names and same-role quantifiers side by side
 NNF_CONCEPTS = st.recursive(LEAVES, lambda inner: st.one_of(
     st.builds(And, inner, inner), st.builds(Or, inner, inner),
     st.lists(inner, min_size=2, max_size=4).map(and_all),
     st.lists(inner, min_size=2, max_size=4).map(or_all),
+    st.builds(implied_pair, st.lists(inner, min_size=1, max_size=2), ROLES,
+              st.integers(0, 2), inner, st.booleans(), st.booleans()),
     st.builds(Exists, ROLES, inner), st.builds(Forall, ROLES, inner),
     st.builds(AtMost, st.integers(0, 2), ROLES, inner),
     st.builds(AtLeast, st.integers(0, 2), ROLES, inner)), max_leaves=14)

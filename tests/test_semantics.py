@@ -5,7 +5,6 @@ from riq.semantics import (
     Interpretation,
     OracleGuardError,
     SemanticsError,
-    _canonical_models_of,
     _eval_bits,
     find_countermodel_bounded,
     interpret_concept,
@@ -213,13 +212,3 @@ class TestModelSerialization:
         with pytest.raises(SemanticsError):
             model_from_dict(data)
 
-
-class TestModelCache:
-    def test_cache_stays_bounded(self):
-        for i in range(65):
-            name = f"A{i}"
-            onto = make_ontology((), (GCI(TOP, ConceptName(name)),))
-            _canonical_models_of(onto, (name,), (), 1)
-        info = _canonical_models_of.cache_info()
-        assert info.maxsize == 64
-        assert info.currsize <= 64

@@ -25,6 +25,7 @@ from riq.sequent import (
     Proof,
     RoleAtom,
     RuleError,
+    Sequent,
     SequentError,
     Witness,
     apply_rule,
@@ -148,6 +149,15 @@ class TestSequentInvariants:
     def test_empty_antecedent_single_label(self):
         with pytest.raises(SequentError):
             make_sequent([], [LabeledConcept("x", A), LabeledConcept("y", B)])
+
+    def test_every_constructor_validates(self):
+        """No sequent skips the checks: not one built bare, nor a copy."""
+        with pytest.raises(SequentError, match="duplicate parent"):
+            Sequent((RoleAtom(r, "x", "y"), RoleAtom(r, "z", "y")),
+                    (LabeledConcept("x", A),))
+        with pytest.raises(SequentError, match="exactly one label"):
+            dataclasses.replace(S("|- x : A"), consequent=(LabeledConcept("x", A),
+                                                            LabeledConcept("y", A)))
 
 
 class TestApplyRule:

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riq.core import RIA, ConceptName, Exists, Ontology, Role
-from riq.rsystem import build_rsystem
 from riq.sequent import (
     Eq,
     LabeledConcept,
@@ -97,12 +96,11 @@ class TestPropReachableProperties:
         labels, atoms = tree
         x = data.draw(st.sampled_from(labels))
         ontology = Ontology(tuple(rias))
-        rsystem = build_rsystem(ontology)
         concept = Exists(role, A)
         seq = make_sequent(atoms, [LabeledConcept(x, concept)])
-        for target, wit in prop_reachable(seq, rsystem, role, x):
+        for target, wit in prop_reachable(seq, ontology.rsystem, role, x):
             witness = Witness(label=x, concept=concept, target=target,
                               strings=(wit.string,), paths=(wit.path,),
                               derivations=(wit.derivation,))
-            inst = apply_rule(ontology, "exists", seq, witness, rsystem)
+            inst = apply_rule(ontology, "exists", seq, witness)
             assert LabeledConcept(target, A) in inst.premises[0].consequent

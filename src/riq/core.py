@@ -237,63 +237,76 @@ def nnf_negate(c: Concept) -> Concept:
     return fold_concept(c, _negate_node, _negation_leaf)
 
 
-#: A raw subtree's NNF in three polarities: (positive, negated, negated
-#: twice), that is, (p, nnf_negate(p), nnf_negate(nnf_negate(p))).  The
-#: negations are None where `nnf_negate` makes them cheaply, when a `Not`
-#: above asks: for a subtree whose only `Not`s are on names, and for a
-#: number restriction, whose filler `nnf_negate` does not enter.
-_Polar = tuple[Concept, Optional[Concept], Optional[Concept]]
+#: TOP's and BOT's operands, negated: an (and) or (or) node whose operands
+#: come out of a negation as this pair was TOP or BOT before it, and
+#: `nnf_negate` turns it into the other constant, not into the dual node
+_FLIPPED_CONSTANT = (NegatedName(RESERVED_NAME), ConceptName(RESERVED_NAME))
+
+#: polarity of a `Not`'s body, from the polarity of the `Not`
+_UNDER_NOT = (1, 2, 1)
 
 
-def _polarize(part: _Polar) -> _Polar:
-    pos, neg, negneg = part
-    if neg is not None:
-        return part
-    if is_literal(pos):
-        return pos, _negate_node(pos, ()), pos
-    neg = nnf_negate(pos)
-    return pos, neg, nnf_negate(neg)
-
-
-def _nnf_node(c: Concept, parts: Sequence[_Polar]) -> _Polar:
-    if not parts:
-        return c, None, None
-    if isinstance(c, Not):
-        if is_literal(parts[0][0]):
-            return _negate_node(parts[0][0], ()), None, None
-        # nnf_negate is an involution on its own results
-        _, neg, negneg = _polarize(parts[0])
-        return neg, negneg, neg
+def _polar_node(c: Concept, q: int, parts: Sequence[Concept]) -> Concept:
+    """The NNF of a raw node negated q times by `nnf_negate` (q in 0, 1, 2),
+    from its children's: the operands and the (exists)/(forall) filler in
+    the same polarity, a number restriction's filler in polarity 0."""
+    if isinstance(c, (ConceptName, NegatedName)):
+        return _negate_node(c, ()) if q == 1 else c
     if isinstance(c, (And, Or)):
-        (lp, ln, _), (rp, rn, _) = parts
-        pos = c if lp is c.left and rp is c.right else type(c)(lp, rp)
-        if ln is None and rn is None:
-            return pos, None, None
-        (_, ln, lnn), (_, rn, rnn) = map(_polarize, parts)
-        if isinstance(c, And):
-            neg = TOP if pos == BOT else Or(ln, rn)
-            return pos, neg, BOT if neg == TOP else And(lnn, rnn)
-        neg = BOT if pos == TOP else And(ln, rn)
-        return pos, neg, TOP if neg == BOT else Or(lnn, rnn)
-    body, neg, negneg = parts[0]
+        left, right = parts
+        if q == 0:
+            return c if left is c.left and right is c.right else type(c)(left, right)
+        op = type(c) if q == 2 else (Or if isinstance(c, And) else And)
+        if (left, right) == _FLIPPED_CONSTANT:
+            return TOP if op is Or else BOT
+        return op(left, right)
+    body = parts[0]
     if isinstance(c, (Exists, Forall)):
-        pos = c if body is c.body else type(c)(c.role, body)
-        if neg is None:
-            return pos, None, None
-        dual = Forall if isinstance(c, Exists) else Exists
-        return pos, dual(c.role, neg), type(c)(c.role, negneg)
-    # nnf_negate does not enter number restrictions: their negation is cheap
-    pos = c if body is c.body else type(c)(c.n, c.role, body)
-    return pos, None, None
+        if q == 0 and body is c.body:
+            return c
+        op = type(c) if q != 1 else (Forall if isinstance(c, Exists) else Exists)
+        return op(c.role, body)
+    if q == 1:
+        return _negate_node(type(c)(c.n, c.role, body), ())
+    if q == 2 and isinstance(c, AtLeast) and c.n == 0:
+        return TOP
+    return c if body is c.body else type(c)(c.n, c.role, body)
 
 
 def to_nnf(raw: Concept) -> Concept:
     """Push general negation inward, producing an equivalent NNF concept;
     subtrees without `Not` are kept as they are.
 
-    The walk carries each subtree's negations up, so ``Not(body)`` is
-    exactly ``nnf_negate(to_nnf(body))``, in time linear in the tree."""
-    return fold_concept(raw, _nnf_node)[0]
+    The walk carries each node's polarity down: the number q of `Not`s
+    above it since the nearest number restriction, where a third negation
+    is the first again, because `nnf_negate` is an involution on its own
+    results.  Each node is then built once, already negated q times, so
+    ``Not(body)`` is exactly ``nnf_negate(to_nnf(body))``, in time linear
+    in the tree, and no negation is built that the result does not hold.
+    A loop on an explicit stack, like `fold_concept`."""
+    results: list[Concept] = []
+    todo: list[tuple] = [(raw, 0)]
+    while todo:
+        entry = todo.pop()
+        if len(entry) == 3:
+            # (node, q, k): its k children are done, their results on top
+            node, q, k = entry
+            parts = results[-k:]
+            del results[-k:]
+            results.append(_polar_node(node, q, parts))
+            continue
+        node, q = entry
+        if isinstance(node, Not):
+            todo.append((node.body, _UNDER_NOT[q]))
+        elif isinstance(node, (And, Or)):
+            todo += (node, q, 2), (node.right, q), (node.left, q)
+        elif isinstance(node, (Exists, Forall)):
+            todo += (node, q, 1), (node.body, q)
+        elif isinstance(node, (AtMost, AtLeast)):
+            todo += (node, q, 1), (node.body, 0)
+        else:
+            results.append(_polar_node(node, q, ()))
+    return results[0]
 
 
 def _weight_node(c: Concept, parts: Sequence[int]) -> int:

@@ -14,6 +14,18 @@ returned.  Search is depth-first, leftmost premise first, and fully
 deterministic; step/label/time budgets produce an explicit Unknown verdict
 instead of non-termination.
 
+Proofs keep only the (and) branches they use: dependency-directed
+backtracking, or backjumping (Horrocks and Patel-Schneider, "Optimizing
+description logic subsumption", J. Logic Comput. 9(3), 1999), in sequent
+form.  An (and) step pushes a marker between its premises; when it pops,
+the left subproof is complete.  If that subproof met no Unknown, never read
+its conjunct occurrence and never made the conjunction principal, the right
+premise is dropped unsearched.  The left subproof then proves the (and)
+node's conclusion once the conjunct is replaced by the conjunction at the
+same position in each of its sequents; the proof is assembled with that
+rewrite, every rewritten node re-derived by `apply_rule`, so nothing is
+trusted that the calculus does not check.
+
 The search is one loop over an explicit stack of pending nodes, so proof
 depth is bounded by the budgets, not by Python's recursion limit, and a
 search changes no process-wide setting.  The concept walks it uses are
@@ -71,6 +83,7 @@ from .sequent import (
     build_prop_graph,
     eq_classes,
     make_sequent,
+    principal_positions,
 )
 
 
@@ -281,22 +294,87 @@ class _Search:
                 return CflClosure(self.ontology.rsystem, graph.edge_list, carried)
         return CflClosure(self.ontology.rsystem, graph.edge_list)
 
+    def left_unused(self, instances: list[RuleInstance], at: int,
+                    jumped: set[int]) -> bool:
+        """Whether the left subproof of the (and) instance `instances[at]`,
+        the complete pre-order range `instances[at + 1:]`, never reads its
+        conjunct occurrence and never makes the conjunction principal (after
+        the rewrite, `_principal_index` would find that occurrence first).
+        The occurrence is followed down through the premise maps.  A jumped
+        (and) reads nothing, since its left subproof stands in for it, with
+        every occurrence, this one too, at the same position."""
+        inst = instances[at]
+        principal = (inst.witness.label, inst.witness.concept)
+        positions = list(principal_positions(inst))
+        for k in range(at + 1, len(instances)):
+            p = positions.pop()
+            if k in jumped:
+                positions.append(p)
+                continue
+            inst = instances[k]
+            if (inst.witness.label, inst.witness.concept) == principal \
+                    or p in principal_positions(inst):
+                return False
+            positions.extend(pmap.index(("ctx", p)) for pmap in reversed(inst.premise_maps))
+        return True
+
+    def assemble(self, instances: list[RuleInstance], jumped: set[int]) -> Proof:
+        """The proof of the recorded pre-order instances.  A jumped (and)
+        node is replaced by its left subproof, whose sequents then carry
+        the conjunction where they carried the unused conjunct.  One
+        top-down pass hands each node the conclusion its parent's
+        re-derivation gave it, carrying every pending rewrite at once, so a
+        rewritten node is re-derived by `apply_rule` exactly once; the
+        nodes are then linked bottom-up, children before their parent."""
+        conclusions: list[Optional[Sequent]] = [None]  # None: as recorded
+        kept: list[RuleInstance] = []
+        for k, inst in enumerate(instances):
+            conclusion = conclusions.pop()
+            if k in jumped:
+                conclusions.append(inst.conclusion if conclusion is None else conclusion)
+                continue
+            if conclusion is None:
+                conclusions.extend([None] * len(inst.premises))
+            else:
+                inst = apply_rule(self.ontology, inst.rule, conclusion, inst.witness)
+                conclusions.extend(reversed(inst.premises))
+            kept.append(inst)
+        done: list[Proof] = []
+        for inst in reversed(kept):
+            done.append(Proof(inst, tuple(done.pop() for _ in inst.premises)))
+        return done[0]
+
     def run(self, goal: Sequent) -> ProveResult:
         """Pop nodes `(sequent, branch, delta_star, agenda, fresh_cycle,
         closure)` off a stack, one budget step each.  A rule application
         pushes its premises reversed, so the leftmost runs first, and a cycle
         restart pushes its node again.  The first Refuted answers at once;
-        the first Unknown is kept while the other nodes may still refute.
-        Rule instances are recorded in pre-order; the proof is built from
-        them in reverse, children before their parent."""
-        stack = [(goal, (goal,), frozenset(), None, True, None)]
+        every Unknown is kept while the other nodes may still refute.
+
+        An (and) step pushes a marker `(at, unknowns)` between its premises;
+        popping it costs no budget step.  By then the left subtree is
+        complete: it is `instances[at + 1:]`, since rule instances are
+        recorded in pre-order.  When that subtree met no Unknown and left
+        the conjunct unused (`left_unused`), the right premise is popped
+        unsearched and `assemble` lets the left subproof stand in for the
+        (and) node."""
+        stack: list[tuple] = [(goal, (goal,), frozenset(), None, True, None)]
         instances: list[RuleInstance] = []
-        unknown: Optional[Unknown] = None
+        jumped: set[int] = set()
+        unknowns: list[Unknown] = []
         while stack:
-            seq, branch, delta_star, agenda, fresh_cycle, closure = stack.pop()
+            entry = stack.pop()
+            if len(entry) == 2:  # the marker between an (and) step's premises
+                at, unknowns_before = entry
+                if len(unknowns) == unknowns_before \
+                        and self.left_unused(instances, at, jumped):
+                    jumped.add(at)
+                    stack.pop()
+                continue
+            seq, branch, delta_star, agenda, fresh_cycle, closure = entry
             over = self.budget(seq)
             if over is not None:
-                unknown = unknown or over
+                unknowns.append(over)
                 continue
             self.used_labels.update(seq.labels())
             present = seq.concept_set()
@@ -332,14 +410,14 @@ class _Search:
                 rest = (item,) + rest
             instance = apply_rule(self.ontology, item[0], seq, witness)
             instances.append(instance)
-            stack.extend((premise, branch + (premise,), delta_star, rest, False, closure)
-                         for premise in reversed(instance.premises))
-        if unknown is not None:
-            return unknown
-        done: list[Proof] = []
-        for instance in reversed(instances):
-            done.append(Proof(instance, tuple(done.pop() for _ in instance.premises)))
-        return Proved(done[0])
+            nodes = [(premise, branch + (premise,), delta_star, rest, False, closure)
+                     for premise in reversed(instance.premises)]
+            if item[0] == "and":
+                nodes.insert(1, (len(instances) - 1, len(unknowns)))
+            stack.extend(nodes)
+        if unknowns:
+            return unknowns[0]
+        return Proved(self.assemble(instances, jumped))
 
 
 def prove(ontology: Ontology, goal: Sequent,

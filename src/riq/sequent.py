@@ -466,6 +466,18 @@ def _principal_index(seq: Sequent, label: Label, concept: Concept) -> int:
     raise RuleError(f"principal {label} : {render_concept(concept)} not in consequent")
 
 
+def principal_positions(inst: RuleInstance) -> tuple[int, ...]:
+    """The consequent positions of the instance's conclusion that its rule
+    reads: the principal, both sides of an (id) axiom, none for (id_eq)."""
+    w = inst.witness
+    if inst.rule == "id_eq":
+        return ()
+    first = _principal_index(inst.conclusion, w.label, w.concept)
+    if inst.rule == "id":
+        return first, _principal_index(inst.conclusion, w.label, NegatedName(w.concept.name))
+    return (first,)
+
+
 def _check_eq_path(seq: Sequent, x: Label, y: Label, path: tuple[Label, ...]) -> None:
     if not path or path[0] != x or path[-1] != y:
         raise RuleError(f"equality path must run from {x} to {y}")

@@ -4,11 +4,12 @@ nesting depth, and general negation normalizes as its definition says."""
 
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riq.core import (
     BOT,
+    RESERVED_NAME,
     TOP,
     And,
     AtLeast,
@@ -21,6 +22,7 @@ from riq.core import (
     Or,
     RiqError,
     Role,
+    fold_concept,
     nnf_negate,
     to_nnf,
 )
@@ -131,6 +133,43 @@ raw_concepts = st.recursive(LEAVES, lambda inner: st.one_of(
 @given(raw_concepts)
 def test_negation_normalizes_as_defined(body):
     assert to_nnf(Not(body)) == nnf_negate(to_nnf(body))
+
+
+def nnf_by_definition(raw):
+    """`to_nnf` as defined: one `nnf_negate` walk per `Not`, so quadratic in
+    the nesting of `Not`s, which is fine on small concepts."""
+    def node(c, parts):
+        if isinstance(c, Not):
+            return nnf_negate(parts[0])
+        if isinstance(c, (And, Or)):
+            return type(c)(*parts)
+        if isinstance(c, (Exists, Forall)):
+            return type(c)(c.role, parts[0])
+        if isinstance(c, (AtMost, AtLeast)):
+            return type(c)(c.n, c.role, parts[0])
+        return c
+    return fold_concept(raw, node)
+
+
+#: raw concepts whose operands may also be the reserved literals, so that
+#: an operand pair can negate to the operands of TOP or BOT
+raw_internal_concepts = st.recursive(
+    st.one_of(LEAVES, st.builds(ConceptName, st.just(RESERVED_NAME)),
+              st.builds(NegatedName, st.just(RESERVED_NAME))),
+    lambda inner: st.one_of(extend(inner), st.builds(Not, inner)), max_leaves=12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(raw_internal_concepts)
+@example(Not(Not(AtLeast(0, Role("r"), ConceptName("A")))))
+@example(Not(Not(And(AtLeast(0, Role("r"), TOP), Not(BOT)))))
+@example(Not(Not(Or(NegatedName(RESERVED_NAME), ConceptName(RESERVED_NAME)))))
+@example(Not(And(Not(Not(NegatedName(RESERVED_NAME))), ConceptName(RESERVED_NAME))))
+def test_nested_negation_normalizes_as_defined(raw):
+    """Every subtree, not only the root, normalizes as the definition says,
+    also where `nnf_negate` is not an involution (atleast 0, and operands
+    that negate to those of TOP or BOT)."""
+    assert to_nnf(raw) == nnf_by_definition(raw)
 
 
 #: JSON values a model file might hold, with the keys a model uses

@@ -1,10 +1,13 @@
+import random
 import sys
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riq import prover
-from riq.core import GCI, RIA, Role, TOP, make_ontology, normalize_ontology
+from riq.core import GCI, RIA, And, Or, Role, TOP, make_ontology, normalize_ontology
 from riq.prover import (
     CountermodelError,
     Proved,
@@ -16,8 +19,14 @@ from riq.prover import (
     subsumes,
 )
 from riq.semantics import falsifies, find_countermodel_bounded, is_model
-from riq.sequent import check_proof, proof_to_json
-from conftest import C, EMPTY_ONT, S
+from riq.sequent import (
+    check_proof,
+    principal_positions,
+    proof_from_json,
+    proof_to_json,
+    rederive,
+)
+from conftest import C, EMPTY_ONT, S, random_goal, random_ontology
 
 r, s, t = Role("r"), Role("s"), Role("t")
 LIMITS = SearchLimits(max_steps=5000, max_labels=100, max_seconds_hint=30)
@@ -222,3 +231,76 @@ class TestAgainstOracle:
         goal = goal_sequent(ont, C(sub), C(sup))
         assert isinstance(prove(ont, goal, LIMITS), Proved)
         assert find_countermodel_bounded(ont, goal, 3) is None
+
+
+def unused_conjuncts(ontology, proof):
+    """Paths of the (and) nodes whose left subproof neither reads its
+    conjunct occurrence (as a principal or either side of an (id) axiom)
+    nor makes the conjunction principal, following the occurrence down the
+    proof tree through the re-derived premise maps."""
+    derived = {path: inst for path, _, inst in rederive(ontology, proof)}
+    unused = []
+    for path, inst in derived.items():
+        if inst.rule != "and":
+            continue
+        conjunction = (inst.witness.label, inst.witness.concept)
+        todo = [(path + (0,), principal_positions(inst)[0])]
+        while todo:
+            at, p = todo.pop()
+            node = derived[at]
+            if p in principal_positions(node) \
+                    or (node.witness.label, node.witness.concept) == conjunction:
+                break
+            todo += [(at + (i,), pmap.index(("ctx", p)))
+                     for i, pmap in enumerate(node.premise_maps)]
+        else:
+            unused.append(path)
+    return unused
+
+
+class TestBackjumping:
+    def test_unused_conjunct_skips_the_right_premise(self):
+        """The left premise of the first (and) closes on the existential and
+        the universal chains, so its conjunct B is never read.  The right
+        premise starts a balanced conjunction of 32 names, which the search
+        would split a level per cycle while the chains close: searching both
+        premises takes 112 steps, skipping the right one 20."""
+        parts = [f"C{i}" for i in range(32)]
+        while len(parts) > 1:
+            parts = [f"({a} and {b})" for a, b in zip(parts[::2], parts[1::2])]
+        conjunction = parts[0]
+        chain = "some r . " * 5 + "A"
+        goal = goal_sequent(EMPTY_ONT, C(chain), C(f"({chain}) or (B and {conjunction})"))
+        result = prove(EMPTY_ONT, goal, SearchLimits(max_steps=40, max_labels=10))
+        assert isinstance(result, Proved)
+        assert result.proof.conclusion == goal
+        assert check_proof(EMPTY_ONT, result.proof).ok
+        assert not any(node.instance.rule == "and" for node in result.proof.nodes())
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_kept_proofs_are_sound_and_minimal(self, seed):
+        """Every proof concludes its goal and checks, also after a JSON
+        round trip; no (and) node is left that its left subproof makes
+        redundant; and no interpretation of size 2 falsifies the goal.  The
+        subsumer is a disjunction with a conjunction, half the time beside
+        the subsumee itself, so that many proofs meet an (and) step."""
+        rng = random.Random(seed)
+        ont = random_ontology(rng, max_gcis=1)
+        sub, sup = random_goal(rng, ontology=ont)
+        conjunction = And(*random_goal(rng, ontology=ont))
+        if rng.random() < 0.5:
+            sup = sub
+        sup = Or(sup, conjunction) if rng.random() < 0.5 else Or(conjunction, sup)
+        goal = goal_sequent(ont, sub, sup)
+        result = prove(ont, goal, SearchLimits(max_steps=400, max_labels=12))
+        if not isinstance(result, Proved):
+            return
+        proof = result.proof
+        assert proof.conclusion == goal
+        assert check_proof(ont, proof).ok
+        copy = proof_from_json(proof_to_json(proof))
+        assert copy.conclusion.key() == goal.key()
+        assert check_proof(ont, copy).ok
+        assert unused_conjuncts(ont, proof) == []
+        assert find_countermodel_bounded(ont, goal, 2) is None

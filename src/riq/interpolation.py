@@ -75,7 +75,6 @@ from .sequent import (
     ProofError,
     RuleInstance,
     Sequent,
-    _principal_index,
     check_proof,
     make_sequent,
     rederive,
@@ -476,10 +475,11 @@ def annotate_partition(ontology: Ontology, proof: Proof,
                        end_split: EndSplit) -> PartitionedProof:
     """Top-down pass assigning each occurrence and inequality atom a side.
 
-    The sides follow the premise maps of `rederive`, which is also the
-    pipeline's proof check: a node whose rule does not apply, whose premises
-    differ from its children, or whose child lists its concepts in another
-    order than the re-derived premise, raises InterpolationError.
+    The sides follow the premise maps and read positions of the instances
+    that `rederive` yields; it is also the pipeline's proof check: a node
+    whose rule does not apply, whose premises differ from its children, or
+    whose child lists its concepts in another order than the re-derived
+    premise, raises InterpolationError.
     """
     pending = {(): (end_split.occ_sides, dict(end_split.neq_sides))}
     annotated: list[PartitionedProof] = []
@@ -489,8 +489,8 @@ def annotate_partition(ontology: Ontology, proof: Proof,
             inst = node.instance
             if len(occ_sides) != len(inst.conclusion.consequent):
                 raise InterpolationError("side annotation does not match the sequent")
-            principal_side = None if inst.rule in ("id", "id_eq") else occ_sides[
-                _principal_index(inst.conclusion, inst.witness.label, inst.witness.concept)]
+            principal_side = None if inst.rule in ("id", "id_eq") \
+                else occ_sides[rederived.reads[0]]
             old_atoms = inst.conclusion.atom_set()
             for i, (premise, pmap, child) in enumerate(zip(
                     rederived.premises, rederived.premise_maps, node.children)):
@@ -557,12 +557,7 @@ def extract_interpolant(pp: PartitionedProof) -> Interpolant:
         if inst.rule == "id":
             x, pos = w.label, w.concept
             neg = NegatedName(pos.name)
-            pos_side = neg_side = None
-            for i, occ in enumerate(inst.conclusion.consequent):
-                if occ.label == x and occ.concept == pos and pos_side is None:
-                    pos_side = node.occ_sides[i]
-                elif occ.label == x and occ.concept == neg and neg_side is None:
-                    neg_side = node.occ_sides[i]
+            pos_side, neg_side = (node.occ_sides[i] for i in inst.reads)
             if pos_side is Side.RIGHT and neg_side is Side.RIGHT:
                 return interpolant(member(concepts=[(x, TOP)]))
             if pos_side is Side.LEFT and neg_side is Side.RIGHT:
@@ -583,12 +578,10 @@ def extract_interpolant(pp: PartitionedProof) -> Interpolant:
     for _, node in reversed(list(walk(pp))):
         parts = [done.pop() for _ in node.children]
         inst = node.instance
-        w = inst.witness
         if inst.rule in ("id", "id_eq"):
             g = leaf(node)
         else:
-            right = node.occ_sides[
-                _principal_index(inst.conclusion, w.label, w.concept)] is Side.RIGHT
+            right = node.occ_sides[inst.reads[0]] is Side.RIGHT
             if not parts:
                 # (atleast 0): a zero-premise propagation rule
                 g = EMPTY if right else interpolant(member())

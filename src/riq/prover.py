@@ -19,8 +19,10 @@ backtracking, or backjumping (Horrocks and Patel-Schneider, "Optimizing
 description logic subsumption", J. Logic Comput. 9(3), 1999), in sequent
 form.  An (and) step pushes a marker between its premises; when it pops,
 the left subproof is complete.  If that subproof met no Unknown, never read
-its conjunct occurrence and never made the conjunction principal, the right
-premise is dropped unsearched.  The left subproof then proves the (and)
+its conjunct occurrence (judged by identity: the rules copy every
+occurrence they do not read, so the conjunct is one object throughout the
+subproof) and never made the conjunction principal, the right premise is
+dropped unsearched.  The left subproof then proves the (and)
 node's conclusion once the conjunct is replaced by the conjunction at the
 same position in each of its sequents; the proof is assembled with that
 rewrite, every rewritten node re-derived by `apply_rule`, so nothing is
@@ -83,7 +85,6 @@ from .sequent import (
     build_prop_graph,
     eq_classes,
     make_sequent,
-    principal_positions,
 )
 
 
@@ -300,22 +301,20 @@ class _Search:
         the complete pre-order range `instances[at + 1:]`, never reads its
         conjunct occurrence and never makes the conjunction principal (after
         the rewrite, `_principal_index` would find that occurrence first).
-        The occurrence is followed down through the premise maps.  A jumped
-        (and) reads nothing, since its left subproof stands in for it, with
-        every occurrence, this one too, at the same position."""
+        Use is judged by occurrence identity, not by value: every rule
+        copies the occurrences it does not read into its premises, so the
+        conjunct is one object throughout the subproof.  A jumped (and)
+        reads nothing, since its left subproof stands in for it."""
         inst = instances[at]
         principal = (inst.witness.label, inst.witness.concept)
-        positions = list(principal_positions(inst))
+        conjunct = inst.premises[0].consequent[inst.reads[0]]
         for k in range(at + 1, len(instances)):
-            p = positions.pop()
             if k in jumped:
-                positions.append(p)
                 continue
             inst = instances[k]
             if (inst.witness.label, inst.witness.concept) == principal \
-                    or p in principal_positions(inst):
+                    or any(inst.conclusion.consequent[i] is conjunct for i in inst.reads):
                 return False
-            positions.extend(pmap.index(("ctx", p)) for pmap in reversed(inst.premise_maps))
         return True
 
     def assemble(self, instances: list[RuleInstance], jumped: set[int]) -> Proof:

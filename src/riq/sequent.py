@@ -424,7 +424,11 @@ class RuleInstance:
     conclusion: Sequent
     premises: tuple[Sequent, ...]
     witness: Witness
+    # both set by `apply_rule`, never serialized; `reads` holds the
+    # conclusion's consequent positions the rule reads (the principal, both
+    # sides of an (id) axiom, none for (id_eq))
     premise_maps: tuple[PremiseMap, ...] = field(default=(), compare=False, repr=False)
+    reads: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -464,18 +468,6 @@ def _principal_index(seq: Sequent, label: Label, concept: Concept) -> int:
         if occ.label == label and occ.concept == concept:
             return i
     raise RuleError(f"principal {label} : {render_concept(concept)} not in consequent")
-
-
-def principal_positions(inst: RuleInstance) -> tuple[int, ...]:
-    """The consequent positions of the instance's conclusion that its rule
-    reads: the principal, both sides of an (id) axiom, none for (id_eq)."""
-    w = inst.witness
-    if inst.rule == "id_eq":
-        return ()
-    first = _principal_index(inst.conclusion, w.label, w.concept)
-    if inst.rule == "id":
-        return first, _principal_index(inst.conclusion, w.label, NegatedName(w.concept.name))
-    return (first,)
 
 
 def _check_eq_path(seq: Sequent, x: Label, y: Label, path: tuple[Label, ...]) -> None:
@@ -534,9 +526,9 @@ def apply_rule(ontology: Ontology, rule: str, conclusion: Sequent,
         if not isinstance(witness.concept, ConceptName):
             raise RuleError("(id) needs a concept name")
         x, a = witness.label, witness.concept
-        _principal_index(conclusion, x, a)
-        _principal_index(conclusion, x, NegatedName(a.name))
-        return RuleInstance(rule, conclusion, (), witness, ())
+        reads = (_principal_index(conclusion, x, a),
+                 _principal_index(conclusion, x, NegatedName(a.name)))
+        return RuleInstance(rule, conclusion, (), witness, (), reads)
 
     if rule == "id_eq":
         if witness.pair is None or len(witness.pair) != 2:
@@ -558,7 +550,7 @@ def apply_rule(ontology: Ontology, rule: str, conclusion: Sequent,
             cons[: idx + 1] + (LabeledConcept(y, lit),) + cons[idx + 1:])
         pmap = tuple([("ctx", j) for j in range(idx + 1)] + [("active",)]
                      + [("ctx", j) for j in range(idx + 1, len(cons))])
-        return RuleInstance(rule, conclusion, (premise,), witness, (pmap,))
+        return RuleInstance(rule, conclusion, (premise,), witness, (pmap,), (idx,))
 
     if rule == "or":
         x, c = witness.label, witness.concept
@@ -569,24 +561,22 @@ def apply_rule(ontology: Ontology, rule: str, conclusion: Sequent,
             conclusion.antecedent,
             cons[:idx] + (LabeledConcept(x, c.left), LabeledConcept(x, c.right))
             + cons[idx + 1:])
-        pmap = tuple(_ctx(len(cons), idx)[:idx] + [("active",), ("active",)]
-                     + _ctx(len(cons), idx)[idx:])
-        return RuleInstance(rule, conclusion, (premise,), witness, (pmap,))
+        pmap = tuple([("ctx", j) for j in range(idx)] + [("active",), ("active",)]
+                     + [("ctx", j) for j in range(idx + 1, len(cons))])
+        return RuleInstance(rule, conclusion, (premise,), witness, (pmap,), (idx,))
 
     if rule == "and":
         x, c = witness.label, witness.concept
         if not isinstance(c, And):
             raise RuleError("(and) needs a conjunction")
         idx = _principal_index(conclusion, x, c)
-        premises = []
-        pmaps = []
-        for part in (c.left, c.right):
-            premises.append(make_sequent(
-                conclusion.antecedent,
-                cons[:idx] + (LabeledConcept(x, part),) + cons[idx + 1:]))
-            pmaps.append(tuple(_ctx(len(cons), idx)[:idx] + [("active",)]
-                               + _ctx(len(cons), idx)[idx:]))
-        return RuleInstance(rule, conclusion, tuple(premises), witness, tuple(pmaps))
+        premises = tuple(
+            make_sequent(conclusion.antecedent,
+                         cons[:idx] + (LabeledConcept(x, part),) + cons[idx + 1:])
+            for part in (c.left, c.right))
+        pmap = tuple([("ctx", j) for j in range(idx)] + [("active",)]
+                     + [("ctx", j) for j in range(idx + 1, len(cons))])
+        return RuleInstance(rule, conclusion, premises, witness, (pmap, pmap), (idx,))
 
     if rule == "exists":
         x, c, y = witness.label, witness.concept, witness.target
@@ -602,7 +592,7 @@ def apply_rule(ontology: Ontology, rule: str, conclusion: Sequent,
             cons[: idx + 1] + (LabeledConcept(y, c.body),) + cons[idx + 1:])
         pmap = tuple([("ctx", j) for j in range(idx + 1)] + [("active",)]
                      + [("ctx", j) for j in range(idx + 1, len(cons))])
-        return RuleInstance(rule, conclusion, (premise,), witness, (pmap,))
+        return RuleInstance(rule, conclusion, (premise,), witness, (pmap,), (idx,))
 
     if rule == "forall":
         x, c = witness.label, witness.concept
@@ -621,7 +611,7 @@ def apply_rule(ontology: Ontology, rule: str, conclusion: Sequent,
             + cons[:idx] + cons[idx + 1:])
         pmap = tuple([("active",)] + [("gci", k) for k in range(len(gcis))]
                      + _ctx(len(cons), idx))
-        return RuleInstance(rule, conclusion, (premise,), witness, (pmap,))
+        return RuleInstance(rule, conclusion, (premise,), witness, (pmap,), (idx,))
 
     if rule == "atmost":
         x, c = witness.label, witness.concept
@@ -646,7 +636,7 @@ def apply_rule(ontology: Ontology, rule: str, conclusion: Sequent,
                 pmap.append(("gci", k))
         premise = make_sequent(atoms, tuple(new_cons) + cons[:idx] + cons[idx + 1:])
         pmap += _ctx(len(cons), idx)
-        return RuleInstance(rule, conclusion, (premise,), witness, (tuple(pmap),))
+        return RuleInstance(rule, conclusion, (premise,), witness, (tuple(pmap),), (idx,))
 
     if rule == "atleast":
         x, c = witness.label, witness.concept
@@ -674,7 +664,7 @@ def apply_rule(ontology: Ontology, rule: str, conclusion: Sequent,
                 premises.append(make_sequent(
                     conclusion.antecedent + (Eq(ys[i], ys[j]),), cons))
                 pmaps.append(tuple(("ctx", j2) for j2 in range(len(cons))))
-        return RuleInstance(rule, conclusion, tuple(premises), witness, tuple(pmaps))
+        return RuleInstance(rule, conclusion, tuple(premises), witness, tuple(pmaps), (idx,))
 
     raise RuleError(f"unknown rule {rule!r}")
 

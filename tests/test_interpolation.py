@@ -54,7 +54,16 @@ from riq.definability import explicit_definition
 from riq.parser import render_concept
 from riq.prover import Proved, SearchLimits, Unknown, prove
 from riq.semantics import _eval_bits
-from riq.sequent import Eq, LabeledConcept, Neq, Proof, make_sequent, walk
+from riq.sequent import (
+    Eq,
+    LabeledConcept,
+    Neq,
+    Proof,
+    make_sequent,
+    proof_from_json,
+    proof_to_json,
+    walk,
+)
 from conftest import C, EMPTY_ONT, O, random_concept
 
 r = Role("r")
@@ -498,6 +507,28 @@ class TestAnnotateAndExtract:
                        if occ.label == fresh]
         # the universal principal came from the left (negated subsumee)
         assert fresh_sides and all(s is Side.LEFT for s in fresh_sides)
+
+    @pytest.mark.parametrize("o1, o2, sub, sup", [
+        (EMPTY_ONT, EMPTY_ONT, "A and B", "A or E"),
+        (EMPTY_ONT, EMPTY_ONT, "A", "B or not B"),
+        (normalize_ontology([GCI(A, B)], []), normalize_ontology([GCI(B, E)], []),
+         "A", "E"),
+        (make_ontology([RIA((r,), Role("s"))], ()), EMPTY_ONT,
+         "some r . A", "some s . (A or B)"),
+        (EMPTY_ONT, EMPTY_ONT, "atmost 1 r . A", "atmost 2 r . (A and B)"),
+        (O(LEFT_ONTOLOGY), O(RIGHT_ONTOLOGY), "A and (some r . A)", "E or (only r . E)"),
+    ])
+    def test_proof_read_back_from_json(self, o1, o2, sub, sup):
+        """A parsed proof carries no premise maps and no read positions; the
+        passes take both from the re-derived instances, so they give the
+        same interpolant as on the proof the search returned."""
+        ont, proof, split = self._pipeline_parts(o1, o2, C(sub), C(sup))
+        copy = proof_from_json(proof_to_json(proof))
+        assert not any(node.instance.reads for node in copy.nodes())
+        g, g_copy = (extract_interpolant(annotate_partition(ont, p, split))
+                     for p in (proof, copy))
+        assert g_copy == g
+        assert interpolant_concept(g_copy, "x0") == interpolant_concept(g, "x0")
 
     def test_tampered_witness_raises_interpolation_error(self):
         ont, proof, split = self._pipeline_parts(

@@ -21,7 +21,6 @@ from riq.prover import (
 from riq.semantics import falsifies, find_countermodel_bounded, is_model
 from riq.sequent import (
     check_proof,
-    principal_positions,
     proof_from_json,
     proof_to_json,
     rederive,
@@ -236,19 +235,20 @@ class TestAgainstOracle:
 def unused_conjuncts(ontology, proof):
     """Paths of the (and) nodes whose left subproof neither reads its
     conjunct occurrence (as a principal or either side of an (id) axiom)
-    nor makes the conjunction principal, following the occurrence down the
-    proof tree through the re-derived premise maps."""
+    nor makes the conjunction principal, following the occurrence's position
+    down the proof tree through the re-derived premise maps: a reference
+    walk, independent of the search's judgement by occurrence identity."""
     derived = {path: inst for path, _, inst in rederive(ontology, proof)}
     unused = []
     for path, inst in derived.items():
         if inst.rule != "and":
             continue
         conjunction = (inst.witness.label, inst.witness.concept)
-        todo = [(path + (0,), principal_positions(inst)[0])]
+        todo = [(path + (0,), inst.reads[0])]
         while todo:
             at, p = todo.pop()
             node = derived[at]
-            if p in principal_positions(node) \
+            if p in node.reads \
                     or (node.witness.label, node.witness.concept) == conjunction:
                 break
             todo += [(at + (i,), pmap.index(("ctx", p)))
@@ -276,6 +276,20 @@ class TestBackjumping:
         assert result.proof.conclusion == goal
         assert check_proof(EMPTY_ONT, result.proof).ok
         assert not any(node.instance.rule == "and" for node in result.proof.nodes())
+
+    def test_use_is_judged_by_identity_not_by_value(self):
+        """The subsumer's conjunct x0 : not B is unused, but a later (or)
+        puts an equal x0 : not B before it, and the (id) axiom reads that
+        one (positions 0 and 1).  Judged by value, the conjunct would count
+        as read and the (and) node would be kept."""
+        goal = goal_sequent(EMPTY_ONT, C("(not B and B) and only r . not B"),
+                            C("not B and not B"))
+        result = prove(EMPTY_ONT, goal, SearchLimits(100, 8))
+        assert isinstance(result, Proved)
+        assert [node.instance.rule for node in result.proof.nodes()] == \
+            ["or", "or", "or", "id"]
+        assert check_proof(EMPTY_ONT, result.proof).ok
+        assert unused_conjuncts(EMPTY_ONT, result.proof) == []
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1))

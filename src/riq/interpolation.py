@@ -673,7 +673,6 @@ class InterpolationResult:
     status: str  # "ok" | "refuted" | "unknown"
     concept: Optional[Concept] = None
     interpolant: Optional[Interpolant] = None
-    proof: Optional[Proof] = None
     prove_result: Optional[ProveResult] = None
     verification: Optional[VerificationReport] = None
 
@@ -710,7 +709,7 @@ def extract_concept_interpolant(o1: Ontology, o2: Ontology, c: Concept, d: Conce
     pp = annotate_partition(ont, result.proof, split)
     g = extract_interpolant(pp)
     concept = simplify_concept(interpolant_concept(g, "x0"))
-    return InterpolationResult("ok", concept, g, result.proof, result)
+    return InterpolationResult("ok", concept, g, result)
 
 
 def compute_concept_interpolant(o1: Ontology, o2: Ontology, c: Concept, d: Concept,
@@ -726,8 +725,7 @@ def compute_concept_interpolant(o1: Ontology, o2: Ontology, c: Concept, d: Conce
         return result
     report = verify_interpolant(o1, o2, c, d, result.concept, limits)
     if report.inconclusive:
-        return InterpolationResult("unknown", proof=result.proof,
-                                   prove_result=result.prove_result,
+        return InterpolationResult("unknown", prove_result=result.prove_result,
                                    verification=report)
     if not report.ok:
         raise InterpolationError(

@@ -34,19 +34,24 @@ search changes no process-wide setting.  The concept walks it uses are
 loops too (`core.fold_concept`), so no concept is too deeply nested to
 search.
 
-Each node's CFL closure is carried to its premises and to its next cycle:
-a premise with the same role edges reuses it, one with a fresh leaf edge
-extends it, and one whose equality classes merged builds its own.  Sibling
-branches therefore share closures, but a closure is never changed after
-construction, so branches share no mutable state (label counters are
-search-local).
+Each node carries its structure, the pair of its propagation graph and the
+graph's CFL closure, to its premises and to its next cycle.  A premise with
+the same antecedent keeps the pair: for a non-empty antecedent the labels,
+and so the graph, depend on the antecedent alone, and a rule that keeps an
+empty antecedent also keeps its one label.  A premise of (forall), (atmost)
+or an (atleast) equality builds its graph and extends the carried closure by
+its fresh leaf edges, or rebuilds it after an equality merge.  Neither part
+is changed after construction, so sibling branches share them but no
+mutable state.  `apply_rule` builds its own graph, trusting none of this.
+The branch is not stored: its last sequent holds all of its atoms, and the
+carried `delta_star` all of its consequent occurrences.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .core import (
     And,
@@ -113,7 +118,6 @@ class Proved:
 class Refuted:
     interpretation: Interpretation
     assignment: dict[str, str]
-    branch: tuple[Sequent, ...]
 
 
 @dataclass(frozen=True)
@@ -137,15 +141,15 @@ class _Search:
         self.limits = limits
         self.steps = 0
         self.started = time.monotonic()
-        self.used_labels: set[str] = set()
+        self.goal_labels: frozenset[str] = frozenset()
         self.counter = 0
 
     def fresh_label(self) -> str:
+        """The next `x<n>` that is no goal label: all others are made here."""
         while True:
             candidate = f"x{self.counter}"
             self.counter += 1
-            if candidate not in self.used_labels:
-                self.used_labels.add(candidate)
+            if candidate not in self.goal_labels:
                 return candidate
 
     def budget(self, seq: Sequent) -> Optional[Unknown]:
@@ -282,19 +286,6 @@ class _Search:
     #: items that may fire several times per cycle (one witness each)
     _REPEATING = ("subst_eq", "exists", "atleast")
 
-    def closure_for(self, graph: PropagationGraph,
-                    carried: Optional[CflClosure]) -> CflClosure:
-        """The CFL closure of `graph.edge_list`.  A closure carried down the
-        branch is reused when its edges are the same (the rule changed only
-        the consequent), and extended when they grow (a fresh leaf edge);
-        after an equality merge the nodes change, so it is rebuilt."""
-        if carried is not None:
-            if carried.edges == graph.edge_list:
-                return carried
-            if carried.edge_set <= graph.edges:
-                return CflClosure(self.ontology.rsystem, graph.edge_list, carried)
-        return CflClosure(self.ontology.rsystem, graph.edge_list)
-
     def left_unused(self, instances: list[RuleInstance], at: int,
                     jumped: set[int]) -> bool:
         """Whether the left subproof of the (and) instance `instances[at]`,
@@ -344,11 +335,13 @@ class _Search:
         return done[0]
 
     def run(self, goal: Sequent) -> ProveResult:
-        """Pop nodes `(sequent, branch, delta_star, agenda, fresh_cycle,
-        closure)` off a stack, one budget step each.  A rule application
-        pushes its premises reversed, so the leftmost runs first, and a cycle
-        restart pushes its node again.  The first Refuted answers at once;
-        every Unknown is kept while the other nodes may still refute.
+        """Pop nodes `(sequent, delta_star, agenda, structure)` off a stack,
+        one budget step each: the branch's consequent occurrences, the rest
+        of the saturation cycle (None starts one) and the carried
+        `(graph, closure)`.  A rule application pushes its premises
+        reversed, so the leftmost runs first, and a cycle restart pushes its
+        node again.  The first Refuted answers at once; every Unknown is
+        kept while the other nodes may still refute.
 
         An (and) step pushes a marker `(at, unknowns)` between its premises;
         popping it costs no budget step.  By then the left subtree is
@@ -357,7 +350,8 @@ class _Search:
         the conjunct unused (`left_unused`), the right premise is popped
         unsearched and `assemble` lets the left subproof stand in for the
         (and) node."""
-        stack: list[tuple] = [(goal, (goal,), frozenset(), None, True, None)]
+        self.goal_labels = frozenset(goal.labels())
+        stack: list[tuple] = [(goal, frozenset(), None, None)]
         instances: list[RuleInstance] = []
         jumped: set[int] = set()
         unknowns: list[Unknown] = []
@@ -370,26 +364,35 @@ class _Search:
                     jumped.add(at)
                     stack.pop()
                 continue
-            seq, branch, delta_star, agenda, fresh_cycle, closure = entry
+            seq, delta_star, agenda, structure = entry
             over = self.budget(seq)
             if over is not None:
                 unknowns.append(over)
                 continue
-            self.used_labels.update(seq.labels())
             present = seq.concept_set()
             delta_star = delta_star | present
-            graph = build_prop_graph(seq)
+            if structure is not None and structure[0].antecedent == seq.antecedent:
+                graph, closure = structure
+            else:  # the goal, or a rule changed the antecedent
+                graph, closure = build_prop_graph(seq), None
 
             closing = self._closure_instance(seq, graph.eq, present)
             if closing is not None:
                 instances.append(closing)
                 continue
 
-            closure = self.closure_for(graph, closure)
+            if closure is None:
+                # fresh leaf edges extend the carried closure; after an
+                # equality merge changed the nodes it is rebuilt
+                base = structure[1] if structure is not None else None
+                if base is not None and not base.edge_set <= graph.edges:
+                    base = None
+                closure = CflClosure(self.ontology.rsystem, graph.edge_list, base)
+                structure = (graph, closure)
 
-            if agenda is None:
+            fresh_cycle = agenda is None
+            if fresh_cycle:
                 agenda = self.build_agenda(seq)
-                fresh_cycle = True
 
             for i, item in enumerate(agenda):
                 witness = self.realize(item, seq, graph, closure, present, delta_star)
@@ -399,9 +402,9 @@ class _Search:
                 if fresh_cycle:
                     # a complete cycle added nothing: the branch is saturated
                     interpretation, assignment = extract_countermodel(
-                        self.ontology, branch, goal)
-                    return Refuted(interpretation, assignment, branch)
-                stack.append((seq, branch, delta_star, None, True, closure))
+                        self.ontology, seq, delta_star, goal)
+                    return Refuted(interpretation, assignment)
+                stack.append((seq, delta_star, None, structure))
                 continue
 
             rest = agenda[i + 1:]
@@ -409,7 +412,7 @@ class _Search:
                 rest = (item,) + rest
             instance = apply_rule(self.ontology, item[0], seq, witness)
             instances.append(instance)
-            nodes = [(premise, branch + (premise,), delta_star, rest, False, closure)
+            nodes = [(premise, delta_star, rest, structure)
                      for premise in reversed(instance.premises)]
             if item[0] == "and":
                 nodes.insert(1, (len(instances) - 1, len(unknowns)))
@@ -426,9 +429,7 @@ def prove(ontology: Ontology, goal: Sequent,
     Returns Proved with a checkable proof, Refuted with a verified
     counter-interpretation, or Unknown when a resource bound was hit.
     """
-    search = _Search(ontology, limits)
-    search.used_labels.update(goal.labels())
-    return search.run(goal)
+    return _Search(ontology, limits).run(goal)
 
 
 def subsumes(ontology: Ontology, sub: Concept, sup: Concept,
@@ -451,32 +452,23 @@ def _all_names(concepts) -> set[str]:
     return names
 
 
-def extract_countermodel(ontology: Ontology, branch: Sequence[Sequent],
-                         goal: Optional[Sequent] = None
+def extract_countermodel(ontology: Ontology, seq: Sequent,
+                         delta_star: frozenset[tuple[str, Concept]], goal: Sequent
                          ) -> tuple[Interpretation, dict[str, str]]:
-    """Build the interpretation induced by a saturated branch.
+    """Build the interpretation induced by a saturated branch from its last
+    sequent and `delta_star`, its every consequent occurrence.  No rule
+    removes an atom, and each antecedent extends its parent's as a prefix,
+    so `seq.antecedent` holds the branch's atoms in order.  Labels go goal
+    first: (atmost) puts its fresh labels' `!=` atoms before `r(x0, y)`.
 
     Domain: equivalence classes of the branch labels.  A class is in a
     concept name's extension iff some member carries the negated literal in
-    the accumulated consequent.  Role extensions start from the accumulated
-    role atoms and are closed under all RIAs.  The result is verified (model
-    of the ontology, falsifies the goal) before being returned.
+    `delta_star`.  Role extensions start from the branch's role atoms and
+    are closed under all RIAs.  The result is verified (model of the
+    ontology, falsifies the goal) before being returned.
     """
-    if not branch:
-        raise ValueError("empty branch")
-    goal = goal if goal is not None else branch[0]
-    atoms: dict = {}
-    label_order: dict[str, None] = {}
-    delta_star: set[tuple[str, Concept]] = set()
-    for seq in branch:
-        for atom in seq.antecedent:
-            atoms.setdefault(atom)
-        for lab in seq.labels():
-            label_order.setdefault(lab)
-        for occ in seq.consequent:
-            delta_star.add((occ.label, occ.concept))
-
-    eqc = eq_classes(tuple(atoms), tuple(label_order))
+    label_order = dict.fromkeys(goal.labels() + seq.labels())
+    eqc = eq_classes(seq.antecedent, tuple(label_order))
     assignment = {lab: eqc.rep(lab) for lab in label_order}
     domain = tuple(dict.fromkeys(assignment[lab] for lab in label_order))
 
@@ -489,7 +481,7 @@ def extract_countermodel(ontology: Ontology, branch: Sequence[Sequent],
     }
 
     role_pairs: dict[str, set[tuple[str, str]]] = {}
-    for atom in atoms:
+    for atom in seq.antecedent:
         if isinstance(atom, RoleAtom):
             src, dst = assignment[atom.src], assignment[atom.dst]
             if atom.role.inverted:

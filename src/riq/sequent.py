@@ -316,12 +316,14 @@ def eq_classes(atoms: Iterable[Atom], order: Iterable[Label] = ()) -> EqClasses:
 
 
 class PropagationGraph:
-    """Structural view of a sequent, built once per search node: its
-    equality classes (`eq`), which are the graph's nodes in label order, and
-    an edge per role atom plus its inverse.  `reachable` reads the side
-    conditions of the propagation rules off a CFL closure of `edge_list`."""
+    """Structural view of a sequent, kept with the `antecedent` it was built
+    from: its equality classes (`eq`), which are the graph's nodes in label
+    order, and an edge per role atom plus its inverse.  `reachable` reads
+    the side conditions of the propagation rules off a CFL closure of
+    `edge_list`."""
 
     def __init__(self, seq: Sequent):
+        self.antecedent = seq.antecedent
         self.eq = eq_classes(seq.antecedent, seq.labels())
         self.nodes: tuple[frozenset[Label], ...] = self.eq.classes
         position = {node: i for i, node in enumerate(self.nodes)}
@@ -816,6 +818,12 @@ def _witness_to_dict(w: Witness) -> dict:
 
 
 def _witness_from_dict(d: dict) -> Witness:
+    labels = [d[name] for name in ("label", "target") if name in d]
+    labels += [lab for name in ("pair", "eq_path", "targets", "fresh")
+               for lab in d.get(name, ())]
+    labels += [lab for path in d.get("paths", ()) for lab in path]
+    if not all(isinstance(lab, str) for lab in labels):
+        raise ParseError("witness labels must be strings")
     return Witness(
         label=d.get("label"),
         concept=parse_concept(d["concept"], internal=True) if "concept" in d else None,

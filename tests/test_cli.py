@@ -122,6 +122,37 @@ class TestVerify:
         assert code == 3 and "internal error" not in err
 
 
+    #: goals whose proofs hold the rules below: (ontology file, sub, sup)
+    WITNESS_GOALS = {
+        "some": ("ria.riq", "some r . A", "some s . A"),
+        "atleast": ("empty.riq", "atleast 2 r . A", "atleast 2 r . A"),
+    }
+
+    @pytest.mark.parametrize("goal, rule, field, value", [
+        ("some", "exists", "target", []),
+        ("some", "forall", "fresh", [[5]]),
+        ("atleast", "atmost", "fresh", [[5]]),
+        ("atleast", "atleast", "targets", [[5]]),
+        ("atleast", "atleast", "paths", [["x0", {}], ["x0", "x2"]]),
+        ("atleast", "id_eq", "pair", [["x0"], "x1"]),
+    ], ids=["exists-target", "forall-fresh", "atmost-fresh", "atleast-targets",
+            "atleast-paths", "id_eq-pair"])
+    def test_non_string_witness_label_is_an_input_error(
+            self, ontdir, capsys, goal, rule, field, value):
+        ontology, sub, sup = self.WITNESS_GOALS[goal]
+        proof_path = ontdir / "p.json"
+        code, _, _ = run(capsys, "check", "-o", str(ontdir / ontology),
+                         "--sub", sub, "--sup", sup, "--emit-proof", str(proof_path))
+        assert code == 0
+        data = json.loads(proof_path.read_text())
+        node = next(node for node in data["nodes"] if node["rule"] == rule)
+        node["witness"][field] = value
+        proof_path.write_text(json.dumps(data))
+        code, _, err = run(capsys, "verify", "--proof", str(proof_path),
+                           "-o", str(ontdir / ontology))
+        assert code == 3 and "internal error" not in err
+
+
 class TestModel:
     def test_countermodel_printed(self, ontdir, capsys):
         code, out, _ = run(capsys, "model", "-o", str(ontdir / "empty.riq"),

@@ -100,34 +100,72 @@ class TestNoGlobalState:
         assert isinstance(result, Proved)
 
 
+#: a 12-deep existential chain that the RIAs `r o r <= r, r <= t` collapse
+#: onto one t-step: a proof search of 39 expanded nodes
+CHAIN_ONT = make_ontology([RIA((r, r), r), RIA((r,), t)], ())
+CHAIN_SUB = "A"
+for _ in range(12):
+    CHAIN_SUB = f"some r . ({CHAIN_SUB})"
+
+
+def counting_budget(monkeypatch, expanded):
+    """Append to `expanded` once per budget step, that is, per expanded node."""
+    budget = prover._Search.budget
+
+    def counting(self, seq):
+        expanded.append(seq)
+        return budget(self, seq)
+
+    monkeypatch.setattr(prover._Search, "budget", counting)
+
+
 class TestClosureCarrying:
     def test_each_closure_is_built_on_a_new_edge_list(self, monkeypatch):
         """A premise that keeps its node's role edges reuses the node's CFL
         closure, so a search never builds two closures on one edge list."""
         built, expanded = [], []
         init = prover.CflClosure.__init__
-        budget = prover._Search.budget
 
         def recording_init(self, g, edges, *base):
             init(self, g, edges, *base)
             built.append(self.edges)
 
-        def counting_budget(self, seq):
-            # the search spends one budget step per expanded node
-            expanded.append(None)
-            return budget(self, seq)
-
         monkeypatch.setattr(prover.CflClosure, "__init__", recording_init)
-        monkeypatch.setattr(prover._Search, "budget", counting_budget)
-        ont = make_ontology([RIA((r, r), r), RIA((r,), t)], ())
-        chain = "A"
-        for _ in range(12):
-            chain = f"some r . ({chain})"
-        result = subsumes(ont, C(chain), C("some t . A"), LIMITS)
+        counting_budget(monkeypatch, expanded)
+        result = subsumes(CHAIN_ONT, C(CHAIN_SUB), C("some t . A"), LIMITS)
         assert isinstance(result, Proved)
-        assert check_proof(ont, result.proof).ok
+        assert check_proof(CHAIN_ONT, result.proof).ok
         assert len(set(built)) == len(built)
         assert len(built) < len(expanded)
+
+
+class TestStructureCarrying:
+    def test_each_graph_is_built_on_a_new_antecedent(self, monkeypatch):
+        """The search builds a propagation graph for the goal and for a node
+        whose antecedent its rule changed; every other node, a cycle
+        restart included, keeps the graph it carries."""
+        built, expanded = [], []
+        build = prover.build_prop_graph
+
+        def recording_build(seq):
+            built.append(seq.antecedent)
+            return build(seq)
+
+        monkeypatch.setattr(prover, "build_prop_graph", recording_build)
+        counting_budget(monkeypatch, expanded)
+        result = subsumes(CHAIN_ONT, C(CHAIN_SUB), C("some t . A"), LIMITS)
+        assert isinstance(result, Proved)
+        assert len(set(built)) == len(built)
+        assert len(built) < len(expanded)
+
+    @pytest.mark.parametrize("steps, proved", [(39, True), (38, False)])
+    def test_a_cycle_restart_costs_one_step(self, steps, proved):
+        result = subsumes(CHAIN_ONT, C(CHAIN_SUB), C("some t . A"),
+                          SearchLimits(steps, 100, 30))
+        if proved:
+            assert isinstance(result, Proved)
+        else:
+            assert result == Unknown("step limit reached")
 
 
 class TestSubsumes:
@@ -193,6 +231,13 @@ class TestExtractCountermodel:
         i = result.interpretation
         assert is_model(i, ont)
         assert i.roles["t"], "composed edge missing from the closure"
+
+    def test_domain_lists_the_goal_label_first(self):
+        # (atmost) puts x1 != x2 etc. before r(x0, x1): the domain still
+        # follows the order the branch made its labels in
+        result = subsumes(EMPTY_ONT, C("atleast 3 r . E"), C("A"), LIMITS)
+        assert isinstance(result, Refuted)
+        assert list(result.interpretation.domain) == ["x0", "x1", "x2", "x3"]
 
     def test_saturated_branch_without_gcis_errors(self):
         # a goal that hides the ontology's GCI list cannot yield a model

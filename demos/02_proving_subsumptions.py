@@ -40,7 +40,8 @@ print("size:    ", proof_size(result.proof), "(summed sequent weights)")
 
 # Every proof survives the independent checker, which re-derives each rule
 # instance and re-verifies the stored witnesses: equality paths, propagation
-# strings with their one-step derivations, freshness of introduced labels.
+# node paths with the (position, production) steps that derive their role
+# strings, freshness of introduced labels.
 verdict = check_proof(ontology, result.proof)
 print("checker: ", "valid" if verdict.ok else verdict.message)
 

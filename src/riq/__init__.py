@@ -44,7 +44,7 @@ from .prover import (
     prove,
     subsumes,
 )
-from .rsystem import Production, RSystem, build_rsystem, cfl_closure, derives_bounded
+from .rsystem import Production, RSystem, build_rsystem
 from .semantics import (
     Interpretation,
     find_countermodel_bounded,
@@ -69,11 +69,8 @@ from .sequent import (
     proof_from_json,
     proof_size,
     proof_to_json,
-    prop_reachable,
     render_sequent,
     sequent_weight,
-    substitute_label,
-    weaken,
 )
 
 __version__ = "0.1.0"

@@ -49,9 +49,12 @@ KEYWORDS = frozenset(
     {"and", "or", "not", "some", "only", "atmost", "atleast", "TOP", "BOT"}
 )
 
+#: A concept name, a role name, or a role name with `-` (its inverse).
+NAME = r"[A-Za-z_][A-Za-z0-9_]*'*-?"
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<nat>\d+)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*'*-?)"
+    rf"|(?P<name>{NAME})"
     r"|(?P<sym><=|!=|\|-|[().,:=]))"
 )
 

@@ -260,8 +260,7 @@ class _Search:
                 if not any((m, c.body) in delta_star for m in cls):
                     wit = graph.witness(closure, c.role, label, cls)
                     return Witness(label=label, concept=c, target=rep,
-                                   strings=(wit.string,), paths=(wit.path,),
-                                   derivations=(wit.derivation,))
+                                   paths=(wit.path,), derivations=(wit.derivation,))
             return None
         if kind == "forall":
             return Witness(label=label, concept=c, fresh=(self.fresh_label(),))
@@ -278,7 +277,6 @@ class _Search:
             wits = [graph.witness(closure, c.role, label, cls) for _, cls in chosen]
             return Witness(label=label, concept=c,
                            targets=tuple(rep for rep, _ in chosen),
-                           strings=tuple(w.string for w in wits),
                            paths=tuple(w.path for w in wits),
                            derivations=tuple(w.derivation for w in wits))
         raise AssertionError(kind)

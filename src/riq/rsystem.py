@@ -1,6 +1,6 @@
 """R-systems: semi-Thue production systems derived from an ontology's RIAs,
-bounded derivation search, and the context-free reachability closure that
-decides the propagation side conditions.
+and the context-free reachability closure that decides the propagation side
+conditions.
 
 Every production has a single role on the left, so the derivable strings of a
 role form a context-free language.  Reachability of graph nodes under that
@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Mapping, Optional
+from typing import Hashable, Iterable, Optional
 
 from .core import Ontology, Role
 
@@ -68,6 +68,11 @@ class RSystem:
         return self._by_lhs.get(role, ())
 
 
+#: One derivation step: rewrite the role at this position of the string by
+#: this production.
+Step = tuple[int, Production]
+
+
 def build_rsystem(ontology: Ontology) -> RSystem:
     """Two productions per RIA: the rule itself and its mirrored inverse."""
     productions = set()
@@ -76,44 +81,6 @@ def build_rsystem(ontology: Ontology) -> RSystem:
         productions.add(Production(ria.rhs.inverse(),
                                    tuple(r.inverse() for r in reversed(ria.lhs))))
     return RSystem(frozenset(productions))
-
-
-def one_step_rewrites(g: RSystem, s: RoleString) -> Iterable[tuple[RoleString, int, Production]]:
-    """All strings reachable from s in one step, with the rewritten position
-    and production used."""
-    for i, ch in enumerate(s):
-        for prod in g.with_lhs(ch):
-            yield s[:i] + prod.rhs + s[i + 1:], i, prod
-
-def is_one_step(g: RSystem, s: RoleString, t: RoleString) -> bool:
-    """Whether t is derivable from s in exactly one step."""
-    return any(out == t for out, _, _ in one_step_rewrites(g, s))
-
-
-def derives_bounded(g: RSystem, source: RoleString, target: RoleString,
-                    max_steps: int) -> Optional[tuple[RoleString, ...]]:
-    """Shortest derivation source ->* target of length <= max_steps, as the
-    sequence of intermediate strings (source first), or None.
-
-    Rewrites never shrink a string, so anything longer than the target is a
-    dead end; breadth-first search returns a minimal-length derivation.
-    """
-    if source == target:
-        return (source,)
-    seen = {source}
-    queue: deque[tuple[RoleString, tuple[RoleString, ...]]] = deque([(source, (source,))])
-    while queue:
-        current, path = queue.popleft()
-        if len(path) - 1 >= max_steps:
-            continue
-        for nxt, _, _ in one_step_rewrites(g, current):
-            if len(nxt) > len(target) or nxt in seen:
-                continue
-            if nxt == target:
-                return path + (nxt,)
-            seen.add(nxt)
-            queue.append((nxt, path + (nxt,)))
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +103,9 @@ class CflClosure:
     each right-hand-side position where its role occurs, against the pairs
     that left before it (held in per-role successor and predecessor
     indexes).  One derivation reason per pair is recorded, when the pair
-    first appears, so the reason graph is acyclic and witnesses (string,
-    node path, and the full one-step derivation) can be reconstructed.
+    first appears, so the reason graph is acyclic and `derivation` can read
+    a witness off it: the (position, production) steps that derive a string
+    of the role's language, and the node path that string labels.
 
     With a `base` closure over the same R-system and a subset of `edges`,
     the new closure starts from a copy of the base's pairs, reasons and
@@ -201,44 +169,28 @@ class CflClosure:
                         mids = left + right
                         add(prod.lhs, mids[0], mids[-1], ("prod", prod, mids))
 
-    def witness(self, role: Role, u: Node, v: Node) -> tuple[RoleString, tuple[Node, ...]]:
-        """A string S in the role's language and node path u -> v labeled by
-        S: the base edges under the recorded reasons, left to right."""
+    def derivation(self, role: Role, u: Node, v: Node
+                   ) -> tuple[tuple[Step, ...], tuple[Node, ...]]:
+        """A leftmost derivation from (role,) of a string S that labels a
+        path u -> v, as (position, production) steps, and that node path.
+
+        Each step rewrites the leftmost role of the current string that is
+        not yet a base edge by the production recorded for its pair.  The
+        reasons are expanded depth first, left to right, so every role left
+        of the one rewritten is already a base edge, and the step's position
+        is the number of base edges met so far."""
         if (role, u, v) not in self.reasons:
             raise KeyError(f"({u!r}, {v!r}) not reachable under {role}")
-        string: list[Role] = []
+        steps: list[Step] = []
         path: list[Node] = [u]
         stack = [(role, u, v)]
         while stack:
             key = stack.pop()
             reason = self.reasons[key]
             if reason[0] == "edge":
-                string.append(key[0])
                 path.append(key[2])
             else:
                 _, prod, mids = reason
+                steps.append((len(path) - 1, prod))
                 stack.extend(reversed(list(zip(prod.rhs, mids, mids[1:]))))
-        return tuple(string), tuple(path)
-
-    def derivation(self, role: Role, u: Node, v: Node) -> tuple[RoleString, ...]:
-        """The one-step derivation of the witness string from (role,), for
-        independent re-checking: each step rewrites the leftmost pair that is
-        not a base edge by its recorded production."""
-        form = [(role, u, v)]
-        steps: list[RoleString] = [(role,)]
-        done = 0  # form[:done] are base edges
-        while True:
-            while done < len(form) and self.reasons[form[done]][0] == "edge":
-                done += 1
-            if done == len(form):
-                return tuple(steps)
-            _, prod, mids = self.reasons[form[done]]
-            form[done:done + 1] = zip(prod.rhs, mids, mids[1:])
-            steps.append(tuple(key[0] for key in form))
-
-
-def cfl_closure(g: RSystem, edges: Iterable[tuple[Node, Role, Node]]
-                ) -> Mapping[Role, frozenset[Pair]]:
-    """Per-role reachable node pairs (see CflClosure)."""
-    closure = CflClosure(g, edges)
-    return {role: frozenset(pairs) for role, pairs in closure.reach.items()}
+        return tuple(steps), tuple(path)

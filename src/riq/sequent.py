@@ -9,18 +9,20 @@ labeled concepts.  Labels are plain strings ordered by first occurrence in
 the sequent; rule applications pick class representatives in that order,
 which makes proof search deterministic.
 
-Proof nodes store enough witness data (equality paths, propagation strings
-with their node paths and full one-step derivations, fresh labels) for
-`rederive` to re-verify every side condition locally, without re-running
-any search.  Every proof walk is a loop (`walk`), so proof depth is bounded
-by memory, not by the interpreter's recursion limit.
+Proof nodes store enough witness data (equality paths, propagation node
+paths with the (position, production) steps that derive their role
+strings, fresh labels) for `rederive` to re-verify every side condition
+locally, without re-running any search.  Every proof walk is a loop
+(`walk`), so proof depth is bounded by memory, not by the interpreter's
+recursion limit.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Union
 
@@ -41,8 +43,8 @@ from .core import (
     nnf_negate,
     weight,
 )
-from .parser import ParseError, _Parser, _tokenize, parse_concept, render_concept
-from .rsystem import CflClosure, RoleString, RSystem, is_one_step
+from .parser import NAME, ParseError, _Parser, _tokenize, parse_concept, render_concept
+from .rsystem import CflClosure, Production, RSystem, Step
 
 Label = str
 
@@ -191,38 +193,6 @@ def sequent_weight(seq: Sequent) -> int:
     return len(seq.atom_set()) + sum(weight(occ.concept) for occ in seq.consequent)
 
 
-def substitute_label(seq: Sequent, x: Label, y: Label) -> Sequent:
-    """Replace every occurrence of label y by x; the result must still be a
-    well-formed sequent."""
-
-    def sub(lab: Label) -> Label:
-        return x if lab == y else lab
-
-    atoms: list[Atom] = []
-    for atom in seq.antecedent:
-        if isinstance(atom, RoleAtom):
-            atoms.append(RoleAtom(atom.role, sub(atom.src), sub(atom.dst)))
-        elif isinstance(atom, Eq):
-            atoms.append(Eq(sub(atom.left), sub(atom.right)))
-        else:
-            atoms.append(Neq(sub(atom.left), sub(atom.right)))
-    concepts = [LabeledConcept(sub(occ.label), occ.concept) for occ in seq.consequent]
-    return make_sequent(atoms, concepts)
-
-
-def weaken(seq: Sequent, addition: Union[Atom, LabeledConcept]) -> Sequent:
-    """Add a structural atom or another consequent occurrence; all labels of
-    the addition must already occur in the sequent."""
-    known = set(seq.labels())
-    if isinstance(addition, LabeledConcept):
-        if addition.label not in known:
-            raise SequentError(f"weakening with fresh label {addition.label!r}")
-        return make_sequent(seq.antecedent, seq.consequent + (addition,))
-    if not set(_atom_labels(addition)) <= known:
-        raise SequentError("weakening with a fresh label in a structural atom")
-    return make_sequent(seq.antecedent + (addition,), seq.consequent)
-
-
 # ---------------------------------------------------------------------------
 # Equivalence classes and propagation graphs
 # ---------------------------------------------------------------------------
@@ -358,11 +328,8 @@ class PropagationGraph:
     def witness(self, closure: CflClosure, role: Role, x: Label,
                 cls: frozenset[Label]) -> PropWitness:
         """The propagation witness for a class that `reachable` returned."""
-        start = self.eq.class_of(x)
-        string, node_path = closure.witness(role, start, cls)
-        derivation = closure.derivation(role, start, cls)
-        return PropWitness(string, tuple(self.rep(node) for node in node_path),
-                           derivation)
+        derivation, node_path = closure.derivation(role, self.eq.class_of(x), cls)
+        return PropWitness(tuple(self.rep(node) for node in node_path), derivation)
 
 
 def build_prop_graph(seq: Sequent) -> PropagationGraph:
@@ -371,24 +338,12 @@ def build_prop_graph(seq: Sequent) -> PropagationGraph:
 
 @dataclass(frozen=True)
 class PropWitness:
-    """Evidence for a propagation side condition: the string, the node path
-    it labels (as class representatives), and the one-step derivation of the
-    string from the role."""
+    """Evidence for a propagation side condition: a node path (as class
+    representatives) and the (position, production) steps that derive, from
+    the role, the string of role labels along that path."""
 
-    string: RoleString
     path: tuple[Label, ...]
-    derivation: tuple[RoleString, ...]
-
-
-def prop_reachable(seq: Sequent, g: RSystem, role: Role, x: Label
-                   ) -> tuple[tuple[Label, PropWitness], ...]:
-    """Representatives of every class reachable from x's class under the
-    language of `role`, each with its witness (see
-    `PropagationGraph.reachable`)."""
-    graph = build_prop_graph(seq)
-    closure = CflClosure(g, graph.edge_list)
-    return tuple((rep, graph.witness(closure, role, x, cls))
-                 for rep, cls in graph.reachable(closure, role, x))
+    derivation: tuple[Step, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +363,8 @@ class Witness:
     target: Optional[Label] = None
     targets: tuple[Label, ...] = ()
     fresh: tuple[Label, ...] = ()
-    strings: tuple[RoleString, ...] = ()
     paths: tuple[tuple[Label, ...], ...] = ()
-    derivations: tuple[tuple[RoleString, ...], ...] = ()
+    derivations: tuple[tuple[Step, ...], ...] = ()
 
 
 #: Provenance of a premise occurrence: ("ctx", j) copies conclusion
@@ -466,8 +420,13 @@ def proof_size(proof: Proof) -> int:
 
 
 def _principal_index(seq: Sequent, label: Label, concept: Concept) -> int:
+    """The first occurrence of `label : concept`, matched by value; a parsed
+    proof holds equal concepts that are different objects, so identity and
+    the cached hash only decide the comparison early."""
+    h = concept._hash
     for i, occ in enumerate(seq.consequent):
-        if occ.label == label and occ.concept == concept:
+        c = occ.concept
+        if occ.label == label and (c is concept or c._hash == h and c == concept):
             return i
     raise RuleError(f"principal {label} : {render_concept(concept)} not in consequent")
 
@@ -482,18 +441,24 @@ def _check_eq_path(seq: Sequent, x: Label, y: Label, path: tuple[Label, ...]) ->
 
 
 def _check_propagation(graph: PropagationGraph, g: RSystem, role: Role,
-                       x: Label, y: Label, string: RoleString, path: tuple[Label, ...],
-                       derivation: tuple[RoleString, ...]) -> None:
-    """Re-verify a propagation witness: the derivation takes (role,) to the
-    string by one-step rewrites, and the string labels a path from x's class
-    to y's class in the propagation graph."""
+                       x: Label, y: Label, path: tuple[Label, ...],
+                       derivation: tuple[Step, ...]) -> None:
+    """Re-verify a propagation witness.  The derivation's steps are applied
+    to (role,) in order: each rewrites the role at its position, which must
+    be in the string and be the production's left-hand side, by a
+    production of the R-system.  The derived string must then label the
+    path, which runs from x's class to y's class in the propagation graph."""
+    string = [role]
+    for i, (pos, prod) in enumerate(derivation):
+        if not 0 <= pos < len(string):
+            raise RuleError(f"derivation step {i}: position {pos} is outside the string")
+        if prod.lhs != string[pos]:
+            raise RuleError(f"derivation step {i}: {prod} does not rewrite {string[pos]}")
+        if prod not in g.with_lhs(prod.lhs):
+            raise RuleError(f"derivation step {i}: {prod} is not in the R-system")
+        string[pos:pos + 1] = prod.rhs
     if len(path) != len(string) + 1:
-        raise RuleError("propagation path length does not match its string")
-    if not derivation or derivation[0] != (role,) or derivation[-1] != string:
-        raise RuleError("derivation must run from the role to the witness string")
-    for s, t in zip(derivation, derivation[1:]):
-        if not is_one_step(g, s, t):
-            raise RuleError(f"derivation step is not a one-step rewrite: {s} -> {t}")
+        raise RuleError("propagation path length does not match the derived string")
     if not graph.eq.connected(path[0], x):
         raise RuleError("propagation path does not start at the principal label")
     if not graph.eq.connected(path[-1], y):
@@ -585,10 +550,10 @@ def apply_rule(ontology: Ontology, rule: str, conclusion: Sequent,
         if not isinstance(c, Exists):
             raise RuleError("(exists) needs an existential restriction")
         idx = _principal_index(conclusion, x, c)
-        if len(witness.strings) != 1 or len(witness.paths) != 1 or len(witness.derivations) != 1:
+        if len(witness.paths) != 1 or len(witness.derivations) != 1:
             raise RuleError("(exists) needs exactly one propagation witness")
         _check_propagation(build_prop_graph(conclusion), rsystem, c.role, x, y,
-                           witness.strings[0], witness.paths[0], witness.derivations[0])
+                           witness.paths[0], witness.derivations[0])
         premise = make_sequent(
             conclusion.antecedent,
             cons[: idx + 1] + (LabeledConcept(y, c.body),) + cons[idx + 1:])
@@ -648,13 +613,11 @@ def apply_rule(ontology: Ontology, rule: str, conclusion: Sequent,
         ys = witness.targets
         if len(ys) != c.n:
             raise RuleError(f"(atleast {c.n}) needs {c.n} target labels")
-        if not (len(witness.strings) == len(witness.paths)
-                == len(witness.derivations) == c.n):
+        if not len(witness.paths) == len(witness.derivations) == c.n:
             raise RuleError("(atleast) needs one propagation witness per target")
         graph = build_prop_graph(conclusion)
-        for y, string, path, derivation in zip(ys, witness.strings, witness.paths,
-                                               witness.derivations):
-            _check_propagation(graph, rsystem, c.role, x, y, string, path, derivation)
+        for y, path, derivation in zip(ys, witness.paths, witness.derivations):
+            _check_propagation(graph, rsystem, c.role, x, y, path, derivation)
         premises = []
         pmaps = []
         for y in ys:
@@ -809,38 +772,68 @@ def _parse_sequent(text: str, memo: dict[str, LabeledConcept]) -> Sequent:
 
 
 def _witness_to_dict(w: Witness) -> dict:
-    """The set fields; `proof_to_json` writes tuples as lists, roles by `str`."""
+    """The set fields; `proof_to_json` writes tuples as lists, roles by `str`,
+    and a derivation step as [position, lhs, rhs1, ...]."""
     out = {name: value for name, value in vars(w).items()
            if value is not None and value != ()}
     if w.concept is not None:
         out["concept"] = render_concept(w.concept)
+    if w.derivations:
+        out["derivations"] = [[[pos, prod.lhs, *prod.rhs] for pos, prod in steps]
+                              for steps in w.derivations]
     return out
 
 
+_WITNESS_FIELDS = frozenset(f.name for f in fields(Witness))
+
+
+def _json_list(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"witness {name} must be a list")
+    return value
+
+
+def _labels(value, name: str) -> tuple[Label, ...]:
+    if not all(isinstance(lab, str) for lab in _json_list(value, name)):
+        raise ParseError(f"witness {name} must be a list of strings")
+    return tuple(value)
+
+
+_ROLE_TEXT = re.compile(NAME)
+
+
+def _step(value) -> Step:
+    if not (isinstance(value, list) and len(value) >= 3
+            and type(value[0]) is int and value[0] >= 0
+            and all(isinstance(r, str) and _ROLE_TEXT.fullmatch(r) for r in value[1:])):
+        raise ParseError(f"a derivation step must be [position, lhs, rhs1, ...], "
+                         f"found {value!r}")
+    return value[0], Production(_role(value[1]), tuple(map(_role, value[2:])))
+
+
 def _witness_from_dict(d: dict) -> Witness:
-    labels = [d[name] for name in ("label", "target") if name in d]
-    labels += [lab for name in ("pair", "eq_path", "targets", "fresh")
-               for lab in d.get(name, ())]
-    labels += [lab for path in d.get("paths", ()) for lab in path]
-    if not all(isinstance(lab, str) for lab in labels):
-        raise ParseError("witness labels must be strings")
-    return Witness(
-        label=d.get("label"),
-        concept=parse_concept(d["concept"], internal=True) if "concept" in d else None,
-        pair=tuple(d["pair"]) if "pair" in d else None,
-        eq_path=tuple(d.get("eq_path", ())),
-        target=d.get("target"),
-        targets=tuple(d.get("targets", ())),
-        fresh=tuple(d.get("fresh", ())),
-        strings=tuple(tuple(map(_role, s)) for s in d.get("strings", ())),
-        paths=tuple(tuple(p) for p in d.get("paths", ())),
-        derivations=tuple(tuple(tuple(map(_role, step)) for step in dv)
-                          for dv in d.get("derivations", ())),
-    )
+    """Inverse of `_witness_to_dict`.  Raises ParseError unless every field
+    is a known one holding the JSON type the format gives it."""
+    if not d.keys() <= _WITNESS_FIELDS:
+        raise ParseError(f"unknown witness fields {sorted(d.keys() - _WITNESS_FIELDS)}")
+    values = {}
+    for name, value in d.items():
+        if name in ("label", "target", "concept"):
+            if not isinstance(value, str):
+                raise ParseError(f"witness {name} must be a string")
+            values[name] = parse_concept(value, internal=True) if name == "concept" else value
+        elif name == "paths":
+            values[name] = tuple(_labels(path, name) for path in _json_list(value, name))
+        elif name == "derivations":
+            values[name] = tuple(tuple(map(_step, _json_list(steps, name)))
+                                 for steps in _json_list(value, name))
+        else:
+            values[name] = _labels(value, name)
+    return Witness(**values)
 
 
 def proof_to_json(proof: Proof) -> str:
-    """`riq-proof` version 2: the nodes in post order (children before their
+    """`riq-proof` version 3: the nodes in post order (children before their
     parent, the root last), each naming its premises by index."""
     nodes: list[dict] = []
     done: list[int] = []
@@ -853,7 +846,7 @@ def proof_to_json(proof: Proof) -> str:
             "premises": [done.pop() for _ in node.children],
         })
         done.append(len(nodes) - 1)
-    return json.dumps({"format": "riq-proof", "version": 2, "nodes": nodes},
+    return json.dumps({"format": "riq-proof", "version": 3, "nodes": nodes},
                       default=str)
 
 
@@ -865,9 +858,9 @@ def proof_from_json(text: str) -> Proof:
     except (RecursionError, ValueError) as exc:
         raise ParseError(f"proof file is not JSON: {exc}") from exc
     if not isinstance(data, dict) \
-            or (data.get("format"), data.get("version")) != ("riq-proof", 2) \
+            or (data.get("format"), data.get("version")) != ("riq-proof", 3) \
             or not isinstance(data.get("nodes"), list) or not data["nodes"]:
-        raise ParseError("not a riq-proof version 2 file with a non-empty node list")
+        raise ParseError("not a riq-proof version 3 file with a non-empty node list")
     entries = data["nodes"]
     occurrences: dict[str, LabeledConcept] = {}
     built: list[Proof] = []

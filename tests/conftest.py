@@ -1,9 +1,12 @@
-"""Shared generators and brute-force oracles for the test suite."""
+"""Shared generators, brute-force oracles and reference helpers for the test
+suite."""
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
+from typing import Iterator, Optional, Union
 
 import pytest
 
@@ -25,8 +28,21 @@ from riq.core import (
     make_ontology,
 )
 from riq.parser import parse_concept, parse_ontology
+from riq.rsystem import CflClosure, Production
 from riq.semantics import Interpretation
-from riq.sequent import parse_sequent
+from riq.sequent import (
+    Atom,
+    Eq,
+    LabeledConcept,
+    Neq,
+    RoleAtom,
+    Sequent,
+    SequentError,
+    _atom_labels,
+    build_prop_graph,
+    make_sequent,
+    parse_sequent,
+)
 
 
 @pytest.fixture
@@ -170,11 +186,68 @@ def random_interpretation(rng: random.Random, names=("A", "B"), roles=("r",),
 # ---------------------------------------------------------------------------
 
 
+def one_step_rewrites(g, s: tuple) -> Iterator[tuple[tuple, int, Production]]:
+    """All strings reachable from s in one step, with the rewritten position
+    and production used, found by enumeration."""
+    for i, ch in enumerate(s):
+        for prod in g.with_lhs(ch):
+            yield s[:i] + prod.rhs + s[i + 1:], i, prod
+
+
+def is_one_step(g, s: tuple, t: tuple) -> bool:
+    """Whether t is derivable from s in exactly one step."""
+    return any(out == t for out, _, _ in one_step_rewrites(g, s))
+
+
+def expand_steps(g, role: Role, steps) -> Optional[tuple[tuple, ...]]:
+    """The strings a (position, production) derivation passes through from
+    (role,), each step looked up among the enumerated one-step rewrites of
+    the string before it; None if some step is not among them."""
+    strings = [(role,)]
+    for pos, prod in steps:
+        found = [t for t, i, q in one_step_rewrites(g, strings[-1])
+                 if (i, q) == (pos, prod)]
+        if not found:
+            return None
+        strings.append(found[0])
+    return tuple(strings)
+
+
+def derives_bounded(g, source: tuple, target: tuple,
+                    max_steps: int) -> Optional[tuple[tuple, ...]]:
+    """Shortest derivation source ->* target of length <= max_steps, as the
+    sequence of intermediate strings (source first), or None.
+
+    Rewrites never shrink a string, so anything longer than the target is a
+    dead end; breadth-first search returns a minimal-length derivation.
+    """
+    if source == target:
+        return (source,)
+    seen = {source}
+    queue = deque([(source, (source,))])
+    while queue:
+        current, path = queue.popleft()
+        if len(path) - 1 >= max_steps:
+            continue
+        for nxt, _, _ in one_step_rewrites(g, current):
+            if len(nxt) > len(target) or nxt in seen:
+                continue
+            if nxt == target:
+                return path + (nxt,)
+            seen.add(nxt)
+            queue.append((nxt, path + (nxt,)))
+    return None
+
+
+def cfl_closure(g, edges) -> dict:
+    """Per-role reachable node pairs of a `CflClosure`, as frozensets."""
+    closure = CflClosure(g, edges)
+    return {role: frozenset(pairs) for role, pairs in closure.reach.items()}
+
+
 def brute_language(rsystem, role: Role, max_len: int, max_steps: int) -> set:
     """All strings derivable from (role,) with at most max_steps one-step
     rewrites and length at most max_len (BFS over derivations)."""
-    from riq.rsystem import one_step_rewrites
-
     start = (role,)
     out = {start}
     frontier = {start}
@@ -227,3 +300,49 @@ def exhaustive_interpretations(names, roles, max_domain):
                     domain,
                     {name: frozenset(cext[i]) for i, name in enumerate(names)},
                     {name: frozenset(rext[i]) for i, name in enumerate(roles)})
+
+
+# ---------------------------------------------------------------------------
+# Sequent helpers
+# ---------------------------------------------------------------------------
+
+
+def prop_reachable(seq: Sequent, g, role: Role, x: str) -> tuple:
+    """Representatives of every class reachable from x's class under the
+    language of `role`, each with its propagation witness."""
+    graph = build_prop_graph(seq)
+    closure = CflClosure(g, graph.edge_list)
+    return tuple((rep, graph.witness(closure, role, x, cls))
+                 for rep, cls in graph.reachable(closure, role, x))
+
+
+def substitute_label(seq: Sequent, x: str, y: str) -> Sequent:
+    """Replace every occurrence of label y by x; the result must still be a
+    well-formed sequent."""
+
+    def sub(lab: str) -> str:
+        return x if lab == y else lab
+
+    atoms: list[Atom] = []
+    for atom in seq.antecedent:
+        if isinstance(atom, RoleAtom):
+            atoms.append(RoleAtom(atom.role, sub(atom.src), sub(atom.dst)))
+        elif isinstance(atom, Eq):
+            atoms.append(Eq(sub(atom.left), sub(atom.right)))
+        else:
+            atoms.append(Neq(sub(atom.left), sub(atom.right)))
+    concepts = [LabeledConcept(sub(occ.label), occ.concept) for occ in seq.consequent]
+    return make_sequent(atoms, concepts)
+
+
+def weaken(seq: Sequent, addition: Union[Atom, LabeledConcept]) -> Sequent:
+    """Add a structural atom or another consequent occurrence; all labels of
+    the addition must already occur in the sequent."""
+    known = set(seq.labels())
+    if isinstance(addition, LabeledConcept):
+        if addition.label not in known:
+            raise SequentError(f"weakening with fresh label {addition.label!r}")
+        return make_sequent(seq.antecedent, seq.consequent + (addition,))
+    if not set(_atom_labels(addition)) <= known:
+        raise SequentError("weakening with a fresh label in a structural atom")
+    return make_sequent(seq.antecedent + (addition,), seq.consequent)

@@ -33,7 +33,7 @@ from riq.prover import (
     goal_sequent,
     subsumes,
 )
-from riq.rsystem import CflClosure, build_rsystem, is_one_step
+from riq.rsystem import CflClosure, build_rsystem
 from riq.semantics import (
     OracleGuardError,
     falsifies,
@@ -48,13 +48,15 @@ from riq.sequent import (
     build_prop_graph,
     check_proof,
     parse_sequent,
-    prop_reachable,
     render_sequent,
 )
 from conftest import (
     C,
     EMPTY_ONT,
     brute_reach,
+    expand_steps,
+    is_one_step,
+    prop_reachable,
     random_concept,
     random_goal,
     random_ontology,
@@ -97,7 +99,6 @@ class TestCriterion1:
         witness = Witness(
             label="x", concept=C("atleast 2 r . C"),
             targets=tuple(t for t, _ in hits),
-            strings=tuple(w.string for _, w in hits),
             paths=tuple(w.path for _, w in hits),
             derivations=tuple(w.derivation for _, w in hits))
         inst = apply_rule(EMPTY_ONT, "atleast", seq, witness)
@@ -347,8 +348,9 @@ class TestCriterion10:
             # witness soundness holds at any size
             for role in sorted(roles, key=str):
                 for a, b in closure.reach.get(role, ()):
-                    derivation = closure.derivation(role, a, b)
-                    for s1, s2 in zip(derivation, derivation[1:]):
+                    strings = expand_steps(rsys, role, closure.derivation(role, a, b)[0])
+                    assert strings is not None
+                    for s1, s2 in zip(strings, strings[1:]):
                         assert is_one_step(rsys, s1, s2)
             if saturated:
                 equal_checked += 1

@@ -107,10 +107,10 @@ class TestVerify:
     @pytest.mark.parametrize("payload", [
         [1, 2],
         {"format": "riq-proof", "version": 1},
-        {"format": "riq-proof", "version": 2, "nodes": [{"rule": "id"}]},
-        {"format": "riq-proof", "version": 2,
+        {"format": "riq-proof", "version": 3, "nodes": [{"rule": "id"}]},
+        {"format": "riq-proof", "version": 3,
          "nodes": [{"rule": "id", "sequent": "|- x : A", "premises": [0]}]},
-        {"format": "riq-proof", "version": 2,
+        {"format": "riq-proof", "version": 3,
          "nodes": [{"rule": "id", "sequent": "r ( x ,", "premises": []}]},
     ], ids=["array", "no-nodes", "no-sequent", "premise-not-earlier",
             "sequent-without-turnstile"])
@@ -151,6 +151,83 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--proof", str(proof_path),
                            "-o", str(ontdir / ontology))
         assert code == 3 and "internal error" not in err
+
+    def emit_ria_proof(self, ontdir, capsys) -> tuple[Path, dict]:
+        """The proof of `some r . A <= some s . A` under `r <= s`; its (exists)
+        witness derives r from s in the step [0, "s", "r"]."""
+        proof_path = ontdir / "p.json"
+        code, _, _ = run(capsys, "check", "-o", str(ontdir / "ria.riq"), "--sub",
+                         "some r . A", "--sup", "some s . A", "--emit-proof", str(proof_path))
+        assert code == 0
+        data = json.loads(proof_path.read_text())
+        assert data["version"] == 3
+        return proof_path, data
+
+    def verify_edited(self, ontdir, capsys, rule, field, value):
+        proof_path, data = self.emit_ria_proof(ontdir, capsys)
+        node = next(node for node in data["nodes"] if node["rule"] == rule)
+        node["witness"][field] = value
+        proof_path.write_text(json.dumps(data))
+        return run(capsys, "verify", "--proof", str(proof_path),
+                   "-o", str(ontdir / "ria.riq"))
+
+    @pytest.mark.parametrize("fresh", ["x1", "y"])
+    def test_a_string_for_a_label_list_is_an_input_error(self, ontdir, capsys, fresh):
+        code, out, err = self.verify_edited(ontdir, capsys, "forall", "fresh", fresh)
+        assert code == 3 and "INVALID" not in out and "internal error" not in err
+
+    @pytest.mark.parametrize("derivations", [
+        [[0, "s", "r"]],
+        [[[-1, "s", "r"]]],
+        [[["0", "s", "r"]]],
+        [[[True, "s", "r"]]],
+        [[[0, "s"]]],
+        [[[0, "s", ["r"]]]],
+        [[[0, "s", "r s"]]],
+        "0 s r",
+    ], ids=["step-not-a-list", "negative-position", "string-position", "bool-position",
+            "no-rhs", "nested-role", "role-not-a-name", "not-a-list"])
+    def test_malformed_derivation_step_is_an_input_error(self, ontdir, capsys,
+                                                         derivations):
+        code, out, err = self.verify_edited(ontdir, capsys, "exists", "derivations",
+                                            derivations)
+        assert code == 3 and "INVALID" not in out and "internal error" not in err
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("derivations", [[[1, "s", "r"]]], "position 1 is outside the string"),
+        ("derivations", [[[0, "s", "t"]]], "s -> t is not in the R-system"),
+        ("derivations", [[[0, "r", "s"]]], "r -> s does not rewrite s"),
+        ("derivations", [[]], "missing propagation edge x0 -s-> x1"),
+        ("paths", [["x0", "x1", "x0"]], "path length does not match"),
+    ], ids=["position-out-of-range", "production-not-in-rsystem", "lhs-mismatch",
+            "labels-differ-from-string", "path-too-long"])
+    def test_tampered_derivation_is_invalid(self, ontdir, capsys, field, value, reason):
+        code, out, _ = self.verify_edited(ontdir, capsys, "exists", field, value)
+        assert code == 1 and "Proof INVALID at node 0/0: exists: " in out and reason in out
+
+    def test_a_version_2_file_is_an_input_error(self, ontdir, capsys):
+        proof_path = ontdir / "p.json"
+        proof_path.write_text(V2_PROOF)
+        code, _, err = run(capsys, "verify", "--proof", str(proof_path),
+                           "-o", str(ontdir / "ria.riq"))
+        assert code == 3 and "version 3" in err
+
+
+#: `riq check --emit-proof` of `some r . A <= some s . A` under `r <= s`, as
+#: `riq-proof` version 2 wrote it: every derivation step a whole string
+V2_PROOF = json.dumps({"format": "riq-proof", "version": 2, "nodes": [
+    {"rule": "id", "sequent": "r(x0,x1) |- x1 : not A, x0 : some s . A, x1 : A",
+     "witness": {"label": "x1", "concept": "A"}, "premises": []},
+    {"rule": "exists", "sequent": "r(x0,x1) |- x1 : not A, x0 : some s . A",
+     "witness": {"label": "x0", "concept": "some s . A", "target": "x1",
+                 "strings": [["r"]], "paths": [["x0", "x1"]],
+                 "derivations": [[["s"], ["r"]]]}, "premises": [0]},
+    {"rule": "forall", "sequent": "|- x0 : only r . not A, x0 : some s . A",
+     "witness": {"label": "x0", "concept": "only r . not A", "fresh": ["x1"]},
+     "premises": [1]},
+    {"rule": "or", "sequent": "|- x0 : (only r . not A) or some s . A",
+     "witness": {"label": "x0", "concept": "(only r . not A) or some s . A"},
+     "premises": [2]}]})
 
 
 class TestModel:

@@ -537,7 +537,9 @@ class TestAnnotateAndExtract:
         def corrupt(node):
             inst = node.instance
             if inst.rule == "exists":
-                bogus = dataclasses.replace(inst.witness, strings=((Role("zz"),),))
+                # the path walked backwards starts at the target
+                path = tuple(reversed(inst.witness.paths[0]))
+                bogus = dataclasses.replace(inst.witness, paths=(path,))
                 return Proof(dataclasses.replace(inst, witness=bogus), node.children)
             return Proof(inst, tuple(corrupt(ch) for ch in node.children))
 

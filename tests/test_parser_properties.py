@@ -50,7 +50,7 @@ token_text = st.one_of(
 
 def proof_file(text: str) -> str:
     """A one-node proof whose sequent and witness concept are `text`."""
-    return json.dumps({"format": "riq-proof", "version": 2, "nodes": [
+    return json.dumps({"format": "riq-proof", "version": 3, "nodes": [
         {"rule": "id", "sequent": text, "witness": {"label": "x0", "concept": text},
          "premises": []}]})
 

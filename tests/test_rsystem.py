@@ -3,15 +3,8 @@ import sys
 import pytest
 
 from riq.core import RIA, Role, make_ontology
-from riq.rsystem import (
-    CflClosure,
-    Production,
-    build_rsystem,
-    cfl_closure,
-    derives_bounded,
-    is_one_step,
-)
-from conftest import brute_reach
+from riq.rsystem import CflClosure, Production, build_rsystem
+from conftest import brute_reach, cfl_closure, derives_bounded, expand_steps, is_one_step
 
 r, s, t, u, v = (Role(x) for x in "rstuv")
 
@@ -121,12 +114,12 @@ class TestCflClosure:
             for closure in (CflClosure(rsys, edges), _extended(rsys, edges)):
                 for role, pairs in closure.reach.items():
                     for a, b in pairs:
-                        string, path = closure.witness(role, a, b)
-                        derivation = closure.derivation(role, a, b)
-                        assert derivation[0] == (role,)
-                        assert derivation[-1] == string
-                        for x1, x2 in zip(derivation, derivation[1:]):
+                        steps, path = closure.derivation(role, a, b)
+                        strings = expand_steps(rsys, role, steps)
+                        assert strings is not None
+                        for x1, x2 in zip(strings, strings[1:]):
                             assert is_one_step(rsys, x1, x2)
+                        string = strings[-1]
                         assert path[0] == a and path[-1] == b
                         assert len(path) == len(string) + 1
                         for p, ch, q in zip(path, string, path[1:]):
@@ -166,12 +159,12 @@ class TestCflClosure:
         g = build_rsystem(ont(RIA((r, s), s)))
         edges = [(i, r, i + 1) for i in range(1199)] + [(1199, s, 1200)]
         closure = CflClosure(g, edges)
-        string, path = closure.witness(s, 0, 1200)
-        assert string == (r,) * 1199 + (s,)
+        steps, path = closure.derivation(s, 0, 1200)
         assert path == tuple(range(1201))
-        derivation = closure.derivation(s, 0, 1200)
-        assert derivation[0] == (s,) and derivation[-1] == string
-        assert all(is_one_step(g, x1, x2) for x1, x2 in zip(derivation, derivation[1:]))
+        # s -> r s rewrites the last role each time, one position further on
+        assert steps == tuple((i, Production(s, (r, s))) for i in range(1199))
+        strings = expand_steps(g, s, steps)
+        assert strings[-1] == (r,) * 1199 + (s,)
 
     def test_base_must_be_a_subset(self):
         g = build_rsystem(ont(RIA((r, s), t)))

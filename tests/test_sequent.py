@@ -16,7 +16,7 @@ from riq.core import (
     normalize_ontology,
 )
 from riq.parser import ParseError
-from riq.rsystem import build_rsystem
+from riq.rsystem import Production, build_rsystem
 from riq.semantics import holds_antecedent, holds_consequent, is_model
 from riq.sequent import (
     Eq,
@@ -36,13 +36,19 @@ from riq.sequent import (
     proof_from_json,
     proof_size,
     proof_to_json,
-    prop_reachable,
     render_sequent,
     sequent_weight,
+)
+from conftest import (
+    C,
+    EMPTY_ONT,
+    S,
+    expand_steps,
+    prop_reachable,
+    random_interpretation,
     substitute_label,
     weaken,
 )
-from conftest import C, EMPTY_ONT, S, random_interpretation
 
 r = Role("r")
 A, B = ConceptName("A"), ConceptName("B")
@@ -111,7 +117,7 @@ class TestPropReachable:
         hits = prop_reachable(seq, build_rsystem(EMPTY_ONT), r, "x")
         assert [target for target, _ in hits] == ["y", "z"]
         for _, wit in hits:
-            assert wit.string == (r,)
+            assert wit.derivation == ()
 
     def test_empty_graph_nothing_reachable(self):
         hits = prop_reachable(S("|- x : some r . A"), build_rsystem(EMPTY_ONT), r, "x")
@@ -120,9 +126,12 @@ class TestPropReachable:
     def test_chain_through_ria(self):
         ont = make_ontology([RIA((r, Role("s")), Role("t"))], ())
         seq = S("r(u,v), s(v,w) |- u : some t . A")
-        hits = prop_reachable(seq, build_rsystem(ont), Role("t"), "u")
+        g = build_rsystem(ont)
+        hits = prop_reachable(seq, g, Role("t"), "u")
         assert [target for target, _ in hits] == ["w"]
-        assert hits[0][1].string == (r, Role("s"))
+        assert hits[0][1].derivation == ((0, Production(Role("t"), (r, Role("s")))),)
+        assert expand_steps(g, Role("t"), hits[0][1].derivation)[-1] == (r, Role("s"))
+        assert hits[0][1].path == ("u", "v", "w")
 
 
 class TestSequentInvariants:
@@ -168,7 +177,6 @@ class TestApplyRule:
         witness = Witness(
             label="x", concept=C("atleast 2 r . C"),
             targets=tuple(t for t, _ in hits),
-            strings=tuple(w.string for _, w in hits),
             paths=tuple(w.path for _, w in hits),
             derivations=tuple(w.derivation for _, w in hits),
         )
@@ -222,8 +230,18 @@ class TestApplyRule:
         with pytest.raises(RuleError):
             apply_rule(EMPTY_ONT, "exists", seq,
                        Witness(label="x", concept=C("some s . A"), target="y",
-                               strings=((Role("s"),),), paths=(("x", "y"),),
-                               derivations=(((Role("s"),),),)))
+                               paths=(("x", "y"),), derivations=((),)))
+
+    def test_exists_rejects_a_negative_position(self):
+        # read as a slice, position -1 would insert r before the s and give
+        # the string r s, which labels the path x, y, z
+        ont = make_ontology([RIA((r,), Role("s"))], ())
+        seq = S("r(x,y), s(y,z) |- x : some s . A")
+        step = (-1, Production(Role("s"), (r,)))
+        with pytest.raises(RuleError, match="position -1 is outside the string"):
+            apply_rule(ont, "exists", seq,
+                       Witness(label="x", concept=C("some s . A"), target="z",
+                               paths=(("x", "y", "z"),), derivations=((step,),)))
 
     def test_atleast_zero_closes(self):
         seq = S("|- x : atleast 0 r . A")
@@ -258,14 +276,16 @@ class TestProofChecking:
         def corrupt(node):
             inst = node.instance
             if inst.rule == "exists":
-                bogus = dataclasses.replace(inst.witness, strings=((Role("zz"),),))
+                # s -> zz is not in the R-system
+                step = (0, Production(Role("s"), (Role("zz"),)))
+                bogus = dataclasses.replace(inst.witness, derivations=((step,),))
                 return Proof(dataclasses.replace(inst, witness=bogus), node.children)
             return Proof(inst, tuple(corrupt(ch) for ch in node.children))
 
         bad = corrupt(result.proof)
         verdict = check_proof(ont, bad)
         assert not verdict.ok
-        assert "exists" in verdict.message
+        assert "exists" in verdict.message and "not in the R-system" in verdict.message
 
     def test_wrong_premise_fails(self):
         proof = self.hand_proof()
@@ -310,9 +330,9 @@ class TestProofChecking:
         proof = self.hand_proof()
         assert [node.instance.rule for node in proof.nodes()] == ["or", "id"]
 
-    def test_v2_layout(self):
+    def test_v3_layout(self):
         data = json.loads(proof_to_json(self.hand_proof()))
-        assert (data["format"], data["version"]) == ("riq-proof", 2)
+        assert (data["format"], data["version"]) == ("riq-proof", 3)
         assert [n["rule"] for n in data["nodes"]] == ["id", "or"]
         assert [n["premises"] for n in data["nodes"]] == [[], [0]]
         assert data["nodes"][-1]["sequent"] == "|- x : A or not A"
@@ -343,39 +363,67 @@ class TestDeepProofs:
         assert repr(result.proof).startswith("<riq.sequent.Proof object")
 
 
+#: witnesses of a one-node (exists) proof that break the version 3 format
+_GOOD = {"label": "x", "concept": "some r . A", "target": "y", "paths": [["x", "y"]]}
+MALFORMED_WITNESSES = {
+    "witness-strings": dict(_GOOD, strings=[["r"]], derivations=[[]]),
+    "witness-not-an-object": [_GOOD],
+    "label-not-a-string": dict(_GOOD, label=["x"], derivations=[[]]),
+    "paths-a-string": dict(_GOOD, paths="xy", derivations=[[]]),
+    "derivations-not-a-list": dict(_GOOD, derivations={"0": []}),
+    "step-not-a-list": dict(_GOOD, derivations=[[0, "r", "r"]]),
+    "step-negative-position": dict(_GOOD, derivations=[[[-1, "r", "r"]]]),
+    "step-position-not-an-int": dict(_GOOD, derivations=[[["0", "r", "r"]]]),
+    "step-position-a-bool": dict(_GOOD, derivations=[[[False, "r", "r"]]]),
+    "step-without-rhs": dict(_GOOD, derivations=[[[0, "r"]]]),
+    "step-role-not-a-string": dict(_GOOD, derivations=[[[0, "r", 5]]]),
+    "step-role-not-a-name": dict(_GOOD, derivations=[[[0, "r", "r s"]]]),
+}
+
+
 class TestMalformedProofFiles:
     @pytest.mark.parametrize("payload", [
         "[1, 2]",
         "not json",
         json.dumps({"format": "riq-proof", "version": 1}),
-        json.dumps({"format": "riq-proof", "version": 2}),
-        json.dumps({"format": "riq-proof", "version": 2, "nodes": []}),
-        json.dumps({"format": "riq-proof", "version": 2, "nodes": [1]}),
-        json.dumps({"format": "riq-proof", "version": 2,
+        json.dumps({"format": "riq-proof", "version": 3}),
+        json.dumps({"format": "riq-proof", "version": 3, "nodes": []}),
+        json.dumps({"format": "riq-proof", "version": 3, "nodes": [1]}),
+        json.dumps({"format": "riq-proof", "version": 3,
                     "nodes": [{"sequent": "|- x : A"}]}),
-        json.dumps({"format": "riq-proof", "version": 2,
+        json.dumps({"format": "riq-proof", "version": 3,
                     "nodes": [{"rule": "id"}]}),
-        json.dumps({"format": "riq-proof", "version": 2,
+        json.dumps({"format": "riq-proof", "version": 3,
                     "nodes": [{"rule": "id", "sequent": "|- x : A", "premises": [0]}]}),
-        json.dumps({"format": "riq-proof", "version": 2,
+        json.dumps({"format": "riq-proof", "version": 3,
                     "nodes": [{"rule": "id", "sequent": "|- x : A", "premises": [1]}]}),
-        json.dumps({"format": "riq-proof", "version": 2,
+        json.dumps({"format": "riq-proof", "version": 3,
                     "nodes": [{"rule": "id", "sequent": "|- x : A", "premises": [-1]}]}),
-        json.dumps({"format": "riq-proof", "version": 2, "nodes": [
+        json.dumps({"format": "riq-proof", "version": 3, "nodes": [
             {"rule": "id", "sequent": "|- x : A"},
             {"rule": "and", "sequent": "|- x : A", "premises": [0, 0]}]}),
-        json.dumps({"format": "riq-proof", "version": 2, "nodes": [
+        json.dumps({"format": "riq-proof", "version": 3, "nodes": [
             {"rule": "id", "sequent": "|- x : A"},
             {"rule": "id", "sequent": "|- x : A"}]}),
-        json.dumps({"format": "riq-proof", "version": 2, "nodes": [
+        json.dumps({"format": "riq-proof", "version": 3, "nodes": [
             {"rule": "id", "sequent": "|- x : A"},
             {"rule": "or", "sequent": "|- x : A", "premises": 0}]}),
-    ], ids=["array", "not-json", "v1", "no-nodes", "empty-nodes", "node-not-object",
-            "no-rule", "no-sequent", "self-premise", "later-premise", "negative-premise",
-            "shared-premise", "orphan-node", "premises-not-a-list"])
+    ] + [json.dumps({"format": "riq-proof", "version": 3, "nodes": [
+        {"rule": "exists", "sequent": "r(x,y) |- x : some r . A", "witness": witness}]})
+        for witness in MALFORMED_WITNESSES.values()],
+        ids=["array", "not-json", "v1", "no-nodes", "empty-nodes", "node-not-object",
+             "no-rule", "no-sequent", "self-premise", "later-premise", "negative-premise",
+             "shared-premise", "orphan-node", "premises-not-a-list"]
+        + list(MALFORMED_WITNESSES))
     def test_parse_error(self, payload):
         with pytest.raises(ParseError):
             proof_from_json(payload)
+
+    def test_the_malformed_witnesses_break_a_readable_one(self):
+        proof = proof_from_json(json.dumps({"format": "riq-proof", "version": 3, "nodes": [
+            {"rule": "exists", "sequent": "r(x,y) |- x : some r . A",
+             "witness": dict(_GOOD, derivations=[[[0, "r", "r"]]])}]}))
+        assert proof.instance.witness.derivations == (((0, Production(r, (r,))),),)
 
 
 class TestSubstitutionAndWeakening:

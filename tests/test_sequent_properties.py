@@ -1,20 +1,23 @@
-"""Property tests for the structural view of a sequent: equality classes and
-the propagation witnesses read off the CFL closure of its graph."""
+"""Property tests for the structural view of a sequent: equality classes,
+the propagation witnesses read off the CFL closure of its graph, and the
+checking of their (position, production) derivations."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riq.core import RIA, ConceptName, Exists, Ontology, Role
+from riq.rsystem import Production
 from riq.sequent import (
     Eq,
     LabeledConcept,
     RoleAtom,
+    RuleError,
     Witness,
     apply_rule,
     eq_classes,
     make_sequent,
-    prop_reachable,
 )
+from conftest import expand_steps, one_step_rewrites, prop_reachable
 
 ROLES = tuple(Role(name, inverted) for name in ("r", "s", "t") for inverted in (False, True))
 A = ConceptName("A")
@@ -100,7 +103,59 @@ class TestPropReachableProperties:
         seq = make_sequent(atoms, [LabeledConcept(x, concept)])
         for target, wit in prop_reachable(seq, ontology.rsystem, role, x):
             witness = Witness(label=x, concept=concept, target=target,
-                              strings=(wit.string,), paths=(wit.path,),
-                              derivations=(wit.derivation,))
+                              paths=(wit.path,), derivations=(wit.derivation,))
             inst = apply_rule(ontology, "exists", seq, witness)
             assert LabeledConcept(target, A) in inst.premises[0].consequent
+
+
+#: productions a tampered derivation may use, in or out of the R-system
+ANY_PRODUCTIONS = tuple(Production(lhs, rhs) for lhs in ROLES
+                        for rhs in ((ROLES[0],), (ROLES[2], ROLES[4])))
+
+
+class TestCompactDerivationProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(rboxes, st.sampled_from(ROLES), st.data())
+    def test_steps_are_accepted_exactly_when_the_reference_accepts(self, rias, role, data):
+        """A derivation drawn from the enumerated one-step rewrites, maybe
+        tampered with, is checked against a chain labelled by the string it
+        derived before tampering: the exists rule accepts it exactly when
+        every step is among the enumerated rewrites and the result is that
+        string."""
+        ontology = Ontology(tuple(rias))
+        g = ontology.rsystem
+        string, steps = (role,), []
+        for _ in range(data.draw(st.integers(min_value=0, max_value=4))):
+            rewrites = list(one_step_rewrites(g, string))
+            if not rewrites or len(string) > 6:
+                break
+            string, pos, prod = data.draw(st.sampled_from(rewrites))
+            steps.append((pos, prod))
+        kind = data.draw(st.sampled_from(
+            ("keep", "position", "production", "drop", "add") if steps else ("keep", "add")))
+        if kind == "add":
+            at = data.draw(st.integers(min_value=0, max_value=len(steps)))
+            steps.insert(at, (data.draw(st.integers(min_value=0, max_value=7)),
+                              data.draw(st.sampled_from(ANY_PRODUCTIONS))))
+        elif kind != "keep":
+            at = data.draw(st.integers(min_value=0, max_value=len(steps) - 1))
+            pos, prod = steps[at]
+            if kind == "drop":
+                del steps[at]
+            elif kind == "position":
+                steps[at] = (data.draw(st.integers(min_value=-1, max_value=7)), prod)
+            else:
+                steps[at] = (pos, data.draw(st.sampled_from(ANY_PRODUCTIONS)))
+        labels = [f"x{i}" for i in range(len(string) + 1)]
+        concept = Exists(role, A)
+        seq = make_sequent([RoleAtom(ch, a, b) for ch, a, b in zip(string, labels, labels[1:])],
+                           [LabeledConcept("x0", concept)])
+        witness = Witness(label="x0", concept=concept, target=labels[-1],
+                          paths=(tuple(labels),), derivations=(tuple(steps),))
+        try:
+            apply_rule(ontology, "exists", seq, witness)
+            accepted = True
+        except RuleError:
+            accepted = False
+        strings = expand_steps(g, role, steps)
+        assert accepted == (strings is not None and strings[-1] == string)

@@ -3,7 +3,10 @@
 
 A failed proof search saturates some branch; the branch then induces a
 finite interpretation (label classes as domain, negated literals as concept
-memberships, role atoms closed under the RIAs) that falsifies the goal.  An
+memberships, role atoms closed under the RIAs) that falsifies the goal.  A
+branch whose labels would go on forever stops at a label that repeats an
+ancestor's concepts, and the counter-model folds that label onto the
+ancestor.  Every model, folded or not, is checked before it is returned.  An
 independent bounded model search provides a second route to the same
 answers, used heavily for differential testing.
 """
@@ -40,6 +43,20 @@ goal = goal_sequent(ontology, sub, sup)
 lam = {lab: result.assignment[lab] for lab in goal.labels()}
 assert falsifies(result.interpretation, lam, ontology, goal)
 print("verified: model of the ontology, falsifies the goal")
+
+# Every element needs an r-successor in A, so the branch would make x1, x2,
+# x3, ... for ever.  x2 carries exactly x1's concepts: it is blocked, and the
+# counter-model sends x1's r-edge back to x1 instead.  Two elements suffice.
+looping = parse_ontology("gci: TOP <= some r . A\n")
+folded = subsumes(looping, parse_concept("A"), parse_concept("B"))
+assert isinstance(folded, Refuted)
+model = model_to_dict(folded.interpretation, folded.assignment)
+print("folded domain:", model["domain"], "roles:", model["roles"])
+assert is_model(folded.interpretation, looping)
+loop_goal = goal_sequent(looping, parse_concept("A"), parse_concept("B"))
+assert falsifies(folded.interpretation, {"x0": folded.assignment["x0"]},
+                 looping, loop_goal)
+print("verified: the folded model is a model of the ontology, falsifies the goal")
 
 # RIA closure on its own: extensions grow until every inclusion holds.
 closed = ria_closure({"r": {("a", "b")}, "s": {("b", "c")}}, ontology.rbox)

@@ -14,6 +14,21 @@ returned.  Search is depth-first, leftmost premise first, and fully
 deterministic; step/label/time budgets produce an explicit Unknown verdict
 instead of non-termination.
 
+A goal whose counter-models need an endless chain of successors would spend
+every label.  Equality blocking (Horrocks and Sattler, "A description logic
+with transitive and inverse roles and role hierarchies", J. Logic Comput.
+9(3), 1999) stops it: a label whose accumulated concepts equal those of an
+ancestor in the role-atom tree fires no (forall) or (atmost) item, and
+neither does any label beneath it.  The test reads the branch's concepts
+anew in each cycle, so a label is unblocked once its set grows apart from
+its blocker's.  A branch that saturates up to its blocks is folded: the role
+atom into each blocked label is sent to its blocker, and the labels beneath
+are dropped.  The blocking argument certifies nothing: the folded
+interpretation passes the same `is_model`/`falsifies` check as any other
+before it is returned.  When it fails, the branch stops blocking those
+labels and goes on: blocking can turn an Unknown into a Refuted, but never
+a provable goal into one.
+
 Proofs keep only the (and) branches they use: dependency-directed
 backtracking, or backjumping (Horrocks and Patel-Schneider, "Optimizing
 description logic subsumption", J. Logic Comput. 9(3), 1999), in sequent
@@ -283,6 +298,49 @@ class _Search:
 
     #: items that may fire several times per cycle (one witness each)
     _REPEATING = ("subst_eq", "exists", "atleast")
+    #: items that make fresh labels, which a blocked label does not fire
+    _GENERATING = ("forall", "atmost")
+
+    def blocking(self, seq: Sequent, delta_star: frozenset,
+                 unblocked: frozenset) -> tuple[dict[str, str], set[str]]:
+        """Equality blocking (Horrocks and Sattler, J. Logic Comput. 9(3),
+        1999) on the branch that ends in `seq`: a label is blocked when an
+        ancestor in the role-atom tree, up to the nearest goal label,
+        carries exactly its set of concepts in `delta_star`.  Goal labels and the labels in `unblocked`, whose
+        fold failed on this branch, are never blocked.  Returns each blocked
+        label that has no blocked ancestor, mapped to its nearest such
+        ancestor, and the set of labels at or beneath those: none of them
+        fires a generating item.  The walk up from a fresh label ends at the
+        first goal label: every other label has one incoming role atom,
+        made with it from a label that exists already, so the walk ends
+        whatever role atoms the goal holds, and the antecedent lists every
+        parent before its children."""
+        parent = {atom.dst: atom.src for atom in seq.antecedent
+                  if isinstance(atom, RoleAtom)
+                  and atom.dst not in self.goal_labels}
+        concepts: dict[str, set[Concept]] = {}
+        for label, c in delta_star:
+            concepts.setdefault(label, set()).add(c)
+        # each label's twins: the labels with its concepts, itself included
+        twins: dict[str, set[str]] = {}
+        by_concepts: dict[frozenset[Concept], set[str]] = {}
+        for label, own in concepts.items():
+            twins[label] = by_concepts.setdefault(frozenset(own), set())
+            twins[label].add(label)
+        blocks: dict[str, str] = {}
+        stopped: set[str] = set()
+        for label, up in parent.items():
+            if up in stopped:
+                stopped.add(label)
+                continue
+            if label in unblocked or len(twins[label]) == 1:
+                continue
+            while up is not None and up not in twins[label]:
+                up = parent.get(up)
+            if up is not None:
+                blocks[label] = up
+                stopped.add(label)
+        return blocks, stopped
 
     def left_unused(self, instances: list[RuleInstance], at: int,
                     jumped: set[int]) -> bool:
@@ -333,11 +391,12 @@ class _Search:
         return done[0]
 
     def run(self, goal: Sequent) -> ProveResult:
-        """Pop nodes `(sequent, delta_star, agenda, structure)` off a stack,
-        one budget step each: the branch's consequent occurrences, the rest
-        of the saturation cycle (None starts one) and the carried
-        `(graph, closure)`.  A rule application pushes its premises
-        reversed, so the leftmost runs first, and a cycle restart pushes its
+        """Pop nodes `(sequent, delta_star, agenda, structure, unblocked)`
+        off a stack, one budget step each: the branch's consequent
+        occurrences, the rest of the saturation cycle (None starts one), the
+        carried `(graph, closure)` and the labels whose fold failed on the
+        branch.  A rule application pushes its premises reversed, so the
+        leftmost runs first, and a cycle restart or a failed fold pushes its
         node again.  The first Refuted answers at once; every Unknown is
         kept while the other nodes may still refute.
 
@@ -349,7 +408,7 @@ class _Search:
         unsearched and `assemble` lets the left subproof stand in for the
         (and) node."""
         self.goal_labels = frozenset(goal.labels())
-        stack: list[tuple] = [(goal, frozenset(), None, None)]
+        stack: list[tuple] = [(goal, frozenset(), None, None, frozenset())]
         instances: list[RuleInstance] = []
         jumped: set[int] = set()
         unknowns: list[Unknown] = []
@@ -362,7 +421,7 @@ class _Search:
                     jumped.add(at)
                     stack.pop()
                 continue
-            seq, delta_star, agenda, structure = entry
+            seq, delta_star, agenda, structure, unblocked = entry
             over = self.budget(seq)
             if over is not None:
                 unknowns.append(over)
@@ -392,17 +451,33 @@ class _Search:
             if fresh_cycle:
                 agenda = self.build_agenda(seq)
 
+            blocks = stopped = None  # computed when a generating item comes up
             for i, item in enumerate(agenda):
+                if item[0] in self._GENERATING and item[1] not in self.goal_labels \
+                        and (item[1], item[2]) in present:
+                    if stopped is None:
+                        blocks, stopped = self.blocking(seq, delta_star, unblocked)
+                    if item[1] in stopped:
+                        continue
                 witness = self.realize(item, seq, graph, closure, present, delta_star)
                 if witness is not None:
                     break
             else:
                 if fresh_cycle:
                     # a complete cycle added nothing: the branch is saturated
-                    interpretation, assignment = extract_countermodel(
-                        self.ontology, seq, delta_star, goal)
+                    # up to its blocks, which the counter-model folds
+                    try:
+                        interpretation, assignment = extract_countermodel(
+                            self.ontology, seq, delta_star, goal, blocks)
+                    except CountermodelError:
+                        if not blocks:
+                            raise
+                        # the fold is no model: the branch expands these labels
+                        stack.append((seq, delta_star, None, structure,
+                                      unblocked.union(blocks)))
+                        continue
                     return Refuted(interpretation, assignment)
-                stack.append((seq, delta_star, None, structure))
+                stack.append((seq, delta_star, None, structure, unblocked))
                 continue
 
             rest = agenda[i + 1:]
@@ -410,7 +485,7 @@ class _Search:
                 rest = (item,) + rest
             instance = apply_rule(self.ontology, item[0], seq, witness)
             instances.append(instance)
-            nodes = [(premise, delta_star, rest, structure)
+            nodes = [(premise, delta_star, rest, structure, unblocked)
                      for premise in reversed(instance.premises)]
             if item[0] == "and":
                 nodes.insert(1, (len(instances) - 1, len(unknowns)))
@@ -451,7 +526,8 @@ def _all_names(concepts) -> set[str]:
 
 
 def extract_countermodel(ontology: Ontology, seq: Sequent,
-                         delta_star: frozenset[tuple[str, Concept]], goal: Sequent
+                         delta_star: frozenset[tuple[str, Concept]], goal: Sequent,
+                         blocks: Optional[dict[str, str]] = None
                          ) -> tuple[Interpretation, dict[str, str]]:
     """Build the interpretation induced by a saturated branch from its last
     sequent and `delta_star`, its every consequent occurrence.  No rule
@@ -459,14 +535,38 @@ def extract_countermodel(ontology: Ontology, seq: Sequent,
     so `seq.antecedent` holds the branch's atoms in order.  Labels go goal
     first: (atmost) puts its fresh labels' `!=` atoms before `r(x0, y)`.
 
-    Domain: equivalence classes of the branch labels.  A class is in a
+    The branch is first folded at its `blocks`, which map blocked labels to
+    their blockers (none: the fold is the identity).  The role atom into a
+    blocked label is redirected to its blocker, and the blocked label and
+    every label beneath it are dropped, with their atoms and concepts.
+
+    Domain: equivalence classes of the remaining labels.  A class is in a
     concept name's extension iff some member carries the negated literal in
-    `delta_star`.  Role extensions start from the branch's role atoms and
+    `delta_star`.  Role extensions start from the folded role atoms and
     are closed under all RIAs.  The result is verified (model of the
-    ontology, falsifies the goal) before being returned.
+    ontology, falsifies the goal) before being returned, and
+    `CountermodelError` says that it is not.
     """
-    label_order = dict.fromkeys(goal.labels() + seq.labels())
-    eqc = eq_classes(seq.antecedent, tuple(label_order))
+    blocks = blocks or {}
+    dropped = set(blocks)
+    atoms = []
+    # the role atom into a label comes before those out of it and before
+    # any equality on it; no inequality enters the model
+    for atom in seq.antecedent:
+        if isinstance(atom, RoleAtom):
+            if atom.src in dropped:
+                dropped.add(atom.dst)
+                continue
+            if atom.dst in blocks:
+                atom = RoleAtom(atom.role, atom.src, blocks[atom.dst])
+        elif atom.left in dropped or atom.right in dropped:
+            continue
+        atoms.append(atom)
+    delta_star = frozenset(occ for occ in delta_star if occ[0] not in dropped)
+
+    label_order = dict.fromkeys(lab for lab in goal.labels() + seq.labels()
+                                if lab not in dropped)
+    eqc = eq_classes(atoms, tuple(label_order))
     assignment = {lab: eqc.rep(lab) for lab in label_order}
     domain = tuple(dict.fromkeys(assignment[lab] for lab in label_order))
 
@@ -479,7 +579,7 @@ def extract_countermodel(ontology: Ontology, seq: Sequent,
     }
 
     role_pairs: dict[str, set[tuple[str, str]]] = {}
-    for atom in seq.antecedent:
+    for atom in atoms:
         if isinstance(atom, RoleAtom):
             src, dst = assignment[atom.src], assignment[atom.dst]
             if atom.role.inverted:

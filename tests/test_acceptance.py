@@ -25,6 +25,7 @@ from riq.interpolation import (
     orthogonal,
 )
 from riq.definability import explicit_definition, is_implicitly_definable
+from riq import prover
 from riq.parser import parse_concept, parse_ontology
 from riq.prover import (
     Proved,
@@ -70,17 +71,51 @@ def report(criterion: int, text: str) -> None:
     print(f"criterion {criterion}: PASS — {text}")
 
 
+#: GCIs under which some elements need an endless r-chain unless it loops
+#: back, so that many refutations over them come from folded branches
+CYCLIC_GCIS = (
+    "gci: TOP <= some r . A",
+    "gci: A <= some r . B",
+    "gci: B <= only r- . A",
+    "gci: TOP <= some r- . (A or B)",
+    "gci: A <= some r . (A and not B)",
+    "gci: B <= some r . B",
+)
+
+
 @pytest.fixture(scope="module")
 def fuzz_corpus():
     """Shared corpus for criteria 4-6: at least 500 random goals over two
-    concept names and one role, with random small ontologies."""
+    concept names and one role, with random small ontologies, then 100 more
+    whose ontologies add one or two `CYCLIC_GCIS`.  Each case records
+    whether its counter-model came from a folded branch."""
+    folds = []
+
+    def recording(ontology, seq, delta_star, goal, blocks=None):
+        found = extract(ontology, seq, delta_star, goal, blocks)
+        folds.append(bool(blocks))
+        return found
+
+    def case(ont, sub, sup):
+        folds.clear()
+        result = subsumes(ont, sub, sup, FUZZ_LIMITS)
+        return ont, sub, sup, result, isinstance(result, Refuted) and folds[-1]
+
+    extract = prover.extract_countermodel
     rng = random.Random(42)
     cases = []
-    while len(cases) < 550:
-        ont = random_ontology(rng, names=("A", "B"), roles=("r",), max_gcis=2)
-        sub, sup = random_goal(rng, ontology=ont)
-        result = subsumes(ont, sub, sup, FUZZ_LIMITS)
-        cases.append((ont, sub, sup, result))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(prover, "extract_countermodel", recording)
+        while len(cases) < 550:
+            ont = random_ontology(rng, names=("A", "B"), roles=("r",), max_gcis=2)
+            cases.append(case(ont, *random_goal(rng, ontology=ont)))
+        rng = random.Random(43)
+        while len(cases) < 650:
+            extra = rng.sample(CYCLIC_GCIS, rng.randint(1, 2))
+            ont = union_ontology(
+                random_ontology(rng, names=("A", "B"), roles=("r",), max_gcis=1),
+                parse_ontology("\n".join(extra) + "\n"))
+            cases.append(case(ont, *random_goal(rng, ontology=ont)))
     return cases
 
 
@@ -154,7 +189,7 @@ class TestCriterion4:
     def test_soundness_fuzz(self, fuzz_corpus):
         started = time.perf_counter()
         proved = 0
-        for ont, sub, sup, result in fuzz_corpus:
+        for ont, sub, sup, result, _ in fuzz_corpus:
             if not isinstance(result, Proved):
                 continue
             proved += 1
@@ -170,33 +205,42 @@ class TestCriterion4:
 
 class TestCriterion5:
     def test_refutation_validity(self, fuzz_corpus):
-        refuted = 0
-        for ont, sub, sup, result in fuzz_corpus:
+        refuted = folded = 0
+        for ont, sub, sup, result, was_folded in fuzz_corpus:
             if not isinstance(result, Refuted):
                 continue
             refuted += 1
+            folded += was_folded
             assert is_model(result.interpretation, ont)
             goal = goal_sequent(ont, sub, sup)
             lam = {lab: result.assignment[lab] for lab in goal.labels()}
             assert falsifies(result.interpretation, lam, ont, goal)
         assert refuted >= 200
-        report(5, f"all {refuted} refutations carry verified counter-models")
+        assert folded >= 20
+        report(5, f"all {refuted} refutations carry verified counter-models, "
+                  f"{folded} of them folded")
 
 
 class TestCriterion6:
     def test_prover_oracle_consistency(self, fuzz_corpus):
         contradictions = 0
         decided_both = 0
-        for ont, sub, sup, result in fuzz_corpus:
+        small_folds = 0
+        for ont, sub, sup, result, folded in fuzz_corpus:
             goal = goal_sequent(ont, sub, sup)
             hit = find_countermodel_bounded(ont, goal, 3)
             if hit is not None:
                 decided_both += 1
                 if isinstance(result, Proved):
                     contradictions += 1
+            elif isinstance(result, Refuted) and len(result.interpretation.domain) <= 3:
+                contradictions += 1  # the oracle is exhaustive up to size 3
+            small_folds += folded and len(result.interpretation.domain) <= 3
         assert contradictions == 0
+        assert small_folds >= 10
         report(6, f"zero contradictions; oracle found falsifiers on "
-                  f"{decided_both} goals, never against a proof")
+                  f"{decided_both} goals, never against a proof, and on each of "
+                  f"{small_folds} folded counter-models of size 3 or less")
 
 
 class TestCriterion7:

@@ -38,10 +38,32 @@ class TestCheck:
         assert '"domain"' in out
 
     def test_unknown_exit_two(self, ontdir, capsys):
-        (ontdir / "loop.riq").write_text("gci: TOP <= some r . A\n")
-        code, out, _ = run(capsys, "check", "-o", str(ontdir / "loop.riq"),
-                           "--sub", "A", "--sup", "B", "--max-labels", "5")
+        # every r-successor needs two r-successors outside A: the labels run
+        # out before the tree repeats in a way that folds into a model
+        (ontdir / "split.riq").write_text(
+            "gci: TOP <= only r . (atleast 2 r . not A)\n"
+            "gci: TOP <= only r . (A or not A)\n")
+        code, out, _ = run(capsys, "check", "-o", str(ontdir / "split.riq"),
+                           "--sub", "atleast 1 r . E", "--sup", "(A and not E) or B",
+                           "--max-labels", "5")
         assert code == 2 and "Unknown" in out
+
+    def test_endless_chain_is_refuted_by_a_folded_model(self, ontdir, capsys):
+        from riq.parser import parse_concept, parse_ontology
+        from riq.prover import goal_sequent
+        from riq.semantics import falsifies, is_model, model_from_dict
+
+        (ontdir / "loop.riq").write_text("gci: TOP <= some r . A\n")
+        path = ontdir / "m.json"
+        code, out, _ = run(capsys, "check", "-o", str(ontdir / "loop.riq"),
+                           "--sub", "A", "--sup", "B", "--max-labels", "5",
+                           "--emit-model", str(path))
+        assert code == 1 and "Refuted" in out
+        interpretation, assignment = model_from_dict(json.loads(path.read_text()))
+        ont = parse_ontology((ontdir / "loop.riq").read_text())
+        goal = goal_sequent(ont, parse_concept("A"), parse_concept("B"))
+        assert is_model(interpretation, ont)
+        assert falsifies(interpretation, assignment, ont, goal)
 
     def test_emitted_proof_verifies(self, ontdir, capsys):
         proof_path = ontdir / "p.json"

@@ -20,6 +20,8 @@ from riq.prover import (
 )
 from riq.semantics import falsifies, find_countermodel_bounded, is_model
 from riq.sequent import (
+    RoleAtom,
+    SequentError,
     check_proof,
     proof_from_json,
     proof_to_json,
@@ -29,6 +31,12 @@ from conftest import C, EMPTY_ONT, S, random_goal, random_ontology
 
 r, s, t = Role("r"), Role("s"), Role("t")
 LIMITS = SearchLimits(max_steps=5000, max_labels=100, max_seconds_hint=30)
+
+#: every r-successor has two r-successors outside A (catalogue goal 110 of
+#: the benchmark's subsume-random workload)
+SPLITTING_ONT = normalize_ontology(
+    [GCI(TOP, C("only r . (atleast 2 r . not A)")),
+     GCI(TOP, C("only r . (A or not A)"))], [])
 
 
 class TestProve:
@@ -52,12 +60,77 @@ class TestProve:
         assert check_proof(ont, result.proof).ok
 
     def test_unknown_on_tight_budget(self):
-        ont = normalize_ontology([GCI(TOP, C("some r . A"))], [])
-        result = subsumes(ont, C("A"), C("B"),
+        # every r-successor needs two r-successors of its own, and folding
+        # that tree onto an ancestor gives no model, so the labels run out
+        result = subsumes(SPLITTING_ONT, C("atleast 1 r . E"),
+                          C("(A and not E) or B"),
                           SearchLimits(max_steps=2000, max_labels=6,
                                        max_seconds_hint=30))
         assert isinstance(result, Unknown)
         assert "limit" in result.reason
+
+
+class TestBlocking:
+    def test_endless_chain_folds_into_a_loop(self):
+        # every element needs an r-successor in A: the chain x0, x1, x2, ...
+        # stops at x2, whose concepts repeat x1's, and x1 loops onto itself
+        ont = normalize_ontology([GCI(TOP, C("some r . A"))], [])
+        result = subsumes(ont, C("A"), C("B"),
+                          SearchLimits(max_steps=2000, max_labels=6,
+                                       max_seconds_hint=30))
+        assert isinstance(result, Refuted)
+        i = result.interpretation
+        assert i.domain == ("x0", "x1")
+        assert i.roles["r"] == {("x0", "x1"), ("x1", "x1")}
+        assert is_model(i, ont)
+        goal = goal_sequent(ont, C("A"), C("B"))
+        assert falsifies(i, {"x0": result.assignment["x0"]}, ont, goal)
+
+    def test_a_failed_fold_is_dropped(self, monkeypatch):
+        # the blocked label's fold is no model of the ontology: the branch
+        # expands the label instead, and the labels run out as before
+        failures = []
+        extract = prover.extract_countermodel
+
+        def counting(*args):
+            try:
+                return extract(*args)
+            except CountermodelError:
+                failures.append(args[-1])
+                raise
+
+        monkeypatch.setattr(prover, "extract_countermodel", counting)
+        result = subsumes(SPLITTING_ONT, C("atleast 1 r . E"),
+                          C("(A and not E) or B"), SearchLimits(100, 8))
+        assert result == Unknown("label limit reached")
+        assert failures and all(failures)
+
+    def test_goal_labels_are_never_blocked(self):
+        # y repeats its parent x, but the counter-model must interpret it;
+        # the successors x0 and x1 make fresh labels, so blocking runs
+        ont = normalize_ontology([GCI(TOP, C("some r . A"))], [])
+        goal = S("r(x,y) |- x : only r . not A, y : only r . not A, "
+                 "x : B, y : B")
+        result = prove(ont, goal, LIMITS)
+        assert isinstance(result, Refuted)
+        assert set(result.assignment) == {"x", "y", "x0", "x1"}
+        i = result.interpretation
+        assert i.roles["r"] == {("x", "y"), ("x", "x0"), ("y", "x1"),
+                                ("x0", "x0"), ("x1", "x1")}
+        assert is_model(i, ont)
+        assert falsifies(i, result.assignment, ont, goal)
+
+    def test_the_walk_up_stops_at_goal_labels(self):
+        # goal role atoms form a tree, so `r(x,x)` is no goal; the walk up
+        # from a fresh label ends at a goal label without relying on that
+        with pytest.raises(SequentError):
+            S("r(x,x) |- x : atmost 1 r . A")
+        search = prover._Search(EMPTY_ONT, LIMITS)
+        search.goal_labels = frozenset({"x"})
+        seq = SimpleNamespace(antecedent=(
+            RoleAtom(r, "x", "x"), RoleAtom(r, "x", "x0"), RoleAtom(r, "x", "x1")))
+        delta_star = frozenset({("x", C("A")), ("x0", C("B")), ("x1", C("B"))})
+        assert search.blocking(seq, delta_star, frozenset()) == ({}, set())
 
 
 class TestTimeBudget:

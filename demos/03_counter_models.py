@@ -4,9 +4,9 @@
 A failed proof search saturates some branch; the branch then induces a
 finite interpretation (label classes as domain, negated literals as concept
 memberships, role atoms closed under the RIAs) that falsifies the goal.  A
-branch whose labels would go on forever stops at a label that repeats an
-ancestor's concepts, and the counter-model folds that label onto the
-ancestor.  Every model, folded or not, is checked before it is returned.  An
+branch whose labels would go on forever stops at a label whose concepts an
+earlier label carries too, and the counter-model folds that label onto the
+earlier one.  Every model, folded or not, is checked before it is returned.  An
 independent bounded model search provides a second route to the same
 answers, used heavily for differential testing.
 """
@@ -45,8 +45,9 @@ assert falsifies(result.interpretation, lam, ontology, goal)
 print("verified: model of the ontology, falsifies the goal")
 
 # Every element needs an r-successor in A, so the branch would make x1, x2,
-# x3, ... for ever.  x2 carries exactly x1's concepts: it is blocked, and the
-# counter-model sends x1's r-edge back to x1 instead.  Two elements suffice.
+# x3, ... for ever.  x1's concepts are all carried by x0 as well: x1 is
+# blocked, and the counter-model sends x0's r-edge back to x0 instead.  One
+# element suffices.
 looping = parse_ontology("gci: TOP <= some r . A\n")
 folded = subsumes(looping, parse_concept("A"), parse_concept("B"))
 assert isinstance(folded, Refuted)

@@ -15,19 +15,23 @@ deterministic; step/label/time budgets produce an explicit Unknown verdict
 instead of non-termination.
 
 A goal whose counter-models need an endless chain of successors would spend
-every label.  Equality blocking (Horrocks and Sattler, "A description logic
-with transitive and inverse roles and role hierarchies", J. Logic Comput.
-9(3), 1999) stops it: a label whose accumulated concepts equal those of an
-ancestor in the role-atom tree fires no (forall) or (atmost) item, and
-neither does any label beneath it.  The test reads the branch's concepts
-anew in each cycle, so a label is unblocked once its set grows apart from
-its blocker's.  A branch that saturates up to its blocks is folded: the role
-atom into each blocked label is sent to its blocker, and the labels beneath
-are dropped.  The blocking argument certifies nothing: the folded
-interpretation passes the same `is_model`/`falsifies` check as any other
-before it is returned.  When it fails, the branch stops blocking those
-labels and goes on: blocking can turn an Unknown into a Refuted, but never
-a provable goal into one.
+every label.  Subset blocking anywhere (Horrocks and Sattler, "A
+description logic with transitive and inverse roles and role hierarchies",
+J. Logic Comput. 9(3), 1999; Motik, Shearer and Horrocks, "Hypertableau
+reasoning for description logics", JAIR 36, 2009) stops it: a label whose
+accumulated concepts are all carried by an earlier label (a goal label, or
+one made before it, that is not itself blocked) fires no (forall) or
+(atmost) item, and neither does any label beneath it.  The test reads the
+branch's concepts anew in each cycle, so a label is unblocked once its set
+outgrows its blocker's.  A branch that saturates up to its blocks is
+folded: the role atom into each blocked label is sent to its blocker, and
+the labels beneath are dropped.  The blocking argument certifies nothing:
+the folded interpretation passes the same `is_model`/`falsifies` check as
+any other before it is returned.  When it fails, the branch retires the
+failed fold's weak blocks (those whose blocker is not an ancestor with the
+same concepts), or all of its blocks when none is weak, and goes on; a
+retired label may still be blocked by another label.  Blocking can turn
+an Unknown into a Refuted, but never a provable goal into one.
 
 Proofs keep only the (and) branches they use: dependency-directed
 backtracking, or backjumping (Horrocks and Patel-Schneider, "Optimizing
@@ -156,8 +160,10 @@ class _Search:
         self.limits = limits
         self.steps = 0
         self.started = time.monotonic()
-        self.goal_labels: frozenset[str] = frozenset()
+        self.goal_labels: tuple[str, ...] = ()
         self.counter = 0
+        # `delta_star` at the last `blocking` call, grouped by label
+        self.grouped: tuple[frozenset, dict[str, set[Concept]]] = (frozenset(), {})
 
     def fresh_label(self) -> str:
         """The next `x<n>` that is no goal label: all others are made here."""
@@ -302,45 +308,62 @@ class _Search:
     _GENERATING = ("forall", "atmost")
 
     def blocking(self, seq: Sequent, delta_star: frozenset,
-                 unblocked: frozenset) -> tuple[dict[str, str], set[str]]:
-        """Equality blocking (Horrocks and Sattler, J. Logic Comput. 9(3),
-        1999) on the branch that ends in `seq`: a label is blocked when an
-        ancestor in the role-atom tree, up to the nearest goal label,
-        carries exactly its set of concepts in `delta_star`.  Goal labels and the labels in `unblocked`, whose
-        fold failed on this branch, are never blocked.  Returns each blocked
-        label that has no blocked ancestor, mapped to its nearest such
-        ancestor, and the set of labels at or beneath those: none of them
-        fires a generating item.  The walk up from a fresh label ends at the
-        first goal label: every other label has one incoming role atom,
-        made with it from a label that exists already, so the walk ends
-        whatever role atoms the goal holds, and the antecedent lists every
-        parent before its children."""
+                 retired: frozenset) -> tuple[dict[str, str], set[str],
+                                              set[tuple[str, str]]]:
+        """Subset blocking anywhere on the branch that ends in `seq`
+        (Horrocks and Sattler, J. Logic Comput. 9(3), 1999; Motik, Shearer
+        and Horrocks, JAIR 36, 2009): a label is blocked by the first
+        earlier label whose concepts in `delta_star` include its own, unless
+        that pair is `retired` (its fold failed on this branch).  Earlier
+        means goal labels first, then the order in which role atoms make
+        the others, and a label at or beneath a block blocks nothing.  Goal
+        labels are never blocked.  Every label other than a goal label has
+        one incoming role atom, made with it from a label that exists
+        already, so the antecedent lists every parent before its children.
+
+        Returns the blocks, each blocked label mapped to its blocker; the
+        labels at or beneath them, none of which fires a generating item;
+        and the weak blocks, the `(label, blocker)` pairs whose blocker is
+        not an ancestor with the same concepts.
+
+        The grouping of `delta_star` by label is kept from the last call:
+        when the branch grew from that call's `delta_star`, as it does
+        between most calls of a depth-first search, only the new
+        occurrences are added to it."""
         parent = {atom.dst: atom.src for atom in seq.antecedent
                   if isinstance(atom, RoleAtom)
                   and atom.dst not in self.goal_labels}
-        concepts: dict[str, set[Concept]] = {}
-        for label, c in delta_star:
+        last, concepts = self.grouped
+        if last <= delta_star:
+            new = delta_star - last
+        else:
+            new, concepts = delta_star, {}
+        for label, c in new:
             concepts.setdefault(label, set()).add(c)
-        # each label's twins: the labels with its concepts, itself included
-        twins: dict[str, set[str]] = {}
-        by_concepts: dict[frozenset[Concept], set[str]] = {}
-        for label, own in concepts.items():
-            twins[label] = by_concepts.setdefault(frozenset(own), set())
-            twins[label].add(label)
+        self.grouped = (delta_star, concepts)
+        earlier = [(label, concepts.get(label, set())) for label in self.goal_labels]
         blocks: dict[str, str] = {}
         stopped: set[str] = set()
         for label, up in parent.items():
             if up in stopped:
                 stopped.add(label)
                 continue
-            if label in unblocked or len(twins[label]) == 1:
-                continue
-            while up is not None and up not in twins[label]:
+            own = concepts[label]
+            for other, theirs in earlier:
+                if own <= theirs and (label, other) not in retired:
+                    blocks[label] = other
+                    stopped.add(label)
+                    break
+            else:
+                earlier.append((label, own))
+        weak = set()
+        for label, other in blocks.items():
+            up = parent[label]
+            while up is not None and up != other:
                 up = parent.get(up)
-            if up is not None:
-                blocks[label] = up
-                stopped.add(label)
-        return blocks, stopped
+            if up is None or concepts[label] != concepts[other]:
+                weak.add((label, other))
+        return blocks, stopped, weak
 
     def left_unused(self, instances: list[RuleInstance], at: int,
                     jumped: set[int]) -> bool:
@@ -391,14 +414,14 @@ class _Search:
         return done[0]
 
     def run(self, goal: Sequent) -> ProveResult:
-        """Pop nodes `(sequent, delta_star, agenda, structure, unblocked)`
+        """Pop nodes `(sequent, delta_star, agenda, structure, retired)`
         off a stack, one budget step each: the branch's consequent
         occurrences, the rest of the saturation cycle (None starts one), the
-        carried `(graph, closure)` and the labels whose fold failed on the
-        branch.  A rule application pushes its premises reversed, so the
-        leftmost runs first, and a cycle restart or a failed fold pushes its
-        node again.  The first Refuted answers at once; every Unknown is
-        kept while the other nodes may still refute.
+        carried `(graph, closure)` and the `(label, blocker)` pairs whose
+        fold failed on the branch.  A rule application pushes its premises
+        reversed, so the leftmost runs first, and a cycle restart or a
+        failed fold pushes its node again.  The first Refuted answers at
+        once; every Unknown is kept while the other nodes may still refute.
 
         An (and) step pushes a marker `(at, unknowns)` between its premises;
         popping it costs no budget step.  By then the left subtree is
@@ -407,7 +430,7 @@ class _Search:
         the conjunct unused (`left_unused`), the right premise is popped
         unsearched and `assemble` lets the left subproof stand in for the
         (and) node."""
-        self.goal_labels = frozenset(goal.labels())
+        self.goal_labels = goal.labels()
         stack: list[tuple] = [(goal, frozenset(), None, None, frozenset())]
         instances: list[RuleInstance] = []
         jumped: set[int] = set()
@@ -421,7 +444,7 @@ class _Search:
                     jumped.add(at)
                     stack.pop()
                 continue
-            seq, delta_star, agenda, structure, unblocked = entry
+            seq, delta_star, agenda, structure, retired = entry
             over = self.budget(seq)
             if over is not None:
                 unknowns.append(over)
@@ -451,12 +474,12 @@ class _Search:
             if fresh_cycle:
                 agenda = self.build_agenda(seq)
 
-            blocks = stopped = None  # computed when a generating item comes up
+            blocks = stopped = weak = None  # computed when a generating item comes up
             for i, item in enumerate(agenda):
                 if item[0] in self._GENERATING and item[1] not in self.goal_labels \
                         and (item[1], item[2]) in present:
                     if stopped is None:
-                        blocks, stopped = self.blocking(seq, delta_star, unblocked)
+                        blocks, stopped, weak = self.blocking(seq, delta_star, retired)
                     if item[1] in stopped:
                         continue
                 witness = self.realize(item, seq, graph, closure, present, delta_star)
@@ -472,12 +495,13 @@ class _Search:
                     except CountermodelError:
                         if not blocks:
                             raise
-                        # the fold is no model: the branch expands these labels
+                        # the fold is no model: retire its weak blocks, or
+                        # all of them when each is an equal-set ancestor
                         stack.append((seq, delta_star, None, structure,
-                                      unblocked.union(blocks)))
+                                      retired.union(weak or blocks.items())))
                         continue
                     return Refuted(interpretation, assignment)
-                stack.append((seq, delta_star, None, structure, unblocked))
+                stack.append((seq, delta_star, None, structure, retired))
                 continue
 
             rest = agenda[i + 1:]
@@ -485,7 +509,7 @@ class _Search:
                 rest = (item,) + rest
             instance = apply_rule(self.ontology, item[0], seq, witness)
             instances.append(instance)
-            nodes = [(premise, delta_star, rest, structure, unblocked)
+            nodes = [(premise, delta_star, rest, structure, retired)
                      for premise in reversed(instance.premises)]
             if item[0] == "and":
                 nodes.insert(1, (len(instances) - 1, len(unknowns)))
@@ -501,7 +525,20 @@ def prove(ontology: Ontology, goal: Sequent,
 
     Returns Proved with a checkable proof, Refuted with a verified
     counter-interpretation, or Unknown when a resource bound was hit.
+
+    The search first adds each goal label's `ontology.gci_list(label)`
+    occurrences that the goal lacks.  They are false in every model of the
+    ontology, so the goal stays valid exactly when it was, and every label
+    of the search then carries its GCIs, which a counter-model needs.  A
+    proof then concludes the goal with them added.  A goal made by
+    `goal_sequent` or `interpolation.split_goal` carries them already and
+    is searched as it is.
     """
+    present = goal.concept_set()
+    missing = tuple(LabeledConcept(lab, c) for label in goal.labels()
+                    for lab, c in ontology.gci_list(label) if (lab, c) not in present)
+    if missing:
+        goal = make_sequent(goal.antecedent, goal.consequent + missing)
     return _Search(ontology, limits).run(goal)
 
 

@@ -401,7 +401,7 @@ class TestInterpolateAndDefine:
                            "--o2", str(ontdir / "o2.riq"),
                            "--sub", "(some r . not A) and only r . A",
                            "--sup", "some r . (not B or not B)",
-                           "--max-steps", "80", "--max-labels", "40")
+                           "--max-steps", "45", "--max-labels", "40")
         assert code == 2
         assert out.startswith("Unknown: interpolant verification: step limit reached")
         assert "  subsumee <= interpolant: Unknown" in out

@@ -716,11 +716,11 @@ class TestLemma5Fuzz:
 class TestInconclusiveVerification:
     def test_bounded_direction_gives_unknown(self):
         """The split goal is proved, but proving the subsumee below the
-        extracted interpolant needs more than 80 steps: the answer is an
+        extracted interpolant needs more than 45 steps: the answer is an
         honest unknown, and no unverified concept is returned."""
         o1 = O("gci: TOP <= some r . (not B or A)\n")
         o2 = O("ria: r o r <= r\ngci: TOP <= some r . only r . not B\n")
-        limits = SearchLimits(max_steps=80, max_labels=40, max_seconds_hint=60)
+        limits = SearchLimits(max_steps=45, max_labels=40, max_seconds_hint=60)
         out = compute_concept_interpolant(o1, o2, C("(some r . not A) and only r . A"),
                                           C("some r . (not B or not B)"), limits)
         assert out.status == "unknown"

@@ -183,7 +183,7 @@ def _cmd_define(args) -> int:
     if result.status == "unknown":
         if result.report is not None:
             return _inconclusive("definition", result.report)
-        print("Unknown: resource bound hit before a verdict")
+        print(f"Unknown: {result.interpolation.prove_result.reason}")
         return EXIT_UNKNOWN
     print(f"Definition: {render_concept(result.definition)}")
     for line in result.report.lines():

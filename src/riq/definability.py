@@ -10,10 +10,10 @@ over theta equivalent to C under O.
 
 One proof search, of the split goal, decides implicit definability and
 yields the interpolant's simplified concept I, which is verified under O
-alone (checked proofs of C <= I and I <= C).  As cpt(I) lies in theta and
-O_theta is a renamed copy of O, both directions hold under O u O_theta iff
-they hold under O (ten Cate, Franconi and Seylan, JAIR 2013), so no
-verification over the union is made.
+alone (proofs of C <= I and I <= C, each derived from its goal by
+``prove``).  As cpt(I) lies in theta and O_theta is a renamed copy of O,
+both directions hold under O u O_theta iff they hold under O (ten Cate,
+Franconi and Seylan, JAIR 2013), so no verification over the union is made.
 """
 
 from __future__ import annotations
@@ -131,14 +131,13 @@ def is_implicitly_definable(o: Ontology, c: Concept, theta: Iterable[str],
 class DefinitionReport(VerificationReport):
     """The checks of VerificationReport, applied to a definition under O."""
     DIRECTIONS = ("concept <= definition", "definition <= concept")
-    ERROR = DefinabilityError
 
 
 def verify_definition(o: Ontology, c: Concept, definition: Concept,
                       theta: Iterable[str],
                       limits: SearchLimits = SearchLimits()) -> DefinitionReport:
     """Signature check against theta, and both subsumption directions
-    proved under O alone, each proof passed through ``check_proof``."""
+    proved under O alone."""
     return DefinitionReport.verify(o, frozenset(theta), c, definition, c, limits)
 
 

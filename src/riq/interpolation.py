@@ -18,13 +18,15 @@ One proof search, of the split goal, yields the interpolant
 ``simplify_concept``: structural rules that hold in every interpretation,
 so the verification searches do not spend their budget on dead structure.
 ``compute_concept_interpolant`` then verifies the simplified concept: an
-exact signature check and proofs of both subsumption directions, each
-passed through ``check_proof``.  That is the definition of a concept
-interpolant, so it is the answer's one certificate, independent of how the
-concept was read off the proof: extraction checks no property at the proof
-nodes (the paper's Lemma 5 is a test-side property), only that the root
-interpolant is atom-free and over the root label.  A proof the checker
-rejects is a prover bug and raises.
+exact signature check and proofs of both subsumption directions.  That is
+the definition of a concept interpolant, so it is the answer's one
+certificate, independent of how the concept was read off the proof:
+extraction checks no property at the proof nodes (the paper's Lemma 5 is a
+test-side property), only that the root interpolant is atom-free and over
+the root label.  Every proof here comes from ``prove``, which derives each
+node from the goal by ``apply_rule``: the partition reads each node's premise
+maps off its own instance, and no proof is derived a second time.
+``check_proof`` re-derives such a proof from outside, as ``riq verify`` does.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, ClassVar, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .core import (
     AtLeast,
@@ -72,12 +74,9 @@ from .sequent import (
     LabeledConcept,
     Neq,
     Proof,
-    ProofError,
     RuleInstance,
     Sequent,
-    check_proof,
     make_sequent,
-    rederive,
     walk,
 )
 
@@ -471,50 +470,42 @@ class PartitionedProof:
         return self.instance.conclusion
 
 
-def annotate_partition(ontology: Ontology, proof: Proof,
-                       end_split: EndSplit) -> PartitionedProof:
+def annotate_partition(proof: Proof, end_split: EndSplit) -> PartitionedProof:
     """Top-down pass assigning each occurrence and inequality atom a side.
 
-    The sides follow the premise maps and read positions of the instances
-    that `rederive` yields; it is also the pipeline's proof check: a node
-    whose rule does not apply, whose premises differ from its children, or
-    whose child lists its concepts in another order than the re-derived
-    premise, raises InterpolationError.
+    The sides follow the premise maps and read positions of each node's own
+    instance, so the proof must be one that `prove` returned: its instances
+    are `apply_rule`'s, and its children conclude their premises.
     """
-    pending = {(): (end_split.occ_sides, dict(end_split.neq_sides))}
+    pending = [(end_split.occ_sides, end_split.neq_sides)]
     annotated: list[PartitionedProof] = []
-    try:
-        for path, node, rederived in rederive(ontology, proof):
-            occ_sides, neq_sides = pending.pop(path)
-            inst = node.instance
-            if len(occ_sides) != len(inst.conclusion.consequent):
-                raise InterpolationError("side annotation does not match the sequent")
-            principal_side = None if inst.rule in ("id", "id_eq") \
-                else occ_sides[rederived.reads[0]]
-            old_atoms = inst.conclusion.atom_set()
-            for i, (premise, pmap, child) in enumerate(zip(
-                    rederived.premises, rederived.premise_maps, node.children)):
-                if premise.consequent != child.conclusion.consequent:
-                    raise InterpolationError(
-                        f"premise {i} of ({inst.rule}) lists its concepts in "
-                        "another order than the rule derives them")
-                child_sides = []
-                for origin in pmap:
-                    if origin[0] == "ctx":
-                        child_sides.append(occ_sides[origin[1]])
-                    elif origin[0] == "active":
-                        child_sides.append(principal_side)
-                    else:  # ("gci", k): route the copy to its source ontology
-                        child_sides.append(Side.LEFT if origin[1] < end_split.left_gcis
-                                           else Side.RIGHT)
-                child_neq = dict(neq_sides)
-                for atom in premise.antecedent:
-                    if isinstance(atom, Neq) and atom not in old_atoms:
-                        child_neq[atom] = principal_side
-                pending[path + (i,)] = (tuple(child_sides), child_neq)
-            annotated.append(PartitionedProof(rederived, occ_sides, neq_sides, ()))
-    except ProofError as exc:
-        raise InterpolationError(f"proof does not re-derive: {exc}") from exc
+    for node in proof.nodes():
+        occ_sides, neq_sides = pending.pop()
+        inst = node.instance
+        if len(occ_sides) != len(inst.conclusion.consequent):
+            raise InterpolationError("side annotation does not match the sequent")
+        principal_side = None if inst.rule in ("id", "id_eq") \
+            else occ_sides[inst.reads[0]]
+        old_atoms = inst.conclusion.atom_set()
+        premise_sides = []
+        for premise, pmap in zip(inst.premises, inst.premise_maps):
+            child_sides = []
+            for origin in pmap:
+                if origin[0] == "ctx":
+                    child_sides.append(occ_sides[origin[1]])
+                elif origin[0] == "active":
+                    child_sides.append(principal_side)
+                else:  # ("gci", k): route the copy to its source ontology
+                    child_sides.append(Side.LEFT if origin[1] < end_split.left_gcis
+                                       else Side.RIGHT)
+            child_neq = dict(neq_sides)
+            for atom in premise.antecedent:
+                if isinstance(atom, Neq) and atom not in old_atoms:
+                    child_neq[atom] = principal_side
+            premise_sides.append((tuple(child_sides), child_neq))
+        # pre-order: the first premise is annotated next
+        pending.extend(reversed(premise_sides))
+        annotated.append(PartitionedProof(inst, occ_sides, neq_sides, ()))
     # pre-order reversed: each node's children are the top of `done`
     done: list[PartitionedProof] = []
     for pp in reversed(annotated):
@@ -603,8 +594,9 @@ def extract_interpolant(pp: PartitionedProof) -> Interpolant:
 class VerificationReport:
     """Outcome of verifying a concept against a subsumption in both
     directions: ``ok`` when the signature check passed and both directions
-    were proved by proofs that passed ``check_proof``, ``inconclusive`` when
-    none failed but a direction proof hit its resource bound."""
+    were proved, ``inconclusive`` when none failed but a direction proof hit
+    its resource bound.  A proof from ``prove`` is derived from its goal by
+    construction, so it is not checked again here."""
     signature_ok: bool
     extra_names: frozenset[str]
     forward: ProveResult
@@ -612,24 +604,15 @@ class VerificationReport:
 
     #: how ``lines`` names the forward and the backward direction
     DIRECTIONS = ("subsumee <= interpolant", "interpolant <= subsumer")
-    #: raised when the prover emits a proof that ``check_proof`` rejects
-    ERROR: ClassVar[type[RiqError]] = InterpolationError
 
     @classmethod
     def verify(cls, ont: Ontology, allowed: frozenset[str], sub: Concept,
                mid: Concept, sup: Concept, limits: SearchLimits):
         """Check that ``mid`` uses only ``allowed`` names, and prove
-        ``sub <= mid`` and ``mid <= sup`` over ``ont`` with checked proofs."""
+        ``sub <= mid`` and ``mid <= sup`` over ``ont``."""
         extra = cpt(mid) - allowed
-        directions = []
-        for name, (lo, hi) in zip(cls.DIRECTIONS, ((sub, mid), (mid, sup))):
-            result = prove(ont, goal_sequent(ont, lo, hi), limits)
-            if isinstance(result, Proved):
-                checked = check_proof(ont, result.proof)
-                if not checked.ok:
-                    raise cls.ERROR(
-                        f"prover emitted an invalid proof: {name}: {checked.message}")
-            directions.append(result)
+        directions = [prove(ont, goal_sequent(ont, lo, hi), limits)
+                      for lo, hi in ((sub, mid), (mid, sup))]
         return cls(not extra, frozenset(extra), *directions)
 
     @property
@@ -658,8 +641,8 @@ def verify_interpolant(o1: Ontology, o2: Ontology, c: Concept, d: Concept,
                        i: Concept,
                        limits: SearchLimits = SearchLimits()) -> VerificationReport:
     """Check the three concept-interpolant conditions: shared signature
-    (syntactic), and both subsumption directions proved, with checked
-    proofs, over the union ontology."""
+    (syntactic), and both subsumption directions proved over the union
+    ontology."""
     return VerificationReport.verify(union_ontology(o1, o2), cpt(o1, c) & cpt(o2, d),
                                      c, i, d, limits)
 
@@ -706,7 +689,7 @@ def extract_concept_interpolant(o1: Ontology, o2: Ontology, c: Concept, d: Conce
         neq_sides={},
         left_gcis=len(o1.tbox),
     )
-    pp = annotate_partition(ont, result.proof, split)
+    pp = annotate_partition(result.proof, split)
     g = extract_interpolant(pp)
     concept = simplify_concept(interpolant_concept(g, "x0"))
     return InterpolationResult("ok", concept, g, result)

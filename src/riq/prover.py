@@ -45,7 +45,8 @@ dropped unsearched.  The left subproof then proves the (and)
 node's conclusion once the conjunct is replaced by the conjunction at the
 same position in each of its sequents; the proof is assembled with that
 rewrite, every rewritten node re-derived by `apply_rule`, so nothing is
-trusted that the calculus does not check.
+trusted that the calculus does not check.  A returned proof is thus what
+`check_proof` re-derives from the goal (see `prove`).
 
 The search is one loop over an explicit stack of pending nodes, so proof
 depth is bounded by the budgets, not by Python's recursion limit, and a
@@ -387,26 +388,27 @@ class _Search:
                 return False
         return True
 
-    def assemble(self, instances: list[RuleInstance], jumped: set[int]) -> Proof:
-        """The proof of the recorded pre-order instances.  A jumped (and)
-        node is replaced by its left subproof, whose sequents then carry
-        the conjunction where they carried the unused conjunct.  One
-        top-down pass hands each node the conclusion its parent's
-        re-derivation gave it, carrying every pending rewrite at once, so a
-        rewritten node is re-derived by `apply_rule` exactly once; the
-        nodes are then linked bottom-up, children before their parent."""
-        conclusions: list[Optional[Sequent]] = [None]  # None: as recorded
+    def assemble(self, goal: Sequent, instances: list[RuleInstance],
+                 jumped: set[int]) -> Proof:
+        """The proof of `goal` from the recorded pre-order instances.  A
+        jumped (and) node is replaced by its left subproof, whose sequents
+        then carry the conjunction where they carried the unused conjunct.
+        One top-down pass hands each kept node the premise its parent's
+        instance made (the goal, at the root), carrying every pending
+        rewrite at once: the search's instance is kept when it concludes
+        that very object, and a rewritten node is re-derived by `apply_rule`
+        exactly once.  The nodes are then linked bottom-up, children before
+        their parent."""
+        conclusions = [goal]
         kept: list[RuleInstance] = []
         for k, inst in enumerate(instances):
             conclusion = conclusions.pop()
             if k in jumped:
-                conclusions.append(inst.conclusion if conclusion is None else conclusion)
+                conclusions.append(conclusion)
                 continue
-            if conclusion is None:
-                conclusions.extend([None] * len(inst.premises))
-            else:
+            if inst.conclusion is not conclusion:
                 inst = apply_rule(self.ontology, inst.rule, conclusion, inst.witness)
-                conclusions.extend(reversed(inst.premises))
+            conclusions.extend(reversed(inst.premises))
             kept.append(inst)
         done: list[Proof] = []
         for inst in reversed(kept):
@@ -516,15 +518,22 @@ class _Search:
             stack.extend(nodes)
         if unknowns:
             return unknowns[0]
-        return Proved(self.assemble(instances, jumped))
+        return Proved(self.assemble(goal, instances, jumped))
 
 
 def prove(ontology: Ontology, goal: Sequent,
           limits: SearchLimits = SearchLimits()) -> ProveResult:
     """Run the staged proof search on a goal sequent.
 
-    Returns Proved with a checkable proof, Refuted with a verified
+    Returns Proved with a proof, Refuted with a verified
     counter-interpretation, or Unknown when a resource bound was hit.
+
+    A proof is derived from the goal by construction: each node is the
+    `apply_rule` instance of its rule and witness on its own conclusion, the
+    root concludes the goal, and each child's conclusion is the very premise
+    object its parent's instance made.  So it is what `check_proof` would
+    re-derive from the goal, and every node carries the instance's
+    `premise_maps` and `reads`.
 
     The search first adds each goal label's `ontology.gci_list(label)`
     occurrences that the goal lacks.  They are false in every model of the

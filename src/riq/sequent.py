@@ -11,10 +11,12 @@ which makes proof search deterministic.
 
 Proof nodes store enough witness data (equality paths, propagation node
 paths with the (position, production) steps that derive their role
-strings, fresh labels) for `rederive` to re-verify every side condition
-locally, without re-running any search.  Every proof walk is a loop
-(`walk`), so proof depth is bounded by memory, not by the interpreter's
-recursion limit.
+strings, fresh labels) for `check_proof` to re-derive every node and
+re-verify every side condition locally, without re-running any search.  It
+is the one re-derivation routine, for proofs read from outside; a proof
+from the prover is derived from its goal already.  Every proof walk is a
+loop (`walk`), so proof depth is bounded by memory, not by the
+interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -136,10 +138,6 @@ class Sequent:
 
     def concept_set(self) -> frozenset[tuple[Label, Concept]]:
         return frozenset((occ.label, occ.concept) for occ in self.consequent)
-
-    def has(self, label: Label, concept: Concept) -> bool:
-        return any(occ.label == label and occ.concept == concept
-                   for occ in self.consequent)
 
     def key(self):
         """Order-insensitive comparison key (multiset consequent)."""
@@ -634,37 +632,6 @@ def apply_rule(ontology: Ontology, rule: str, conclusion: Sequent,
     raise RuleError(f"unknown rule {rule!r}")
 
 
-class ProofError(RiqError):
-    """A proof node that does not re-derive, at `path` from the root."""
-
-    def __init__(self, message: str, path: tuple[int, ...]):
-        super().__init__(message)
-        self.path = path
-
-
-def rederive(ontology: Ontology, proof: Proof
-             ) -> Iterator[tuple[tuple[int, ...], Proof, RuleInstance]]:
-    """Re-derive every node of a proof, in pre-order: the rule must apply to
-    the node's conclusion under its witness (side conditions re-verified),
-    and the premises must equal the children's conclusions as multisets.
-    Yields (path, node, re-derived instance with its premise maps); raises
-    ProofError at the first node that fails."""
-    for path, node in walk(proof):
-        inst = node.instance
-        try:
-            rederived = apply_rule(ontology, inst.rule, inst.conclusion, inst.witness)
-        except RiqError as exc:
-            raise ProofError(f"{inst.rule}: {exc}", path) from exc
-        if len(rederived.premises) != len(node.children):
-            raise ProofError(f"{inst.rule}: expected {len(rederived.premises)} "
-                             f"premises, proof has {len(node.children)}", path)
-        for i, (premise, child) in enumerate(zip(rederived.premises, node.children)):
-            # in the same order (as in every prover proof) nothing is hashed
-            if premise != child.conclusion and premise.key() != child.conclusion.key():
-                raise ProofError(f"{inst.rule}: premise {i} mismatch", path)
-        yield path, node, rederived
-
-
 @dataclass(frozen=True)
 class CheckResult:
     ok: bool
@@ -677,12 +644,24 @@ class CheckResult:
 
 
 def check_proof(ontology: Ontology, proof: Proof) -> CheckResult:
-    """Independently validate a proof: every node must re-derive (`rederive`)."""
-    try:
-        for _ in rederive(ontology, proof):
-            pass
-    except ProofError as exc:
-        return CheckResult(False, str(exc), exc.path)
+    """Independently validate a proof by re-deriving every node, in
+    pre-order: the rule must apply to the node's conclusion under its
+    witness (side conditions re-verified), and the premises must equal the
+    children's conclusions as multisets.  The result names the first node
+    that fails."""
+    for path, node in walk(proof):
+        inst = node.instance
+        try:
+            rederived = apply_rule(ontology, inst.rule, inst.conclusion, inst.witness)
+        except RiqError as exc:
+            return CheckResult(False, f"{inst.rule}: {exc}", path)
+        if len(rederived.premises) != len(node.children):
+            return CheckResult(False, f"{inst.rule}: expected {len(rederived.premises)} "
+                               f"premises, proof has {len(node.children)}", path)
+        for i, (premise, child) in enumerate(zip(rederived.premises, node.children)):
+            # in the same order (as in every prover proof) nothing is hashed
+            if premise != child.conclusion and premise.key() != child.conclusion.key():
+                return CheckResult(False, f"{inst.rule}: premise {i} mismatch", path)
     return CheckResult(True)
 
 

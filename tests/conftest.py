@@ -66,16 +66,6 @@ def searches(monkeypatch):
     return started
 
 
-@pytest.fixture
-def rejecting_checker(monkeypatch):
-    """Make the pipelines' proof checker reject every proof."""
-    from riq import interpolation
-    from riq.sequent import CheckResult
-
-    monkeypatch.setattr(interpolation, "check_proof",
-                        lambda *args: CheckResult(False, "rejected"))
-
-
 def C(text: str):
     return parse_concept(text)
 

@@ -202,6 +202,27 @@ class TestCriterion4:
         report(4, f"{proved} proved goals out of {len(fuzz_corpus)} all pass "
                   f"check_proof and the exhaustive oracle in {elapsed:.1f} s")
 
+    def test_proofs_are_derived_from_their_goals(self, fuzz_corpus):
+        """What lets the pipelines skip a second derivation: every node of a
+        returned proof carries the premise maps of its `apply_rule`
+        instance, one per premise and one entry per premise occurrence, and
+        each child's conclusion is that instance's premise, the same
+        object."""
+        nodes = 0
+        for ont, sub, sup, result, _ in fuzz_corpus:
+            if not isinstance(result, Proved):
+                continue
+            assert result.proof.conclusion == goal_sequent(ont, sub, sup)
+            for node in result.proof.nodes():
+                inst = node.instance
+                assert len(inst.premise_maps) == len(inst.premises) == len(node.children)
+                for premise, pmap, child in zip(inst.premises, inst.premise_maps,
+                                                node.children):
+                    assert len(pmap) == len(premise.consequent)
+                    assert child.conclusion is premise
+                nodes += 1
+        assert nodes >= 1000
+
 
 class TestCriterion5:
     def test_refutation_validity(self, fuzz_corpus):

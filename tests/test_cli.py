@@ -392,6 +392,12 @@ class TestInterpolateAndDefine:
                            "--concept", "A", "--theta", "B")
         assert code == 1 and "Not implicitly definable" in out
 
+    def test_define_unknown_prints_the_reason(self, ontdir, capsys):
+        code, out, _ = run(capsys, "define", "-o", str(ontdir / "eq.riq"),
+                           "--concept", "A", "--theta", "B", "--max-steps", "1")
+        assert code == 2
+        assert out == "Unknown: step limit reached\n"
+
     def test_interpolate_inconclusive_verification_exit_two(self, ontdir, capsys):
         (ontdir / "o1.riq").write_text("gci: TOP <= some r . (not B or A)\n")
         (ontdir / "o2.riq").write_text(

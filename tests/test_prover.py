@@ -25,7 +25,7 @@ from riq.sequent import (
     check_proof,
     proof_from_json,
     proof_to_json,
-    rederive,
+    walk,
 )
 from conftest import C, EMPTY_ONT, S, random_goal, random_ontology
 
@@ -406,13 +406,13 @@ class TestAgainstOracle:
         assert find_countermodel_bounded(ont, goal, 3) is None
 
 
-def unused_conjuncts(ontology, proof):
+def unused_conjuncts(proof):
     """Paths of the (and) nodes whose left subproof neither reads its
     conjunct occurrence (as a principal or either side of an (id) axiom)
     nor makes the conjunction principal, following the occurrence's position
-    down the proof tree through the re-derived premise maps: a reference
+    down the proof tree through the instances' premise maps: a reference
     walk, independent of the search's judgement by occurrence identity."""
-    derived = {path: inst for path, _, inst in rederive(ontology, proof)}
+    derived = {path: node.instance for path, node in walk(proof)}
     unused = []
     for path, inst in derived.items():
         if inst.rule != "and":
@@ -463,7 +463,7 @@ class TestBackjumping:
         assert [node.instance.rule for node in result.proof.nodes()] == \
             ["or", "or", "or", "id"]
         assert check_proof(EMPTY_ONT, result.proof).ok
-        assert unused_conjuncts(EMPTY_ONT, result.proof) == []
+        assert unused_conjuncts(result.proof) == []
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -490,5 +490,5 @@ class TestBackjumping:
         copy = proof_from_json(proof_to_json(proof))
         assert copy.conclusion.key() == goal.key()
         assert check_proof(ont, copy).ok
-        assert unused_conjuncts(ont, proof) == []
+        assert unused_conjuncts(proof) == []
         assert find_countermodel_bounded(ont, goal, 2) is None

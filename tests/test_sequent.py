@@ -206,8 +206,8 @@ class TestApplyRule:
                           Witness(label="x", concept=C("only r . A"), fresh=("y",)))
         premise = inst.premises[0]
         assert RoleAtom(r, "x", "y") in premise.antecedent
-        assert premise.has("y", A)
-        assert premise.has("y", C("A and not B"))
+        assert ("y", A) in premise.concept_set()
+        assert ("y", C("A and not B")) in premise.concept_set()
 
     def test_forall_rejects_stale_label(self):
         seq = S("|- x : only r . A")
@@ -222,8 +222,8 @@ class TestApplyRule:
                                   fresh=("y0", "y1")))
         premise = inst.premises[0]
         assert Neq("y0", "y1") in premise.antecedent
-        assert premise.has("y0", NegatedName("A"))
-        assert premise.has("y1", NegatedName("A"))
+        assert ("y0", NegatedName("A")) in premise.concept_set()
+        assert ("y1", NegatedName("A")) in premise.concept_set()
 
     def test_exists_requires_propagation_witness(self):
         seq = S("r(x,y) |- x : some s . A")
@@ -451,7 +451,7 @@ class TestSubstitutionAndWeakening:
     def test_weaken_concept_occurrence(self):
         seq = S("r(x,y) |- x : A")
         grown = weaken(seq, LabeledConcept("y", B))
-        assert grown.has("y", B)
+        assert ("y", B) in grown.concept_set()
 
     def test_weaken_fresh_label_rejected(self):
         with pytest.raises(SequentError):

@@ -484,8 +484,13 @@ def annotate_partition(proof: Proof, end_split: EndSplit) -> PartitionedProof:
         inst = node.instance
         if len(occ_sides) != len(inst.conclusion.consequent):
             raise InterpolationError("side annotation does not match the sequent")
-        principal_side = None if inst.rule in ("id", "id_eq") \
-            else occ_sides[inst.reads[0]]
+        if inst.rule in ("id", "id_eq"):
+            principal_side = None
+        elif inst.reads and len(inst.premise_maps) == len(inst.premises):
+            principal_side = occ_sides[inst.reads[0]]
+        else:  # e.g. a proof read back by `proof_from_json`
+            raise InterpolationError(f"the {inst.rule} instance has no premise_maps/reads: "
+                                     "only a proof that prove returned can be partitioned")
         old_atoms = inst.conclusion.atom_set()
         premise_sides = []
         for premise, pmap in zip(inst.premises, inst.premise_maps):

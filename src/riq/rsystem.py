@@ -10,9 +10,17 @@ Reach(s1); ...; Reach(sk) in Reach(r).  `CflClosure` computes it by
 semi-naive evaluation: a worklist of newly found pairs, each joined once
 against the pairs found before it, so no composition is recomputed
 (Reps, "Program analysis via graph reachability", 1998; Bancilhon and
-Ramakrishnan, SIGMOD 1986).  A closure can extend a base closure over a
-subset of its edges, starting from the base's pairs; closures are never
-changed after construction, so a base can be shared.
+Ramakrishnan, SIGMOD 1986).
+
+Productions come in mirror pairs, r -> s1...sk with r- -> sk-...s1-, and the
+closure is taken over a graph that holds every edge with its inverse, so
+Reach(r-) is the transpose of Reach(r).  The closure therefore derives and
+stores each pair once, for the role that is not inverted, and reads the
+inverse role's pairs and derivations off it by mirroring.  Roles and nodes
+are numbered, a role and its inverse at 2k and 2k+1, so the closure's
+tables are keyed by tuples of ints.  A closure can extend a base closure
+over a subset of its edges, starting from the base's pairs; closures are
+never changed after construction, so a base can be shared.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Optional
+from typing import Hashable, Iterable, NamedTuple, Optional
 
 from .core import Ontology, Role
 
@@ -38,34 +46,76 @@ class Production:
         if len(self.rhs) < 1:
             raise ValueError("production right-hand side must be nonempty")
 
+    def mirror(self) -> "Production":
+        """r -> s1...sk as r- -> sk-...s1-: it derives the inverse of each
+        string of r, reversed."""
+        return Production(self.lhs.inverse(),
+                          tuple(r.inverse() for r in reversed(self.rhs)))
+
     def __str__(self) -> str:
         return f"{self.lhs} -> " + " ".join(str(r) for r in self.rhs)
 
 
+#: A production whose left-hand side is not inverted, with its right-hand
+#: side as role ids.
+_Rule = tuple[Production, tuple[int, ...]]
+
+
+def _numbered(role: Role, n: int) -> dict[Role, int]:
+    """The role's name, not inverted at id n and inverted at n + 1."""
+    plain = role.inverse() if role.inverted else role
+    return {plain: n, plain.inverse(): n + 1}
+
+
+class _Tables(NamedTuple):
+    """What the closure and the proof checker look up in an R-system."""
+    by_lhs: dict[Role, tuple[Production, ...]]
+    #: every role of the productions at 2k and its inverse at 2k+1
+    role_ids: dict[Role, int]
+    roles: tuple[Role, ...]
+    #: for each role id, every (lhs id, the rhs ids before the position,
+    #: reversed, the rhs ids after it, rule) of a rule with that role at that
+    #: position
+    uses: dict[int, tuple[tuple[int, tuple[int, ...], tuple[int, ...], _Rule], ...]]
+
+
 @dataclass(frozen=True)
 class RSystem:
+    """The productions of an RBox.  They come in mirror pairs, as
+    `build_rsystem` makes them: `CflClosure` joins only the half whose
+    left-hand side is not inverted."""
+
     productions: frozenset[Production]
 
     @cached_property
-    def _by_lhs(self) -> dict[Role, tuple[Production, ...]]:
-        table: dict[Role, tuple[Production, ...]] = {}
+    def _tables(self) -> _Tables:
+        # one pass, in `str` order, so ids and orders do not depend on hashing
+        by_lhs: dict[Role, tuple[Production, ...]] = {}
+        role_ids: dict[Role, int] = {}
+        roles: list[Role] = []
+        uses: dict[int, tuple] = {}
         for prod in sorted(self.productions, key=str):
-            table[prod.lhs] = table.get(prod.lhs, ()) + (prod,)
-        return table
-
-    @cached_property
-    def uses(self) -> dict[Role, tuple[tuple[Production, int], ...]]:
-        """For each role, every (production, position) with that role at that
-        position of the right-hand side, productions in `str` order."""
-        table: dict[Role, tuple[tuple[Production, int], ...]] = {}
-        for prod in sorted(self.productions, key=str):
-            for i, ch in enumerate(prod.rhs):
-                table[ch] = table.get(ch, ()) + ((prod, i),)
-        return table
+            by_lhs[prod.lhs] = by_lhs.get(prod.lhs, ()) + (prod,)
+            if prod.lhs.inverted:
+                continue
+            ids = []
+            for role in (prod.lhs, *prod.rhs):
+                rid = role_ids.get(role)
+                if rid is None:
+                    pair = _numbered(role, len(roles))
+                    role_ids.update(pair)
+                    roles += pair
+                    rid = pair[role]
+                ids.append(rid)
+            lhs, rhs = ids[0], tuple(ids[1:])
+            rule = (prod, rhs)
+            for i, rid in enumerate(rhs):
+                uses[rid] = uses.get(rid, ()) + ((lhs, rhs[:i][::-1], rhs[i + 1:], rule),)
+        return _Tables(by_lhs, role_ids, tuple(roles), uses)
 
     def with_lhs(self, role: Role) -> tuple[Production, ...]:
         """The productions rewriting `role`, in `str` order."""
-        return self._by_lhs.get(role, ())
+        return self._tables.by_lhs.get(role, ())
 
 
 #: One derivation step: rewrite the role at this position of the string by
@@ -74,12 +124,12 @@ Step = tuple[int, Production]
 
 
 def build_rsystem(ontology: Ontology) -> RSystem:
-    """Two productions per RIA: the rule itself and its mirrored inverse."""
+    """Two productions per RIA: the rule itself and its mirror."""
     productions = set()
     for ria in ontology.rbox:
-        productions.add(Production(ria.rhs, tuple(ria.lhs)))
-        productions.add(Production(ria.rhs.inverse(),
-                                   tuple(r.inverse() for r in reversed(ria.lhs))))
+        prod = Production(ria.rhs, tuple(ria.lhs))
+        productions.add(prod)
+        productions.add(prod.mirror())
     return RSystem(frozenset(productions))
 
 
@@ -87,30 +137,43 @@ def build_rsystem(ontology: Ontology) -> RSystem:
 # CFL reachability
 # ---------------------------------------------------------------------------
 
-#: Why a pair entered Reach(role): a base edge, or a production application
-#: with the intermediate nodes of the composition.
-_Reason = tuple
+#: A pair as (role id, node id, node id), the role id even: the pair is in
+#: Reach of that role, and its transpose in Reach of the inverse.
+_Key = tuple[int, int, int]
+#: Why a stored pair holds: None for an edge, or a rule with the node ids
+#: of the composition, from the pair's first node to its last.
+_Reason = Optional[tuple[_Rule, tuple[int, ...]]]
 Edge = tuple[Node, Role, Node]
 
 
 class CflClosure:
-    """Least-fixpoint reachability per role over a finite labeled graph.
+    """Least-fixpoint reachability per role over a finite labeled graph: the
+    given `edges` together with their inverses.
 
-    `reach` maps each role to the set of node pairs (u, v) such that some
-    string in the role's derivable language labels a path u -> v.  The
-    closure is computed semi-naively: every pair enters a FIFO worklist when
-    it first appears, and when it leaves the worklist it is joined once, at
-    each right-hand-side position where its role occurs, against the pairs
-    that left before it (held in per-role successor and predecessor
-    indexes).  One derivation reason per pair is recorded, when the pair
-    first appears, so the reason graph is acyclic and `derivation` can read
-    a witness off it: the (position, production) steps that derive a string
-    of the role's language, and the node path that string labels.
+    `reach` maps each role, and each role's inverse, to the set of node
+    pairs (u, v) such that some string in the role's derivable language
+    labels a path u -> v.  Reach(r-) is the transpose of Reach(r), so each
+    pair is stored once, in the orientation of the role that is not
+    inverted, keyed by role and node ids (`_Key`).  The closure is computed
+    semi-naively: every pair enters a FIFO worklist when it first appears.
+    When it leaves, it is indexed in both orientations in per-role successor
+    and predecessor tables, and each orientation is joined once, at each
+    right-hand-side position where its role occurs, against the pairs that
+    left before it, using the productions whose left-hand side is not
+    inverted.  The mirror of each such production derives the transposed
+    pairs, so joining the other half would find nothing new.
+
+    One derivation reason per pair is recorded, when the pair first
+    appears, so the reason graph is acyclic and `derivation` can read a
+    witness off it: the (position, production) steps that derive a string
+    of the role's language, and the node path that string labels.  A pair
+    of an inverted role is read off its stored transpose by mirroring.
 
     With a `base` closure over the same R-system and a subset of `edges`,
     the new closure starts from a copy of the base's pairs, reasons and
-    indexes and joins only the consequences of the new edges.  A closure is
-    never changed after construction, so one base can serve many extensions.
+    indexes, continues its node numbering and joins only the consequences
+    of the new edges.  A closure is never changed after construction, so
+    one base can serve many extensions.
     """
 
     def __init__(self, g: RSystem, edges: Iterable[Edge],
@@ -120,54 +183,85 @@ class CflClosure:
         self.edge_set = frozenset(self.edges)
         new: Iterable[Edge] = self.edges
         if base is None:
+            tables = g._tables
+            self._role_ids, self._roles = tables.role_ids, tables.roles
+            self._node_ids: dict[Node, int] = {}  # in id order
             self.reach: dict[Role, set[Pair]] = {}
-            self.reasons: dict[tuple[Role, Node, Node], _Reason] = {}
-            self._succ: dict[tuple[Role, Node], tuple[Node, ...]] = {}
-            self._pred: dict[tuple[Role, Node], tuple[Node, ...]] = {}
+            self._reasons: dict[_Key, _Reason] = {}
+            self._succ: dict[tuple[int, int], tuple[int, ...]] = {}
+            self._pred: dict[tuple[int, int], tuple[int, ...]] = {}
         else:
             if base.g != g or not base.edge_set <= self.edge_set:
                 raise ValueError("a base closure must be over the same R-system "
                                  "and a subset of the edges")
+            self._role_ids, self._roles = base._role_ids, base._roles
+            self._node_ids = dict(base._node_ids)
             self.reach = {role: set(pairs) for role, pairs in base.reach.items()}
-            self.reasons = dict(base.reasons)
+            self._reasons = dict(base._reasons)
             self._succ = dict(base._succ)
             self._pred = dict(base._pred)
             new = [e for e in self.edges if e not in base.edge_set]
         self._solve(new)
 
+    def _add_role(self, role: Role) -> int:
+        """Number a role outside the R-system with the next pair of ids, in
+        a copy of the table, so the R-system's and the base's tables stay as
+        they were."""
+        pair = _numbered(role, len(self._roles))
+        self._role_ids = {**self._role_ids, **pair}
+        self._roles += tuple(pair)
+        return pair[role]
+
     def _solve(self, edges: Iterable[Edge]) -> None:
-        reasons, reach, succ, pred = self.reasons, self.reach, self._succ, self._pred
-        queue: deque[tuple[Role, Node, Node]] = deque()
-
-        def add(role: Role, u: Node, v: Node, reason: _Reason) -> None:
-            key = (role, u, v)
-            if key not in reasons:
-                reasons[key] = reason
-                reach.setdefault(role, set()).add((u, v))
-                queue.append(key)
-
+        reasons, succ, pred = self._reasons, self._succ, self._pred
+        queue: deque[_Key] = deque()
+        ids = self._node_ids
         for u, role, v in edges:
-            add(role, u, v, ("edge",))
-        uses = self.g.uses
+            rid = self._role_ids.get(role)
+            if rid is None:
+                rid = self._add_role(role)
+            x = ids.setdefault(u, len(ids))
+            y = ids.setdefault(v, len(ids))
+            key = (rid ^ 1, y, x) if rid & 1 else (rid, x, y)
+            if key not in reasons:
+                reasons[key] = None
+                queue.append(key)
+        self._nodes = nodes = list(ids)
+
+        uses = self.g._tables.uses
+        roles, reach = self._roles, self.reach
+        sets: dict[int, set[Pair]] = {}  # reach's set of each role id met
         while queue:
-            role, u, v = queue.popleft()
-            succ[(role, u)] = succ.get((role, u), ()) + (v,)
-            pred[(role, v)] = pred.get((role, v), ()) + (u,)
-            for prod, i in uses.get(role, ()):
-                # node sequences through the earlier positions ending at u,
-                # and through the later positions starting at v
-                lefts: list[tuple[Node, ...]] = [(u,)]
-                for ch in reversed(prod.rhs[:i]):
-                    lefts = [(a,) + mids for mids in lefts
-                             for a in pred.get((ch, mids[0]), ())]
-                rights: list[tuple[Node, ...]] = [(v,)]
-                for ch in prod.rhs[i + 1:]:
-                    rights = [mids + (b,) for mids in rights
-                              for b in succ.get((ch, mids[-1]), ())]
-                for left in lefts:
-                    for right in rights:
-                        mids = left + right
-                        add(prod.lhs, mids[0], mids[-1], ("prod", prod, mids))
+            a, x, y = queue.popleft()
+            b = a ^ 1
+            succ[(a, x)] = succ.get((a, x), ()) + (y,)
+            pred[(a, y)] = pred.get((a, y), ()) + (x,)
+            succ[(b, y)] = succ.get((b, y), ()) + (x,)
+            pred[(b, x)] = pred.get((b, x), ()) + (y,)
+            if a not in sets:
+                sets[a] = reach.setdefault(roles[a], set())
+                sets[b] = reach.setdefault(roles[b], set())
+            sets[a].add((nodes[x], nodes[y]))
+            sets[b].add((nodes[y], nodes[x]))
+            # both orientations: (x, y) in Reach(a) and (y, x) in Reach(b)
+            for rid, p, q in ((a, x, y), (b, y, x)):
+                for lhs, before, after, rule in uses.get(rid, ()):
+                    # node sequences through the earlier positions ending at
+                    # p, and through the later positions starting at q
+                    lefts: list[tuple[int, ...]] = [(p,)]
+                    for ch in before:
+                        lefts = [(w,) + mids for mids in lefts
+                                 for w in pred.get((ch, mids[0]), ())]
+                    rights: list[tuple[int, ...]] = [(q,)]
+                    for ch in after:
+                        rights = [mids + (w,) for mids in rights
+                                  for w in succ.get((ch, mids[-1]), ())]
+                    for left in lefts:
+                        for right in rights:
+                            key = (lhs, left[0], right[-1])
+                            if key not in reasons:
+                                reasons[key] = (rule, left + right)
+                                queue.append(key)
 
     def derivation(self, role: Role, u: Node, v: Node
                    ) -> tuple[tuple[Step, ...], tuple[Node, ...]]:
@@ -175,22 +269,34 @@ class CflClosure:
         path u -> v, as (position, production) steps, and that node path.
 
         Each step rewrites the leftmost role of the current string that is
-        not yet a base edge by the production recorded for its pair.  The
-        reasons are expanded depth first, left to right, so every role left
-        of the one rewritten is already a base edge, and the step's position
-        is the number of base edges met so far."""
-        if (role, u, v) not in self.reasons:
+        not yet an edge by the production recorded for its pair, or, for a
+        pair of an inverted role, by the mirror of the production recorded
+        for its transpose.  The reasons are expanded depth first, left to
+        right, so every role left of the one rewritten is already an edge,
+        and the step's position is the number of edges met so far."""
+        rid, x, y = (self._role_ids.get(role), self._node_ids.get(u),
+                     self._node_ids.get(v))
+        if rid is None or x is None or y is None or \
+                ((rid ^ 1, y, x) if rid & 1 else (rid, x, y)) not in self._reasons:
             raise KeyError(f"({u!r}, {v!r}) not reachable under {role}")
         steps: list[Step] = []
-        path: list[Node] = [u]
-        stack = [(role, u, v)]
+        path = [x]
+        stack = [(rid, x, y)]
         while stack:
-            key = stack.pop()
-            reason = self.reasons[key]
-            if reason[0] == "edge":
-                path.append(key[2])
+            rid, x, y = stack.pop()
+            mirrored = rid & 1
+            reason = self._reasons[(rid ^ 1, y, x) if mirrored else (rid, x, y)]
+            if reason is None:
+                path.append(y)
+                continue
+            (prod, rhs), mids = reason
+            pos = len(path) - 1
+            if mirrored:
+                # the transpose's composition read backwards: the children
+                # are pushed left to right, so the last one is expanded first
+                steps.append((pos, prod.mirror()))
+                stack.extend((ch ^ 1, q, p) for ch, p, q in zip(rhs, mids, mids[1:]))
             else:
-                _, prod, mids = reason
-                steps.append((len(path) - 1, prod))
-                stack.extend(reversed(list(zip(prod.rhs, mids, mids[1:]))))
-        return tuple(steps), tuple(path)
+                steps.append((pos, prod))
+                stack.extend(reversed(list(zip(rhs, mids, mids[1:]))))
+        return tuple(steps), tuple(self._nodes[n] for n in path)

@@ -453,6 +453,25 @@ class TestInfo:
         assert "t- -> s- r-" in out
         assert "({x} -> {z})" in out
 
+    def test_reach_table_of_an_inverse_role_sequent(self, ontdir, capsys):
+        # every role is listed with its inverse, whose pairs are the transpose
+        (ontdir / "inv.riq").write_text("ria: s- o r <= t\n")
+        code, out, _ = run(capsys, "info", "-o", str(ontdir / "inv.riq"),
+                           "--sequent", "s-(x,y), r(y,z) |- x : some t . A")
+        assert code == 0
+        assert out.split("productions:\n")[1] == (
+            "  t -> s- r\n"
+            "  t- -> r- s\n"
+            "sequent: s-(x,y), r(y,z) |- x : some t . A\n"
+            "propagation nodes: {x}; {y}; {z}\n"
+            "reach table:\n"
+            "  r: ({y} -> {z})\n"
+            "  r-: ({z} -> {y})\n"
+            "  s: ({y} -> {x})\n"
+            "  s-: ({x} -> {y})\n"
+            "  t: ({x} -> {z})\n"
+            "  t-: ({z} -> {x})\n")
+
     def test_truncated_sequent_is_a_parse_error(self, ontdir, capsys):
         code, _, err = run(capsys, "info", "-o", str(ontdir / "empty.riq"),
                            "--sequent", "r ( x ,")

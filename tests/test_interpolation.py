@@ -59,6 +59,8 @@ from riq.sequent import (
     Neq,
     check_proof,
     make_sequent,
+    proof_from_json,
+    proof_to_json,
     walk,
 )
 from conftest import C, EMPTY_ONT, O, random_concept
@@ -504,6 +506,15 @@ class TestAnnotateAndExtract:
                        if occ.label == fresh]
         # the universal principal came from the left (negated subsumee)
         assert fresh_sides and all(s is Side.LEFT for s in fresh_sides)
+
+    def test_a_proof_read_back_from_json_is_refused(self):
+        # the JSON form keeps no premise maps or read positions
+        proof, split = self._pipeline_parts(EMPTY_ONT, EMPTY_ONT,
+                                            C("A and B"), C("A or E"))
+        read_back = proof_from_json(proof_to_json(proof))
+        assert check_proof(union_ontology(EMPTY_ONT, EMPTY_ONT), read_back).ok
+        with pytest.raises(InterpolationError, match="no premise_maps/reads"):
+            annotate_partition(read_back, split)
 
 
 def split_parts(o1, o2, sub, sup, limits=LIMITS):

@@ -175,6 +175,60 @@ class TestCflClosure:
             CflClosure(build_rsystem(ont()), [("u", r, "v")], base=base)
 
 
+class TestMirrorOnce:
+    """Each pair is stored once, for the role that is not inverted: the
+    inverse role's pairs and derivations are read off it by mirroring."""
+
+    def test_inverse_pairs_are_the_transpose_and_have_witnesses(self, rng):
+        saturated = 0
+        for _ in range(120):
+            rsys, edges = _random_instance(rng, _INVERSE_POOL)
+            edge_set = set(edges)
+            fresh = CflClosure(rsys, edges)
+            for closure in (fresh, _extended(rsys, edges)):
+                assert closure.reach == fresh.reach
+                for role, pairs in closure.reach.items():
+                    assert closure.reach[role.inverse()] == {(b, a) for a, b in pairs}
+                    if not role.inverted:
+                        continue
+                    for a, b in pairs:
+                        steps, path = closure.derivation(role, a, b)
+                        strings = expand_steps(rsys, role, steps)
+                        assert strings is not None
+                        assert path[0] == a and path[-1] == b
+                        assert len(path) == len(strings[-1]) + 1
+                        for p, ch, q in zip(path, strings[-1], path[1:]):
+                            assert (p, ch, q) in edge_set
+            roles = {p.lhs for p in rsys.productions} | {ch for _, ch, _ in edges}
+            for role in roles:
+                small = brute_reach(rsys, edges, role, 6, 4)
+                if small == brute_reach(rsys, edges, role, 7, 5):
+                    assert fresh.reach.get(role, set()) == small
+                    saturated += 1
+        assert saturated >= 300
+
+    def test_an_edge_list_is_closed_under_inverse(self, rng):
+        for _ in range(80):
+            rsys, edges = _random_instance(rng, _INVERSE_POOL)
+            # `_random_edges` lists every edge right before its inverse
+            one_way = edges[::2]
+            want = CflClosure(rsys, edges).reach
+            assert CflClosure(rsys, one_way).reach == want
+            assert _extended(rsys, one_way).reach == want
+
+    def test_a_role_outside_the_rsystem(self):
+        g = build_rsystem(ont(RIA((r, s), t)))
+        base = CflClosure(g, [("x", u, "y")])
+        closure = CflClosure(g, [("x", u, "y"), ("y", v.inverse(), "z")], base)
+        assert closure.reach[v] == {("z", "y")}
+        assert closure.reach[u.inverse()] == {("y", "x")}
+        assert closure.derivation(v.inverse(), "y", "z") == ((), ("y", "z"))
+        # the base keeps its own role table
+        assert v not in base.reach
+        with pytest.raises(KeyError):
+            base.derivation(v, "z", "y")
+
+
 def _extended(rsys, edges):
     """The closure over `edges`, extended from one over their first half."""
     base = CflClosure(rsys, edges[: len(edges) // 2])
@@ -194,14 +248,22 @@ def _random_edges(rng, max_nodes, roles):
     return edges
 
 
-def _random_instance(rng):
-    pool = [
-        RIA((r, s), t),
-        RIA((r,), s),
-        RIA((t, t), t),
-        RIA((Role("r", True),), u),
-        RIA((s, r), v),
-    ]
+_POOL = (
+    RIA((r, s), t),
+    RIA((r,), s),
+    RIA((t, t), t),
+    RIA((r.inverse(),), u),
+    RIA((s, r), v),
+)
+#: the pool with inverse roles on both sides of the RIAs
+_INVERSE_POOL = _POOL + (
+    RIA((s.inverse(), r), t),
+    RIA((t,), u.inverse()),
+    RIA((u, r.inverse()), s.inverse()),
+)
+
+
+def _random_instance(rng, pool=_POOL):
     rias = rng.sample(pool, rng.randint(0, 4))
     rsys = build_rsystem(make_ontology(rias, ()))
     edges = _random_edges(rng, 6, (r, s, t, u, v))

@@ -7,7 +7,6 @@ All values are immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -481,23 +480,6 @@ def find_regular_order(rbox: Iterable[RIA]) -> RegularityReport:
             elif nxt not in done:
                 path[nxt] = iter(succs.get(nxt, ()))
     return RegularityReport(True, order=constraints)
-
-
-def ria_matches_clause(ria: RIA, order: frozenset[tuple[str, str]]) -> bool:
-    """Re-check that ria matches some clause under the given order (the
-    transitive closure of the harvested constraints)."""
-    closed = set(order)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b), (c, d) in itertools.product(tuple(closed), tuple(closed)):
-            if b == c and (a, d) not in closed:
-                closed.add((a, d))
-                changed = True
-    for option in _regular_clause_options(ria):
-        if all(pair in closed for pair in option):
-            return True
-    return False
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,8 @@ empty antecedent also keeps its one label.  A premise of (forall), (atmost)
 or an (atleast) equality builds its graph and extends the carried closure by
 its fresh leaf edges, or rebuilds it after an equality merge.  Neither part
 is changed after construction, so sibling branches share them but no
-mutable state.  `apply_rule` builds its own graph, trusting none of this.
+mutable state.  `apply_rule` checks each propagation witness against the
+conclusion's own atoms, trusting none of this.
 The branch is not stored: its last sequent holds all of its atoms, and the
 carried `delta_star` all of its consequent occurrences.
 """
@@ -191,13 +192,21 @@ class _Search:
     # stage scans: each returns the first enabled application, or None
     # ------------------------------------------------------------------
 
-    def _closure_instance(self, seq: Sequent, eqc: EqClasses,
-                          present: frozenset) -> Optional[RuleInstance]:
+    def _closure_instance(self, seq: Sequent, eqc: EqClasses) -> Optional[RuleInstance]:
+        # (id) closes on the first name whose negation shares its label
+        names, negated = set(), set()
         for occ in seq.consequent:
-            if isinstance(occ.concept, ConceptName):
-                if (occ.label, NegatedName(occ.concept.name)) in present:
-                    return apply_rule(self.ontology, "id", seq,
-                                      Witness(label=occ.label, concept=occ.concept))
+            c = occ.concept
+            if isinstance(c, ConceptName):
+                names.add((occ.label, c.name))
+            elif isinstance(c, NegatedName):
+                negated.add((occ.label, c.name))
+        if not names.isdisjoint(negated):
+            clashes = names & negated
+            occ = next(occ for occ in seq.consequent if isinstance(occ.concept, ConceptName)
+                       and (occ.label, occ.concept.name) in clashes)
+            return apply_rule(self.ontology, "id", seq,
+                              Witness(label=occ.label, concept=occ.concept))
         for atom in seq.antecedent:
             if isinstance(atom, Neq) and eqc.connected(atom.left, atom.right):
                 path = eqc.path(atom.left, atom.right)
@@ -458,7 +467,7 @@ class _Search:
             else:  # the goal, or a rule changed the antecedent
                 graph, closure = build_prop_graph(seq), None
 
-            closing = self._closure_instance(seq, graph.eq, present)
+            closing = self._closure_instance(seq, graph.eq)
             if closing is not None:
                 instances.append(closing)
                 continue

@@ -150,14 +150,14 @@ class CflClosure:
     """Least-fixpoint reachability per role over a finite labeled graph: the
     given `edges` together with their inverses.
 
-    `reach` maps each role, and each role's inverse, to the set of node
-    pairs (u, v) such that some string in the role's derivable language
-    labels a path u -> v.  Reach(r-) is the transpose of Reach(r), so each
-    pair is stored once, in the orientation of the role that is not
-    inverted, keyed by role and node ids (`_Key`).  The closure is computed
-    semi-naively: every pair enters a FIFO worklist when it first appears.
-    When it leaves, it is indexed in both orientations in per-role successor
-    and predecessor tables, and each orientation is joined once, at each
+    Reach of a role is the set of node pairs (u, v) such that some string
+    in the role's derivable language labels a path u -> v; `successors`
+    reads it off per node, and `reach` derives the whole table.  Reach(r-)
+    is the transpose of Reach(r), so each pair is stored once, in the
+    orientation of the role that is not inverted, keyed by role and node
+    ids (`_Key`).  The closure is computed semi-naively: every pair enters
+    a FIFO worklist when it first appears.  When it leaves, it is indexed
+    in both orientations in per-role successor and predecessor tables, and each orientation is joined once, at each
     right-hand-side position where its role occurs, against the pairs that
     left before it, using the productions whose left-hand side is not
     inverted.  The mirror of each such production derives the transposed
@@ -170,10 +170,10 @@ class CflClosure:
     of an inverted role is read off its stored transpose by mirroring.
 
     With a `base` closure over the same R-system and a subset of `edges`,
-    the new closure starts from a copy of the base's pairs, reasons and
-    indexes, continues its node numbering and joins only the consequences
-    of the new edges.  A closure is never changed after construction, so
-    one base can serve many extensions.
+    the new closure starts from a copy of the base's reasons and indexes,
+    continues its node numbering and joins only the consequences of the
+    new edges.  A closure is never changed after construction, so one base
+    can serve many extensions.
     """
 
     def __init__(self, g: RSystem, edges: Iterable[Edge],
@@ -186,7 +186,6 @@ class CflClosure:
             tables = g._tables
             self._role_ids, self._roles = tables.role_ids, tables.roles
             self._node_ids: dict[Node, int] = {}  # in id order
-            self.reach: dict[Role, set[Pair]] = {}
             self._reasons: dict[_Key, _Reason] = {}
             self._succ: dict[tuple[int, int], tuple[int, ...]] = {}
             self._pred: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -196,7 +195,6 @@ class CflClosure:
                                  "and a subset of the edges")
             self._role_ids, self._roles = base._role_ids, base._roles
             self._node_ids = dict(base._node_ids)
-            self.reach = {role: set(pairs) for role, pairs in base.reach.items()}
             self._reasons = dict(base._reasons)
             self._succ = dict(base._succ)
             self._pred = dict(base._pred)
@@ -226,11 +224,9 @@ class CflClosure:
             if key not in reasons:
                 reasons[key] = None
                 queue.append(key)
-        self._nodes = nodes = list(ids)
+        self._nodes = list(ids)
 
         uses = self.g._tables.uses
-        roles, reach = self._roles, self.reach
-        sets: dict[int, set[Pair]] = {}  # reach's set of each role id met
         while queue:
             a, x, y = queue.popleft()
             b = a ^ 1
@@ -238,11 +234,6 @@ class CflClosure:
             pred[(a, y)] = pred.get((a, y), ()) + (x,)
             succ[(b, y)] = succ.get((b, y), ()) + (x,)
             pred[(b, x)] = pred.get((b, x), ()) + (y,)
-            if a not in sets:
-                sets[a] = reach.setdefault(roles[a], set())
-                sets[b] = reach.setdefault(roles[b], set())
-            sets[a].add((nodes[x], nodes[y]))
-            sets[b].add((nodes[y], nodes[x]))
             # both orientations: (x, y) in Reach(a) and (y, x) in Reach(b)
             for rid, p, q in ((a, x, y), (b, y, x)):
                 for lhs, before, after, rule in uses.get(rid, ()):
@@ -262,6 +253,26 @@ class CflClosure:
                             if key not in reasons:
                                 reasons[key] = (rule, left + right)
                                 queue.append(key)
+
+    def successors(self, role: Role, u: Node) -> tuple[Node, ...]:
+        """Every v with (u, v) in Reach(role), in the order the closure
+        found them."""
+        rid, x = self._role_ids.get(role), self._node_ids.get(u)
+        if rid is None or x is None:
+            return ()
+        nodes = self._nodes
+        return tuple(nodes[y] for y in self._succ.get((rid, x), ()))
+
+    @property
+    def reach(self) -> dict[Role, set[Pair]]:
+        """Reach of each role, and of its inverse, that holds a pair, as a
+        new table on each call: the search reads `successors`."""
+        reach: dict[Role, set[Pair]] = {}
+        roles, nodes = self._roles, self._nodes
+        for a, x, y in self._reasons:
+            reach.setdefault(roles[a], set()).add((nodes[x], nodes[y]))
+            reach.setdefault(roles[a ^ 1], set()).add((nodes[y], nodes[x]))
+        return reach
 
     def derivation(self, role: Role, u: Node, v: Node
                    ) -> tuple[tuple[Step, ...], tuple[Node, ...]]:

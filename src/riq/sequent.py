@@ -22,9 +22,10 @@ interpreter's recursion limit.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from collections import Counter, deque
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Union
 
@@ -111,13 +112,29 @@ def _atom_labels(atom: Atom) -> tuple[Label, ...]:
 @dataclass(frozen=True)
 class Sequent:
     """A well-formed sequent: the well-formedness conditions are checked once,
-    when it is made, so no sequent exists that breaks them."""
+    when it is made, so no sequent exists that breaks them.
+
+    A sequent made from a `parent`, as `apply_rule` makes each premise from
+    its conclusion, is checked only where it extends the parent
+    (`_extends`); when that check does not settle it, the full check
+    (`_validate`) decides, as it does for a sequent made any other way.
+    The parent is not kept and takes no part in equality or hashing."""
 
     antecedent: tuple[Atom, ...]
     consequent: tuple[LabeledConcept, ...]
+    parent: InitVar[Optional[Sequent]] = None
 
-    def __post_init__(self) -> None:
-        _validate(self)
+    def __post_init__(self, parent: Optional[Sequent]) -> None:
+        # whether every label is a node of one role tree, which `_extends`
+        # needs of a parent
+        rooted = parent is not None and _extends(self, parent)
+        cache = self.__dict__
+        cache["_rooted"] = rooted or _validate(self)
+        if rooted and self.antecedent is parent.antecedent:
+            # the labels and atoms of a rooted antecedent are the sequent's
+            for name in ("_labels", "_atom_set"):
+                if name in parent.__dict__:
+                    cache[name] = parent.__dict__[name]
 
     def labels(self) -> tuple[Label, ...]:
         """All labels, ordered by first occurrence (antecedent first)."""
@@ -134,6 +151,10 @@ class Sequent:
         return tuple(seen)
 
     def atom_set(self) -> frozenset[Atom]:
+        return self._atom_set
+
+    @cached_property
+    def _atom_set(self) -> frozenset[Atom]:
         return frozenset(self.antecedent)
 
     def concept_set(self) -> frozenset[tuple[Label, Concept]]:
@@ -144,16 +165,45 @@ class Sequent:
         return self.atom_set(), frozenset(Counter(self.consequent).items())
 
 
-def make_sequent(atoms: Iterable[Atom], concepts: Iterable[LabeledConcept]) -> Sequent:
+def make_sequent(atoms: Iterable[Atom], concepts: Iterable[LabeledConcept],
+                 parent: Optional[Sequent] = None) -> Sequent:
     """Deduplicate atoms (set semantics, insertion order kept), keep the
-    consequent as a multiset; `Sequent` validates the result."""
-    seen: dict[Atom, None] = {}
-    for atom in atoms:
-        seen.setdefault(atom)
-    return Sequent(tuple(seen), tuple(concepts))
+    consequent as a multiset; `Sequent` validates the result, against
+    `parent` when one is given.  The parent's own antecedent is kept as it
+    is."""
+    if parent is None or atoms is not parent.antecedent:
+        atoms = tuple(dict.fromkeys(atoms))
+    return Sequent(atoms, tuple(concepts), parent)
 
 
-def _validate(seq: Sequent) -> None:
+def _extends(seq: Sequent, parent: Sequent) -> bool:
+    """Whether `seq` is well-formed because `parent` is, and every label of
+    each is a node of its role tree: the antecedent of `seq` extends the
+    parent's, each added role atom hangs a fresh label beneath a known one,
+    each added equality or inequality names known labels (those of the
+    parent and the fresh ones), and so does the consequent.  False when any
+    of this fails; the sequent may still be well-formed."""
+    old, new = parent.antecedent, seq.antecedent
+    if not parent._rooted or (new is not old and new[:len(old)] != old):
+        return False
+    known = set(parent.labels())
+    added = new[len(old):]
+    for atom in added:
+        if isinstance(atom, RoleAtom):
+            if atom.src not in known or atom.dst in known:
+                return False
+            known.add(atom.dst)
+    # (atmost) puts the inequalities between its fresh labels first
+    for atom in added:
+        if not isinstance(atom, RoleAtom) and not (atom.left in known
+                                                   and atom.right in known):
+            return False
+    return all(occ.label in known for occ in seq.consequent)
+
+
+def _validate(seq: Sequent) -> bool:
+    """Raise SequentError unless `seq` is well-formed; then return whether
+    every label is a node of one role tree."""
     parent: dict[Label, Label] = {}
     children: dict[Label, list[Label]] = {}
     for atom in seq.antecedent:
@@ -184,6 +234,7 @@ def _validate(seq: Sequent) -> None:
     else:
         if len(consequent_labels) != 1:
             raise SequentError("a sequent with empty antecedent needs exactly one label")
+    return bool(parent) and len(antecedent_labels) == len(parent) + 1
 
 
 def sequent_weight(seq: Sequent) -> int:
@@ -310,18 +361,13 @@ class PropagationGraph:
     def rep(self, node: frozenset[Label]) -> Label:
         return self.eq.rep(next(iter(node)))
 
-    def has_edge(self, src: frozenset[Label], role: Role, dst: frozenset[Label]) -> bool:
-        return (src, role, dst) in self.edges
-
     def reachable(self, closure: CflClosure, role: Role, x: Label
                   ) -> tuple[tuple[Label, frozenset[Label]], ...]:
         """Every class reachable from x's class under the language of
         `role`, in node order, as (representative, class); `closure` must be
         built over `edge_list`."""
-        start = self.eq.class_of(x)
-        pairs = closure.reach.get(role, ())
-        return tuple((self.rep(cls), cls) for cls in self.nodes
-                     if (start, cls) in pairs)
+        found = set(closure.successors(role, self.eq.class_of(x)))
+        return tuple((self.rep(cls), cls) for cls in self.nodes if cls in found)
 
     def witness(self, closure: CflClosure, role: Role, x: Label,
                 cls: frozenset[Label]) -> PropWitness:
@@ -438,14 +484,25 @@ def _check_eq_path(seq: Sequent, x: Label, y: Label, path: tuple[Label, ...]) ->
             raise RuleError(f"no equality atom between {a} and {b}")
 
 
-def _check_propagation(graph: PropagationGraph, g: RSystem, role: Role,
-                       x: Label, y: Label, path: tuple[Label, ...],
+def _equalities(seq: Sequent) -> Optional[EqClasses]:
+    """The classes of the sequent's equality atoms, or None when it has
+    none and every class is a single label."""
+    if any(isinstance(atom, Eq) for atom in seq.antecedent):
+        return eq_classes(seq.antecedent, seq.labels())
+    return None
+
+
+def _check_propagation(seq: Sequent, eq: Optional[EqClasses], g: RSystem,
+                       role: Role, x: Label, y: Label, path: tuple[Label, ...],
                        derivation: tuple[Step, ...]) -> None:
-    """Re-verify a propagation witness.  The derivation's steps are applied
-    to (role,) in order: each rewrites the role at its position, which must
-    be in the string and be the production's left-hand side, by a
-    production of the R-system.  The derived string must then label the
-    path, which runs from x's class to y's class in the propagation graph."""
+    """Re-verify a propagation witness against the sequent's own atoms.
+    The derivation's steps are applied to (role,) in order: each rewrites
+    the role at its position, which must be in the string and be the
+    production's left-hand side, by a production of the R-system.  The
+    derived string must then label the path, which runs from x's class to
+    y's class: each step a -ch-> b is a role atom ch(a', b') or ch-(b', a')
+    of the sequent, with a' in a's class and b' in b's.  `eq` is
+    `_equalities(seq)`."""
     string = [role]
     for i, (pos, prod) in enumerate(derivation):
         if not 0 <= pos < len(string):
@@ -457,12 +514,20 @@ def _check_propagation(graph: PropagationGraph, g: RSystem, role: Role,
         string[pos:pos + 1] = prod.rhs
     if len(path) != len(string) + 1:
         raise RuleError("propagation path length does not match the derived string")
-    if not graph.eq.connected(path[0], x):
+    same = operator.eq if eq is None else eq.connected
+    if not same(path[0], x):
         raise RuleError("propagation path does not start at the principal label")
-    if not graph.eq.connected(path[-1], y):
+    if not same(path[-1], y):
         raise RuleError("propagation path does not end at the target label")
+    atoms = seq.atom_set()
     for a, ch, b in zip(path, string, path[1:]):
-        if not graph.has_edge(graph.eq.class_of(a), ch, graph.eq.class_of(b)):
+        if eq is None:
+            found = RoleAtom(ch, a, b) in atoms or RoleAtom(ch.inverse(), b, a) in atoms
+        else:
+            inv = ch.inverse()
+            found = any(RoleAtom(ch, a2, b2) in atoms or RoleAtom(inv, b2, a2) in atoms
+                        for a2 in eq.class_of(a) for b2 in eq.class_of(b))
+        if not found:
             raise RuleError(f"missing propagation edge {a} -{ch}-> {b}")
 
 
@@ -512,7 +577,7 @@ def apply_rule(ontology: Ontology, rule: str, conclusion: Sequent,
         _check_eq_path(conclusion, x, y, witness.eq_path)
         premise = make_sequent(
             conclusion.antecedent,
-            cons[: idx + 1] + (LabeledConcept(y, lit),) + cons[idx + 1:])
+            cons[: idx + 1] + (LabeledConcept(y, lit),) + cons[idx + 1:], conclusion)
         pmap = tuple([("ctx", j) for j in range(idx + 1)] + [("active",)]
                      + [("ctx", j) for j in range(idx + 1, len(cons))])
         return RuleInstance(rule, conclusion, (premise,), witness, (pmap,), (idx,))
@@ -525,7 +590,7 @@ def apply_rule(ontology: Ontology, rule: str, conclusion: Sequent,
         premise = make_sequent(
             conclusion.antecedent,
             cons[:idx] + (LabeledConcept(x, c.left), LabeledConcept(x, c.right))
-            + cons[idx + 1:])
+            + cons[idx + 1:], conclusion)
         pmap = tuple([("ctx", j) for j in range(idx)] + [("active",), ("active",)]
                      + [("ctx", j) for j in range(idx + 1, len(cons))])
         return RuleInstance(rule, conclusion, (premise,), witness, (pmap,), (idx,))
@@ -537,7 +602,8 @@ def apply_rule(ontology: Ontology, rule: str, conclusion: Sequent,
         idx = _principal_index(conclusion, x, c)
         premises = tuple(
             make_sequent(conclusion.antecedent,
-                         cons[:idx] + (LabeledConcept(x, part),) + cons[idx + 1:])
+                         cons[:idx] + (LabeledConcept(x, part),) + cons[idx + 1:],
+                         conclusion)
             for part in (c.left, c.right))
         pmap = tuple([("ctx", j) for j in range(idx)] + [("active",)]
                      + [("ctx", j) for j in range(idx + 1, len(cons))])
@@ -550,11 +616,11 @@ def apply_rule(ontology: Ontology, rule: str, conclusion: Sequent,
         idx = _principal_index(conclusion, x, c)
         if len(witness.paths) != 1 or len(witness.derivations) != 1:
             raise RuleError("(exists) needs exactly one propagation witness")
-        _check_propagation(build_prop_graph(conclusion), rsystem, c.role, x, y,
-                           witness.paths[0], witness.derivations[0])
+        _check_propagation(conclusion, _equalities(conclusion), rsystem, c.role,
+                           x, y, witness.paths[0], witness.derivations[0])
         premise = make_sequent(
             conclusion.antecedent,
-            cons[: idx + 1] + (LabeledConcept(y, c.body),) + cons[idx + 1:])
+            cons[: idx + 1] + (LabeledConcept(y, c.body),) + cons[idx + 1:], conclusion)
         pmap = tuple([("ctx", j) for j in range(idx + 1)] + [("active",)]
                      + [("ctx", j) for j in range(idx + 1, len(cons))])
         return RuleInstance(rule, conclusion, (premise,), witness, (pmap,), (idx,))
@@ -573,7 +639,7 @@ def apply_rule(ontology: Ontology, rule: str, conclusion: Sequent,
             conclusion.antecedent + (RoleAtom(c.role, x, y),),
             (LabeledConcept(y, c.body),)
             + tuple(LabeledConcept(lab, g) for lab, g in gcis)
-            + cons[:idx] + cons[idx + 1:])
+            + cons[:idx] + cons[idx + 1:], conclusion)
         pmap = tuple([("active",)] + [("gci", k) for k in range(len(gcis))]
                      + _ctx(len(cons), idx))
         return RuleInstance(rule, conclusion, (premise,), witness, (pmap,), (idx,))
@@ -599,7 +665,8 @@ def apply_rule(ontology: Ontology, rule: str, conclusion: Sequent,
             for k, (lab, g) in enumerate(ontology.gci_list(y)):
                 new_cons.append(LabeledConcept(lab, g))
                 pmap.append(("gci", k))
-        premise = make_sequent(atoms, tuple(new_cons) + cons[:idx] + cons[idx + 1:])
+        premise = make_sequent(atoms, tuple(new_cons) + cons[:idx] + cons[idx + 1:],
+                               conclusion)
         pmap += _ctx(len(cons), idx)
         return RuleInstance(rule, conclusion, (premise,), witness, (tuple(pmap),), (idx,))
 
@@ -613,19 +680,19 @@ def apply_rule(ontology: Ontology, rule: str, conclusion: Sequent,
             raise RuleError(f"(atleast {c.n}) needs {c.n} target labels")
         if not len(witness.paths) == len(witness.derivations) == c.n:
             raise RuleError("(atleast) needs one propagation witness per target")
-        graph = build_prop_graph(conclusion)
+        eq = _equalities(conclusion)
         for y, path, derivation in zip(ys, witness.paths, witness.derivations):
-            _check_propagation(graph, rsystem, c.role, x, y, path, derivation)
+            _check_propagation(conclusion, eq, rsystem, c.role, x, y, path, derivation)
         premises = []
         pmaps = []
         for y in ys:
             premises.append(make_sequent(
-                conclusion.antecedent, (LabeledConcept(y, c.body),) + cons))
+                conclusion.antecedent, (LabeledConcept(y, c.body),) + cons, conclusion))
             pmaps.append(tuple([("active",)] + [("ctx", j) for j in range(len(cons))]))
         for i in range(len(ys)):
             for j in range(i + 1, len(ys)):
                 premises.append(make_sequent(
-                    conclusion.antecedent + (Eq(ys[i], ys[j]),), cons))
+                    conclusion.antecedent + (Eq(ys[i], ys[j]),), cons, conclusion))
                 pmaps.append(tuple(("ctx", j2) for j2 in range(len(cons))))
         return RuleInstance(rule, conclusion, tuple(premises), witness, tuple(pmaps), (idx,))
 

@@ -24,6 +24,7 @@ from riq.core import (
     RIA,
     Role,
     TOP,
+    _regular_clause_options,
     is_simple,
     make_ontology,
 )
@@ -36,6 +37,7 @@ from riq.sequent import (
     LabeledConcept,
     Neq,
     RoleAtom,
+    RuleError,
     Sequent,
     SequentError,
     _atom_labels,
@@ -235,6 +237,23 @@ def cfl_closure(g, edges) -> dict:
     return {role: frozenset(pairs) for role, pairs in closure.reach.items()}
 
 
+def ria_matches_clause(ria: RIA, order: frozenset[tuple[str, str]]) -> bool:
+    """Re-check that ria matches some clause under the given order (the
+    transitive closure of the harvested constraints)."""
+    closed = set(order)
+    changed = True
+    while changed:
+        changed = False
+        for (a, b), (c, d) in itertools.product(tuple(closed), tuple(closed)):
+            if b == c and (a, d) not in closed:
+                closed.add((a, d))
+                changed = True
+    for option in _regular_clause_options(ria):
+        if all(pair in closed for pair in option):
+            return True
+    return False
+
+
 def brute_language(rsystem, role: Role, max_len: int, max_steps: int) -> set:
     """All strings derivable from (role,) with at most max_steps one-step
     rewrites and length at most max_len (BFS over derivations)."""
@@ -304,6 +323,30 @@ def prop_reachable(seq: Sequent, g, role: Role, x: str) -> tuple:
     closure = CflClosure(g, graph.edge_list)
     return tuple((rep, graph.witness(closure, role, x, cls))
                  for rep, cls in graph.reachable(closure, role, x))
+
+
+def graph_check_propagation(seq: Sequent, g, role: Role, x: str, y: str,
+                            path: tuple, derivation: tuple) -> None:
+    """The propagation check as it was made on a built propagation graph:
+    raise RuleError unless the derivation's steps, applied to (role,), are
+    productions of g rewriting the role at their position, and the string
+    they derive labels the path from x's class to y's class along the
+    graph's edges, each role atom's and its inverse's between the classes
+    of its labels."""
+    string = [role]
+    for pos, prod in derivation:
+        if not 0 <= pos < len(string) or prod.lhs != string[pos] \
+                or prod not in g.with_lhs(prod.lhs):
+            raise RuleError(f"step {pos}, {prod} does not apply")
+        string[pos:pos + 1] = prod.rhs
+    graph = build_prop_graph(seq)
+    eq = graph.eq
+    if len(path) != len(string) + 1 or not eq.connected(path[0], x) \
+            or not eq.connected(path[-1], y):
+        raise RuleError("the path does not fit")
+    for a, ch, b in zip(path, string, path[1:]):
+        if (eq.class_of(a), ch, eq.class_of(b)) not in graph.edges:
+            raise RuleError(f"missing propagation edge {a} -{ch}-> {b}")
 
 
 def substitute_label(seq: Sequent, x: str, y: str) -> Sequent:

@@ -26,13 +26,12 @@ from riq.core import (
     is_simple,
     nnf_negate,
     normalize_ontology,
-    ria_matches_clause,
     signature_of,
     subconcepts,
     to_nnf,
     weight,
 )
-from conftest import C, random_concept, random_interpretation
+from conftest import C, random_concept, random_interpretation, ria_matches_clause
 
 r = Role("r")
 A, B = ConceptName("A"), ConceptName("B")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riq import prover
+from riq import prover, sequent
 from riq.core import GCI, RIA, And, Or, Role, TOP, make_ontology, normalize_ontology
 from riq.prover import (
     CountermodelError,
@@ -284,6 +284,24 @@ class TestStructureCarrying:
         assert isinstance(result, Proved)
         assert len(set(built)) == len(built)
         assert len(built) < len(expanded)
+
+    def test_checking_a_proof_builds_no_graph(self, monkeypatch):
+        """`check_proof` checks each propagation witness against the
+        conclusion's atoms, without a propagation graph."""
+        result = subsumes(CHAIN_ONT, C(CHAIN_SUB), C("some t . A"), LIMITS)
+        assert isinstance(result, Proved)
+        assert any(node.instance.rule == "exists" and node.instance.witness.derivations[0]
+                   for node in result.proof.nodes())
+        built = []
+        init = sequent.PropagationGraph.__init__
+
+        def recording_init(self, seq):
+            built.append(seq)
+            init(self, seq)
+
+        monkeypatch.setattr(sequent.PropagationGraph, "__init__", recording_init)
+        assert check_proof(CHAIN_ONT, result.proof).ok
+        assert built == []
 
     @pytest.mark.parametrize("steps, proved", [(39, True), (38, False)])
     def test_a_cycle_restart_costs_one_step(self, steps, proved):

@@ -268,3 +268,34 @@ def _random_instance(rng, pool=_POOL):
     rsys = build_rsystem(make_ontology(rias, ()))
     edges = _random_edges(rng, 6, (r, s, t, u, v))
     return rsys, edges
+
+
+class TestSuccessors:
+    """`successors` reads Reach off the closure's successor table; `reach`
+    derives the whole table from the stored pairs."""
+
+    @pytest.mark.parametrize("pool", [_POOL, _INVERSE_POOL], ids=["plain", "inverse"])
+    def test_successors_agree_with_reach(self, rng, pool):
+        for _ in range(80):
+            rsys, edges = _random_instance(rng, pool)
+            fresh = CflClosure(rsys, edges)
+            nodes = {n for a, _, b in edges for n in (a, b)} | {"absent"}
+            roles = {p.lhs for p in rsys.productions} | {ch for _, ch, _ in edges}
+            roles |= {role.inverse() for role in roles}
+            for closure in (fresh, _extended(rsys, edges)):
+                reach = closure.reach
+                assert reach == fresh.reach
+                for role in roles:
+                    for a in nodes:
+                        got = closure.successors(role, a)
+                        assert len(set(got)) == len(got)
+                        assert set(got) == {b for x, b in reach.get(role, ()) if x == a}
+                        assert set(closure.successors(role.inverse(), a)) == \
+                            {b for b, x in reach.get(role, ()) if x == a}
+
+    def test_an_unknown_role_or_node_has_no_successors(self):
+        closure = CflClosure(build_rsystem(ont(RIA((r, s), t))), [("x", r, "y")])
+        assert closure.successors(r, "x") == ("y",)
+        assert closure.successors(r.inverse(), "y") == ("x",)
+        assert closure.successors(u, "x") == ()
+        assert closure.successors(r, "z") == ()

@@ -15,6 +15,7 @@ from riq.core import (
     make_ontology,
     normalize_ontology,
 )
+from riq import sequent
 from riq.parser import ParseError
 from riq.rsystem import Production, build_rsystem
 from riq.semantics import holds_antecedent, holds_consequent, is_model
@@ -167,6 +168,66 @@ class TestSequentInvariants:
         with pytest.raises(SequentError, match="exactly one label"):
             dataclasses.replace(S("|- x : A"), consequent=(LabeledConcept("x", A),
                                                             LabeledConcept("y", A)))
+
+
+class TestIncrementalValidation:
+    """A premise made from its conclusion is checked only where it extends
+    it; the full check is the fallback."""
+
+    @pytest.fixture
+    def full_checks(self, monkeypatch):
+        checked = []
+        validate = sequent._validate
+
+        def counting(seq):
+            checked.append(seq)
+            return validate(seq)
+
+        monkeypatch.setattr(sequent, "_validate", counting)
+        return checked
+
+    def test_a_leaf_extension_skips_the_full_check(self, full_checks):
+        seq = S("r(x,y), r(y,z), z = y |- x : only r . A, y : B")
+        full_checks.clear()
+        inst = apply_rule(EMPTY_ONT, "forall", seq,
+                          Witness(label="x", concept=C("only r . A"), fresh=("w",)))
+        assert render_sequent(inst.premises[0]) == \
+            "r(x,y), r(y,z), z = y, r(x,w) |- w : A, y : B"
+        # and so does a premise that keeps its conclusion's antecedent
+        premise = make_sequent(seq.antecedent, seq.consequent[1:], seq)
+        assert premise.antecedent is seq.antecedent
+        assert full_checks == []
+
+    def test_a_role_atom_into_a_known_label_falls_back(self, full_checks):
+        parent = S("r(x,y), r(x,z) |- x : A")
+        with pytest.raises(SequentError, match="duplicate parent"):
+            make_sequent(parent.antecedent + (RoleAtom(r, "y", "z"),),
+                         parent.consequent, parent)
+        assert len(full_checks) == 2
+
+    def test_an_equality_naming_an_unknown_label_falls_back(self, full_checks):
+        parent = S("r(x,y) |- x : A")
+        full_checks.clear()
+        # well-formed, as the full check finds
+        made = make_sequent(parent.antecedent + (Eq("y", "q"),), parent.consequent, parent)
+        assert full_checks == [made]
+        with pytest.raises(SequentError, match="must occur in the antecedent"):
+            make_sequent((Eq("q", "w"),), parent.consequent, S("|- x : A"))
+
+    def test_an_empty_antecedent_keeps_one_label(self, full_checks):
+        parent = S("|- x : A")
+        with pytest.raises(SequentError, match="exactly one label"):
+            make_sequent((), parent.consequent + (LabeledConcept("y", B),), parent)
+        assert len(full_checks) == 2
+
+    def test_the_parent_is_not_part_of_the_sequent(self):
+        parent = S("r(x,y) |- x : A")
+        atoms = parent.antecedent + (RoleAtom(r, "y", "z"),)
+        cons = (LabeledConcept("z", B),)
+        made, bare = make_sequent(atoms, cons, parent), make_sequent(atoms, cons)
+        assert made == bare and hash(made) == hash(bare)
+        assert repr(made) == repr(bare)
+        assert [f.name for f in dataclasses.fields(Sequent)] == ["antecedent", "consequent"]
 
 
 class TestApplyRule:

@@ -1,6 +1,7 @@
 """Property tests for the structural view of a sequent: equality classes,
-the propagation witnesses read off the CFL closure of its graph, and the
-checking of their (position, production) derivations."""
+the propagation witnesses read off the CFL closure of its graph, the
+checking of their (position, production) derivations and paths, and the
+well-formedness check of a premise made from its conclusion."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,14 +11,16 @@ from riq.rsystem import Production
 from riq.sequent import (
     Eq,
     LabeledConcept,
+    Neq,
     RoleAtom,
     RuleError,
+    SequentError,
     Witness,
     apply_rule,
     eq_classes,
     make_sequent,
 )
-from conftest import expand_steps, one_step_rewrites, prop_reachable
+from conftest import expand_steps, graph_check_propagation, one_step_rewrites, prop_reachable
 
 ROLES = tuple(Role(name, inverted) for name in ("r", "s", "t") for inverted in (False, True))
 A = ConceptName("A")
@@ -159,3 +162,107 @@ class TestCompactDerivationProperties:
             accepted = False
         strings = expand_steps(g, role, steps)
         assert accepted == (strings is not None and strings[-1] == string)
+
+
+def accepts(check, *args) -> bool:
+    try:
+        check(*args)
+    except RuleError:
+        return False
+    return True
+
+
+def exists_rule(ontology):
+    """The (exists) rule's propagation check, as `apply_rule` makes it."""
+    def check(seq, g, role, x, y, path, derivation):
+        apply_rule(ontology, "exists", seq,
+                   Witness(label=x, concept=Exists(role, A), target=y,
+                           paths=(path,), derivations=(derivation,)))
+    return check
+
+
+class TestGraphFreePropagationCheck:
+    @settings(max_examples=400, deadline=None)
+    @given(trees_with_equalities(), rboxes, st.sampled_from(ROLES),
+           st.sampled_from(("keep", "foreign", "other", "member", "reverse", "target")),
+           st.data())
+    def test_accepts_exactly_what_the_graph_check_accepts(self, tree, rias, role,
+                                                          tamper, data):
+        """A witness read off the closure, or a one-edge path when there is
+        none, maybe tampered with: through a label outside the sequent, with
+        some label replaced by any label (a missing edge) or by a member of
+        its equality class, run backwards (each edge the wrong way round),
+        or aimed at another target.  The (exists) rule accepts it exactly
+        when the check on a built propagation graph does, with equality
+        atoms or without."""
+        labels, atoms = tree
+        ontology = Ontology(tuple(rias))
+        g = ontology.rsystem
+        seq = make_sequent(atoms, [LabeledConcept(lab, Exists(role, A)) for lab in labels])
+        eqc = eq_classes(seq.antecedent, seq.labels())
+        x = data.draw(st.sampled_from(labels))
+        hits = prop_reachable(seq, g, role, x)
+        if hits:
+            y, wit = data.draw(st.sampled_from(hits))
+            path, derivation = list(wit.path), wit.derivation
+        else:
+            y = data.draw(st.sampled_from(labels))
+            path, derivation = [x, y], ()
+        at = data.draw(st.integers(min_value=0, max_value=len(path) - 1))
+        if tamper == "foreign":
+            path[at] = "q"
+        elif tamper == "other":
+            path[at] = data.draw(st.sampled_from(labels))
+        elif tamper == "member":
+            path[at] = data.draw(st.sampled_from(sorted(eqc.class_of(path[at]))))
+        elif tamper == "reverse":
+            path.reverse()
+            x, y = y, x
+        elif tamper == "target":
+            y = data.draw(st.sampled_from(labels))
+        args = (seq, g, role, x, y, tuple(path), derivation)
+        assert accepts(exists_rule(ontology), *args) == \
+            accepts(graph_check_propagation, *args)
+
+
+FRESH = ("y0", "y1")
+
+
+@st.composite
+def extensions(draw):
+    """A well-formed parent, maybe with an empty antecedent, and atoms and
+    a consequent for a sequent made from it: role atoms, equalities and
+    inequalities between its labels and two others."""
+    labels, atoms = draw(trees_with_equalities())
+    parent = make_sequent(atoms, [LabeledConcept(draw(st.sampled_from(labels)), A)])
+    pool = st.sampled_from(labels + list(FRESH))
+    added = draw(st.lists(st.one_of(
+        st.builds(RoleAtom, st.sampled_from(ROLES), pool, pool),
+        st.builds(Eq, pool, pool),
+        st.builds(Neq, pool, pool)), max_size=4))
+    consequent = draw(st.lists(pool.map(lambda lab: LabeledConcept(lab, A)), max_size=3))
+    # the parent's own antecedent, or its atoms in another order
+    kept = parent.antecedent if draw(st.booleans()) else parent.antecedent[::-1]
+    return parent, kept + tuple(added), consequent
+
+
+class TestIncrementalValidation:
+    @settings(max_examples=400, deadline=None)
+    @given(extensions())
+    def test_a_parent_changes_no_verdict(self, extension):
+        """A sequent made from a parent is well-formed exactly when the same
+        sequent made without one is, and then equal to it."""
+        parent, atoms, consequent = extension
+        try:
+            alone = make_sequent(atoms, consequent)
+        except SequentError:
+            alone = None
+        try:
+            made = make_sequent(atoms, consequent, parent)
+        except SequentError:
+            made = None
+        assert made == alone
+        if made is not None:
+            assert made.labels() == alone.labels()
+            assert made.atom_set() == alone.atom_set()
+            assert made._rooted == alone._rooted

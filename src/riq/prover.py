@@ -58,9 +58,12 @@ Each node carries its structure, the pair of its propagation graph and the
 graph's CFL closure, to its premises and to its next cycle.  A premise with
 the same antecedent keeps the pair: for a non-empty antecedent the labels,
 and so the graph, depend on the antecedent alone, and a rule that keeps an
-empty antecedent also keeps its one label.  A premise of (forall), (atmost)
-or an (atleast) equality builds its graph and extends the carried closure by
-its fresh leaf edges, or rebuilds it after an equality merge.  Neither part
+empty antecedent also keeps its one label.  A premise of (forall) or
+(atmost) extends the carried graph by its leaf atoms and inequalities
+(`build_prop_graph` with a base), whose new edges follow the carried edge
+list, and extends the carried closure by those edges alone.  An (atleast)
+equality premise, which may merge classes, rebuilds both, and so does a
+premise of a node with an empty antecedent, which has no edges.  Neither part
 is changed after construction, so sibling branches share them but no
 mutable state.  `apply_rule` checks each propagation witness against the
 conclusion's own atoms, trusting none of this.
@@ -462,10 +465,12 @@ class _Search:
                 continue
             present = seq.concept_set()
             delta_star = delta_star | present
-            if structure is not None and structure[0].antecedent == seq.antecedent:
-                graph, closure = structure
-            else:  # the goal, or a rule changed the antecedent
+            if structure is None:  # the goal
                 graph, closure = build_prop_graph(seq), None
+            elif structure[0].antecedent == seq.antecedent:
+                graph, closure = structure
+            else:  # a rule changed the antecedent
+                graph, closure = build_prop_graph(seq, structure[0]), None
 
             closing = self._closure_instance(seq, graph.eq)
             if closing is not None:
@@ -473,11 +478,9 @@ class _Search:
                 continue
 
             if closure is None:
-                # fresh leaf edges extend the carried closure; after an
-                # equality merge changed the nodes it is rebuilt
-                base = structure[1] if structure is not None else None
-                if base is not None and not base.edge_set <= graph.edges:
-                    base = None
+                # the edges that extend the carried graph extend the carried
+                # closure; after an equality merge both are rebuilt
+                base = structure[1] if graph.extended else None
                 closure = CflClosure(self.ontology.rsystem, graph.edge_list, base)
                 structure = (graph, closure)
 

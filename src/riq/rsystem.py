@@ -19,7 +19,8 @@ stores each pair once, for the role that is not inverted, and reads the
 inverse role's pairs and derivations off it by mirroring.  Roles and nodes
 are numbered, a role and its inverse at 2k and 2k+1, so the closure's
 tables are keyed by tuples of ints.  A closure can extend a base closure
-over a subset of its edges, starting from the base's pairs; closures are
+whose edges are a prefix of its own: it starts from the base's pairs and
+joins only the consequences of the edges after the prefix.  Closures are
 never changed after construction, so a base can be shared.
 """
 
@@ -68,8 +69,7 @@ def _numbered(role: Role, n: int) -> dict[Role, int]:
 
 
 class _Tables(NamedTuple):
-    """What the closure and the proof checker look up in an R-system."""
-    by_lhs: dict[Role, tuple[Production, ...]]
+    """What the closure looks up in an R-system."""
     #: every role of the productions at 2k and its inverse at 2k+1
     role_ids: dict[Role, int]
     roles: tuple[Role, ...]
@@ -90,12 +90,10 @@ class RSystem:
     @cached_property
     def _tables(self) -> _Tables:
         # one pass, in `str` order, so ids and orders do not depend on hashing
-        by_lhs: dict[Role, tuple[Production, ...]] = {}
         role_ids: dict[Role, int] = {}
         roles: list[Role] = []
         uses: dict[int, tuple] = {}
         for prod in sorted(self.productions, key=str):
-            by_lhs[prod.lhs] = by_lhs.get(prod.lhs, ()) + (prod,)
             if prod.lhs.inverted:
                 continue
             ids = []
@@ -111,11 +109,7 @@ class RSystem:
             rule = (prod, rhs)
             for i, rid in enumerate(rhs):
                 uses[rid] = uses.get(rid, ()) + ((lhs, rhs[:i][::-1], rhs[i + 1:], rule),)
-        return _Tables(by_lhs, role_ids, tuple(roles), uses)
-
-    def with_lhs(self, role: Role) -> tuple[Production, ...]:
-        """The productions rewriting `role`, in `str` order."""
-        return self._tables.by_lhs.get(role, ())
+        return _Tables(role_ids, tuple(roles), uses)
 
 
 #: One derivation step: rewrite the role at this position of the string by
@@ -169,19 +163,21 @@ class CflClosure:
     of the role's language, and the node path that string labels.  A pair
     of an inverted role is read off its stored transpose by mirroring.
 
-    With a `base` closure over the same R-system and a subset of `edges`,
-    the new closure starts from a copy of the base's reasons and indexes,
-    continues its node numbering and joins only the consequences of the
-    new edges.  A closure is never changed after construction, so one base
-    can serve many extensions.
+    With a `base` closure over the same R-system whose `edges` are a
+    prefix of `edges` (ValueError otherwise), the new edges are the rest of
+    `edges`: the new closure starts from a copy of the base's reasons and
+    indexes, continues its node numbering and joins only their
+    consequences.  No set of the edges is kept or compared, so an extension
+    costs what its new edges add plus the copies of the base's tables.  A
+    closure is never changed after construction, so one base can serve
+    many extensions.
     """
 
     def __init__(self, g: RSystem, edges: Iterable[Edge],
                  base: Optional["CflClosure"] = None):
         self.g = g
         self.edges = tuple(edges)
-        self.edge_set = frozenset(self.edges)
-        new: Iterable[Edge] = self.edges
+        new = self.edges
         if base is None:
             tables = g._tables
             self._role_ids, self._roles = tables.role_ids, tables.roles
@@ -190,15 +186,16 @@ class CflClosure:
             self._succ: dict[tuple[int, int], tuple[int, ...]] = {}
             self._pred: dict[tuple[int, int], tuple[int, ...]] = {}
         else:
-            if base.g != g or not base.edge_set <= self.edge_set:
+            n = len(base.edges)
+            if base.g != g or new[:n] != base.edges:
                 raise ValueError("a base closure must be over the same R-system "
-                                 "and a subset of the edges")
+                                 "and a prefix of the edges")
             self._role_ids, self._roles = base._role_ids, base._roles
             self._node_ids = dict(base._node_ids)
             self._reasons = dict(base._reasons)
             self._succ = dict(base._succ)
             self._pred = dict(base._pred)
-            new = [e for e in self.edges if e not in base.edge_set]
+            new = new[n:]
         self._solve(new)
 
     def _add_role(self, role: Role) -> int:

@@ -281,6 +281,23 @@ class EqClasses:
         #: the classes, ordered by their representatives
         self.classes: tuple[frozenset[Label], ...] = tuple(classes)
 
+    def extended(self, labels: Iterable[Label]) -> EqClasses:
+        """These classes with a singleton class appended for each label they
+        do not know, in order: the classes of an antecedent that gained
+        atoms over those labels, none of them an equality."""
+        ext = object.__new__(EqClasses)
+        ext._adj, ext._rep, ext._class = dict(self._adj), dict(self._rep), dict(self._class)
+        classes = list(self.classes)
+        for lab in labels:
+            if lab not in ext._adj:
+                cls = frozenset((lab,))
+                ext._adj[lab] = []
+                ext._rep[lab] = lab
+                ext._class[lab] = cls
+                classes.append(cls)
+        ext.classes = tuple(classes)
+        return ext
+
     def connected(self, x: Label, y: Label) -> bool:
         return self.rep(x) == self.rep(y)
 
@@ -334,29 +351,51 @@ def eq_classes(atoms: Iterable[Atom], order: Iterable[Label] = ()) -> EqClasses:
     return EqClasses(atoms, order)
 
 
+GraphEdge = tuple[frozenset[Label], Role, frozenset[Label]]
+
+
 class PropagationGraph:
     """Structural view of a sequent, kept with the `antecedent` it was built
     from: its equality classes (`eq`), which are the graph's nodes in label
     order, and an edge per role atom plus its inverse.  `reachable` reads
     the side conditions of the propagation rules off a CFL closure of
-    `edge_list`."""
+    `edge_list`.
 
-    def __init__(self, seq: Sequent):
+    A graph built from scratch lists its edges sorted by (source position,
+    role name, target position), independent of hash randomization.  Given
+    a `base` built from a non-empty antecedent that is a prefix of this
+    one, the graph extends it when no added atom is an equality, which
+    could merge classes: the base's classes followed by a singleton class
+    per new label, the base's edges and those of the added role atoms, and
+    `edge_list` as the base's followed by the new edges, sorted among
+    themselves by the same key.  `extended` says whether it did; a CFL
+    closure over the base's `edge_list` then extends to this one's.  The
+    classes, nodes and edges are those a build from scratch finds."""
+
+    def __init__(self, seq: Sequent, base: Optional[PropagationGraph] = None):
         self.antecedent = seq.antecedent
-        self.eq = eq_classes(seq.antecedent, seq.labels())
+        added = _added_atoms(seq.antecedent, base.antecedent) if base is not None else None
+        self.extended = added is not None
+        if added is None:
+            self.eq = eq_classes(seq.antecedent, seq.labels())
+            added, old_edges = seq.antecedent, frozenset()
+        else:
+            self.eq = base.eq.extended(lab for atom in added for lab in _atom_labels(atom))
+            old_edges = base.edges
         self.nodes: tuple[frozenset[Label], ...] = self.eq.classes
-        position = {node: i for i, node in enumerate(self.nodes)}
-        edges: set[tuple[frozenset[Label], Role, frozenset[Label]]] = set()
-        for atom in seq.antecedent:
+        new: set[GraphEdge] = set()
+        for atom in added:
             if isinstance(atom, RoleAtom):
                 src = self.eq.class_of(atom.src)
                 dst = self.eq.class_of(atom.dst)
-                edges.add((src, atom.role, dst))
-                edges.add((dst, atom.role.inverse(), src))
-        self.edges: frozenset[tuple[frozenset[Label], Role, frozenset[Label]]] = frozenset(edges)
-        # stable iteration order, independent of hash randomization
-        self.edge_list = tuple(sorted(
-            edges, key=lambda e: (position[e[0]], str(e[1]), position[e[2]])))
+                new.add((src, atom.role, dst))
+                new.add((dst, atom.role.inverse(), src))
+        if old_edges:
+            new = {edge for edge in new if edge not in old_edges}
+        self.edges: frozenset[GraphEdge] = old_edges | new
+        position = {node: i for i, node in enumerate(self.nodes)}
+        self.edge_list: tuple[GraphEdge, ...] = (base.edge_list if self.extended else ()) \
+            + tuple(sorted(new, key=lambda e: (position[e[0]], str(e[1]), position[e[2]])))
 
     def rep(self, node: frozenset[Label]) -> Label:
         return self.eq.rep(next(iter(node)))
@@ -376,8 +415,23 @@ class PropagationGraph:
         return PropWitness(tuple(self.rep(node) for node in node_path), derivation)
 
 
-def build_prop_graph(seq: Sequent) -> PropagationGraph:
-    return PropagationGraph(seq)
+def _added_atoms(new: tuple[Atom, ...], old: tuple[Atom, ...]) -> Optional[tuple[Atom, ...]]:
+    """The atoms `new` adds to its prefix `old`, or None when `old` is empty
+    (its sequent's one label need not be a label of `new`), is no prefix, or
+    an added atom is an equality."""
+    if not old or (new is not old and new[:len(old)] != old):
+        return None
+    added = new[len(old):]
+    if any(isinstance(atom, Eq) for atom in added):
+        return None
+    return added
+
+
+def build_prop_graph(seq: Sequent, base: Optional[PropagationGraph] = None
+                     ) -> PropagationGraph:
+    """The propagation graph of `seq`, extending `base`, the graph of the
+    sequent it was made from, where it can (see `PropagationGraph`)."""
+    return PropagationGraph(seq, base)
 
 
 @dataclass(frozen=True)
@@ -509,7 +563,7 @@ def _check_propagation(seq: Sequent, eq: Optional[EqClasses], g: RSystem,
             raise RuleError(f"derivation step {i}: position {pos} is outside the string")
         if prod.lhs != string[pos]:
             raise RuleError(f"derivation step {i}: {prod} does not rewrite {string[pos]}")
-        if prod not in g.with_lhs(prod.lhs):
+        if prod not in g.productions:
             raise RuleError(f"derivation step {i}: {prod} is not in the R-system")
         string[pos:pos + 1] = prod.rhs
     if len(path) != len(string) + 1:

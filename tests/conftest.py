@@ -182,7 +182,7 @@ def one_step_rewrites(g, s: tuple) -> Iterator[tuple[tuple, int, Production]]:
     """All strings reachable from s in one step, with the rewritten position
     and production used, found by enumeration."""
     for i, ch in enumerate(s):
-        for prod in g.with_lhs(ch):
+        for prod in sorted((p for p in g.productions if p.lhs == ch), key=str):
             yield s[:i] + prod.rhs + s[i + 1:], i, prod
 
 
@@ -336,7 +336,7 @@ def graph_check_propagation(seq: Sequent, g, role: Role, x: str, y: str,
     string = [role]
     for pos, prod in derivation:
         if not 0 <= pos < len(string) or prod.lhs != string[pos] \
-                or prod not in g.with_lhs(prod.lhs):
+                or prod not in g.productions:
             raise RuleError(f"step {pos}, {prod} does not apply")
         string[pos:pos + 1] = prod.rhs
     graph = build_prop_graph(seq)

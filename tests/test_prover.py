@@ -265,6 +265,27 @@ class TestClosureCarrying:
         assert len(set(built)) == len(built)
         assert len(built) < len(expanded)
 
+    def test_a_leaf_premise_extends_the_carried_closure(self, monkeypatch):
+        """Each (forall) premise on the chain adds one leaf edge and its
+        inverse: its closure extends the carried one, whose edge list its
+        own starts with.  The goal's closure, and that of the first premise,
+        whose conclusion has no atoms, are built without a base."""
+        built = []
+        init = prover.CflClosure.__init__
+
+        def recording_init(self, g, edges, base=None):
+            init(self, g, edges, base)
+            built.append((self.edges, base))
+
+        monkeypatch.setattr(prover.CflClosure, "__init__", recording_init)
+        result = subsumes(CHAIN_ONT, C(CHAIN_SUB), C("some t . A"), LIMITS)
+        assert isinstance(result, Proved)
+        assert [len(edges) for edges, _ in built] == list(range(0, 26, 2))
+        assert [base is None for _, base in built] == [True, True] + [False] * 11
+        for (edges, _), (_, base) in zip(built, built[1:]):
+            if base is not None:
+                assert base.edges == edges
+
 
 class TestStructureCarrying:
     def test_each_graph_is_built_on_a_new_antecedent(self, monkeypatch):
@@ -274,9 +295,9 @@ class TestStructureCarrying:
         built, expanded = [], []
         build = prover.build_prop_graph
 
-        def recording_build(seq):
+        def recording_build(seq, *base):
             built.append(seq.antecedent)
-            return build(seq)
+            return build(seq, *base)
 
         monkeypatch.setattr(prover, "build_prop_graph", recording_build)
         counting_budget(monkeypatch, expanded)
@@ -295,9 +316,9 @@ class TestStructureCarrying:
         built = []
         init = sequent.PropagationGraph.__init__
 
-        def recording_init(self, seq):
+        def recording_init(self, seq, *base):
             built.append(seq)
-            init(self, seq)
+            init(self, seq, *base)
 
         monkeypatch.setattr(sequent.PropagationGraph, "__init__", recording_init)
         assert check_proof(CHAIN_ONT, result.proof).ok

@@ -174,6 +174,18 @@ class TestCflClosure:
         with pytest.raises(ValueError):
             CflClosure(build_rsystem(ont()), [("u", r, "v")], base=base)
 
+    def test_base_must_be_a_prefix(self):
+        """The new edges are those after the base's: a base whose edges
+        are among the new closure's, but not at their start, is refused."""
+        g = build_rsystem(ont(RIA((r, s), t)))
+        base = CflClosure(g, [("u", r, "v"), ("v", s, "w")])
+        with pytest.raises(ValueError):
+            CflClosure(g, [("v", s, "w"), ("u", r, "v"), ("w", t, "x")], base=base)
+        with pytest.raises(ValueError):
+            CflClosure(g, [("w", t, "x"), ("u", r, "v"), ("v", s, "w")], base=base)
+        grown = CflClosure(g, [("u", r, "v"), ("v", s, "w"), ("w", t, "x")], base=base)
+        assert grown.reach[t] == {("u", "w"), ("w", "x")}
+
 
 class TestMirrorOnce:
     """Each pair is stored once, for the role that is not inverted: the

@@ -1,13 +1,14 @@
 """Property tests for the structural view of a sequent: equality classes,
 the propagation witnesses read off the CFL closure of its graph, the
-checking of their (position, production) derivations and paths, and the
-well-formedness check of a premise made from its conclusion."""
+checking of their (position, production) derivations and paths, the
+well-formedness check of a premise made from its conclusion, and the graph
+and closure of a premise extended from its conclusion's."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riq.core import RIA, ConceptName, Exists, Ontology, Role
-from riq.rsystem import Production
+from riq.rsystem import CflClosure, Production
 from riq.sequent import (
     Eq,
     LabeledConcept,
@@ -16,7 +17,10 @@ from riq.sequent import (
     RuleError,
     SequentError,
     Witness,
+    _check_propagation,
+    _equalities,
     apply_rule,
+    build_prop_graph,
     eq_classes,
     make_sequent,
 )
@@ -266,3 +270,78 @@ class TestIncrementalValidation:
             assert made.labels() == alone.labels()
             assert made.atom_set() == alone.atom_set()
             assert made._rooted == alone._rooted
+
+
+@st.composite
+def growths(draw):
+    """A sequent over a tree with equality atoms or without, and the atoms
+    that rules add to it in turn: a (forall)-style leaf r(x, y), an
+    (atmost)-style group of fresh labels, pairwise unequal, each a leaf
+    under one known label, or an (atleast)-style equality between known
+    labels."""
+    labels, atoms = draw(trees_with_equalities())
+    labels = list(labels)
+    steps = []
+    for i in range(draw(st.integers(min_value=1, max_value=4))):
+        kind = draw(st.sampled_from(("forall", "atmost", "atleast")))
+        x = draw(st.sampled_from(labels))
+        role = draw(st.sampled_from(ROLES))
+        if kind == "atleast":
+            y = draw(st.sampled_from(labels))
+            steps.append((Eq(x, y),))
+            continue
+        ys = [f"y{i}_{j}" for j in range(1 if kind == "forall" else
+                                          draw(st.integers(min_value=1, max_value=3)))]
+        steps.append(tuple(Neq(a, b) for k, a in enumerate(ys) for b in ys[k + 1:])
+                     + tuple(RoleAtom(role, x, y) for y in ys))
+        labels += ys
+    return atoms, steps
+
+
+class TestExtendedStructure:
+    @settings(max_examples=300, deadline=None)
+    @given(growths(), rboxes)
+    def test_an_extension_equals_a_build_from_scratch(self, growth, rias):
+        """Each premise's graph, built from its conclusion's, has the
+        classes, nodes and edges of a graph built from scratch, and is
+        extended exactly when the conclusion has atoms and the premise adds
+        no equality.  Its closure, extended from the conclusion's over the
+        new edges when the graph was, has the successors and Reach of a
+        fresh closure, and each witness read off it passes the propagation
+        check against the premise's own atoms."""
+        atoms, steps = growth
+        g = Ontology(tuple(rias)).rsystem
+        seq = make_sequent(atoms, [LabeledConcept("x0", A)])
+        graph = build_prop_graph(seq)
+        closure = CflClosure(g, graph.edge_list)
+        for added in steps:
+            premise = make_sequent(seq.antecedent + added, seq.consequent, seq)
+            grown = build_prop_graph(premise, graph)
+            # an atom the conclusion has is not added again
+            new = premise.antecedent[len(seq.antecedent):]
+            assert grown.extended == (bool(seq.antecedent)
+                                      and not any(isinstance(a, Eq) for a in new))
+            fresh = build_prop_graph(premise)
+            assert grown.nodes == fresh.nodes
+            assert grown.eq.classes == fresh.eq.classes
+            for lab in premise.labels():
+                assert grown.eq.rep(lab) == fresh.eq.rep(lab)
+                assert grown.eq.members(lab) == fresh.eq.members(lab)
+            assert grown.edges == fresh.edges
+            assert sorted(grown.edge_list, key=str) == sorted(fresh.edge_list, key=str)
+            if grown.extended:
+                assert grown.edge_list[:len(graph.edge_list)] == graph.edge_list
+            closure = CflClosure(g, grown.edge_list, closure if grown.extended else None)
+            fresh_closure = CflClosure(g, fresh.edge_list)
+            assert closure.reach == fresh_closure.reach
+            eq = _equalities(premise)
+            for role in ROLES:
+                for node in grown.nodes:
+                    assert set(closure.successors(role, node)) == \
+                        set(fresh_closure.successors(role, node))
+                for x in premise.labels():
+                    for rep, cls in grown.reachable(closure, role, x):
+                        wit = grown.witness(closure, role, x, cls)
+                        _check_propagation(premise, eq, g, role, x, rep,
+                                           wit.path, wit.derivation)
+            seq, graph = premise, grown

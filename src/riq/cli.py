@@ -31,6 +31,7 @@ from .semantics import (
 from .sequent import (
     build_prop_graph,
     check_proof,
+    eq_classes,
     parse_sequent,
     proof_from_json,
     proof_to_json,
@@ -219,20 +220,19 @@ def _cmd_info(args) -> int:
         print("  (none)")
     if args.sequent:
         seq = parse_sequent(args.sequent)
-        graph = build_prop_graph(seq)
-        closure = CflClosure(rsystem, graph.edge_list)
+        eq = eq_classes(seq.antecedent, seq.labels())
+        closure = CflClosure(rsystem, build_prop_graph(seq, eq))
+
+        def node(rep: str) -> str:
+            return "{" + ", ".join(sorted(eq.members(rep))) + "}"
+
         print(f"sequent: {render_sequent(seq)}")
         print("propagation nodes: "
-              + "; ".join("{" + ", ".join(sorted(n)) + "}" for n in graph.nodes))
+              + "; ".join(node(lab) for lab in seq.labels() if eq.rep(lab) == lab))
         print("reach table:")
         printed = False
-        for role in sorted(closure.reach, key=str):
-            pairs = closure.reach[role]
-            if not pairs:
-                continue
-            rendered = sorted(
-                "({" + ", ".join(sorted(a)) + "} -> {" + ", ".join(sorted(b)) + "})"
-                for a, b in pairs)
+        for role, pairs in sorted(closure.reach.items(), key=lambda item: str(item[0])):
+            rendered = sorted(f"({node(a)} -> {node(b)})" for a, b in pairs)
             print(f"  {role}: " + ", ".join(rendered))
             printed = True
         if not printed:

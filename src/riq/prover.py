@@ -54,19 +54,22 @@ search changes no process-wide setting.  The concept walks it uses are
 loops too (`core.fold_concept`), so no concept is too deeply nested to
 search.
 
-Each node carries its structure, the pair of its propagation graph and the
-graph's CFL closure, to its premises and to its next cycle.  A premise with
-the same antecedent keeps the pair: for a non-empty antecedent the labels,
-and so the graph, depend on the antecedent alone, and a rule that keeps an
-empty antecedent also keeps its one label.  A premise of (forall) or
-(atmost) extends the carried graph by its leaf atoms and inequalities
-(`build_prop_graph` with a base), whose new edges follow the carried edge
-list, and extends the carried closure by those edges alone.  An (atleast)
-equality premise, which may merge classes, rebuilds both, and so does a
-premise of a node with an empty antecedent, which has no edges.  Neither part
-is changed after construction, so sibling branches share them but no
-mutable state.  `apply_rule` checks each propagation witness against the
-conclusion's own atoms, trusting none of this.
+Each node carries its structure, `(antecedent, eq, closure)`, to its
+premises and to its next cycle: the antecedent it was made for, that
+antecedent's equality classes (`Sequent.equalities`, None without an
+equality atom), and the CFL closure over one edge per role atom between
+class representatives (`build_prop_graph`), which is the only reachability
+structure of a node.  A premise with the same antecedent keeps all three:
+for a non-empty antecedent the labels depend on the antecedent alone, and
+a rule that keeps an empty antecedent also keeps its one label.  A premise
+of (forall) or (atmost) adds atoms over fresh labels and no equality, so it
+keeps the carried classes, in which a fresh label is its own class, and
+extends the carried closure by the edges of its added role atoms alone.
+An (atleast) equality premise, which may merge classes, rebuilds both, and
+so does a premise of a node with an empty antecedent, which has no edges.
+Neither is changed after construction, so sibling branches share them but
+no mutable state.  `apply_rule` checks each propagation witness against
+the conclusion's own atoms, trusting none of this.
 The branch is not stored: its last sequent holds all of its atoms, and the
 carried `delta_star` all of its consequent occurrences.
 """
@@ -101,11 +104,11 @@ from .semantics import (
     ria_closure,
 )
 from .sequent import (
+    Eq,
     EqClasses,
     LabeledConcept,
     Neq,
     Proof,
-    PropagationGraph,
     RoleAtom,
     RuleInstance,
     Sequent,
@@ -195,7 +198,8 @@ class _Search:
     # stage scans: each returns the first enabled application, or None
     # ------------------------------------------------------------------
 
-    def _closure_instance(self, seq: Sequent, eqc: EqClasses) -> Optional[RuleInstance]:
+    def _closure_instance(self, seq: Sequent, eq: Optional[EqClasses]
+                          ) -> Optional[RuleInstance]:
         # (id) closes on the first name whose negation shares its label
         names, negated = set(), set()
         for occ in seq.consequent:
@@ -211,11 +215,13 @@ class _Search:
             return apply_rule(self.ontology, "id", seq,
                               Witness(label=occ.label, concept=occ.concept))
         for atom in seq.antecedent:
-            if isinstance(atom, Neq) and eqc.connected(atom.left, atom.right):
-                path = eqc.path(atom.left, atom.right)
+            if not isinstance(atom, Neq):
+                continue
+            x, y = atom.left, atom.right
+            if x == y or eq is not None and eq.connected(x, y):
                 return apply_rule(self.ontology, "id_eq", seq,
-                                  Witness(pair=(atom.left, atom.right),
-                                          eq_path=path))
+                                  Witness(pair=(x, y),
+                                          eq_path=(x,) if x == y else eq.path(x, y)))
         for occ in seq.consequent:
             if isinstance(occ.concept, AtLeast) and occ.concept.n == 0:
                 return apply_rule(self.ontology, "atleast", seq,
@@ -258,7 +264,7 @@ class _Search:
                 buckets[self._STAGE[item[0]]].append(item)
         return tuple(item for bucket in buckets for item in bucket)
 
-    def realize(self, item: tuple, seq: Sequent, graph: PropagationGraph,
+    def realize(self, item: tuple, seq: Sequent, eq: Optional[EqClasses],
                 closure: CflClosure, present: frozenset,
                 delta_star: frozenset) -> Optional[Witness]:
         """Turn an agenda item into a rule witness against the current
@@ -270,16 +276,20 @@ class _Search:
         a later rule consumed them, which is exactly what the counter-model
         construction reads off a saturated branch.  `present` holds the
         current sequent's own occurrences.
+
+        A propagation target is a class, named by its representative: one
+        that the closure reaches from the label's representative under the
+        role, in label order, whose members all lack the filler.
         """
         kind, label, c = item
         if (label, c) not in present:
             return None  # principal was consumed along this branch
         if kind == "subst_eq":
-            eqc = graph.eq
-            for other in eqc.members(label):
+            # without equalities the label's class is itself, and present
+            for other in eq.members(label) if eq is not None else ():
                 if (other, c) not in delta_star:
                     return Witness(label=label, concept=c, target=other,
-                                   eq_path=eqc.path(label, other))
+                                   eq_path=eq.path(label, other))
             return None
         if kind == "or":
             if (label, c.left) in delta_star and (label, c.right) in delta_star:
@@ -289,31 +299,35 @@ class _Search:
             if (label, c.left) in delta_star or (label, c.right) in delta_star:
                 return None
             return Witness(label=label, concept=c)
-        if kind == "exists":
-            for rep, cls in graph.reachable(closure, c.role, label):
-                if not any((m, c.body) in delta_star for m in cls):
-                    wit = graph.witness(closure, c.role, label, cls)
-                    return Witness(label=label, concept=c, target=rep,
-                                   paths=(wit.path,), derivations=(wit.derivation,))
-            return None
         if kind == "forall":
             return Witness(label=label, concept=c, fresh=(self.fresh_label(),))
         if kind == "atmost":
             fresh = tuple(self.fresh_label() for _ in range(c.n + 1))
             return Witness(label=label, concept=c, fresh=fresh)
-        if kind == "atleast":
-            candidates = graph.reachable(closure, c.role, label)
-            open_classes = [(rep, cls) for rep, cls in candidates
-                            if not any((m, c.body) in delta_star for m in cls)]
-            if len(open_classes) < c.n:
-                return None
-            chosen = open_classes[: c.n]
-            wits = [graph.witness(closure, c.role, label, cls) for _, cls in chosen]
-            return Witness(label=label, concept=c,
-                           targets=tuple(rep for rep, _ in chosen),
-                           paths=tuple(w.path for w in wits),
-                           derivations=tuple(w.derivation for w in wits))
-        raise AssertionError(kind)
+        # (exists) needs one open target, (atleast) n of them
+        n = 1 if kind == "exists" else c.n
+        x = label if eq is None else eq.rep(label)
+        found = closure.successors(c.role, x)
+        if len(found) < n:
+            return None
+        found = set(found)
+        targets = []
+        for y in seq.labels():
+            if y in found and not any((m, c.body) in delta_star for m in
+                                      (eq.members(y) if eq is not None else (y,))):
+                targets.append(y)
+                if len(targets) == n:
+                    break
+        else:
+            return None
+        wits = [closure.derivation(c.role, x, y) for y in targets]
+        paths = tuple(path for _, path in wits)
+        derivations = tuple(derivation for derivation, _ in wits)
+        if kind == "exists":
+            return Witness(label=label, concept=c, target=targets[0],
+                           paths=paths, derivations=derivations)
+        return Witness(label=label, concept=c, targets=tuple(targets),
+                       paths=paths, derivations=derivations)
 
     #: items that may fire several times per cycle (one witness each)
     _REPEATING = ("subst_eq", "exists", "atleast")
@@ -431,8 +445,8 @@ class _Search:
         """Pop nodes `(sequent, delta_star, agenda, structure, retired)`
         off a stack, one budget step each: the branch's consequent
         occurrences, the rest of the saturation cycle (None starts one), the
-        carried `(graph, closure)` and the `(label, blocker)` pairs whose
-        fold failed on the branch.  A rule application pushes its premises
+        carried `(antecedent, eq, closure)` and the `(label, blocker)` pairs
+        whose fold failed on the branch.  A rule application pushes its premises
         reversed, so the leftmost runs first, and a cycle restart or a
         failed fold pushes its node again.  The first Refuted answers at
         once; every Unknown is kept while the other nodes may still refute.
@@ -465,24 +479,29 @@ class _Search:
                 continue
             present = seq.concept_set()
             delta_star = delta_star | present
-            if structure is None:  # the goal
-                graph, closure = build_prop_graph(seq), None
-            elif structure[0].antecedent == seq.antecedent:
-                graph, closure = structure
-            else:  # a rule changed the antecedent
-                graph, closure = build_prop_graph(seq, structure[0]), None
+            if structure is not None and structure[0] == seq.antecedent:
+                _, eq, closure = structure
+            else:  # the goal, or a rule changed the antecedent
+                # atoms over fresh labels, none of them an equality, keep the
+                # carried classes and extend the carried closure by their
+                # edges; after an equality merge both are rebuilt
+                start = len(structure[0]) if structure is not None else 0
+                if any(isinstance(atom, Eq) for atom in seq.antecedent[start:]):
+                    start = 0
+                eq = structure[1] if start else seq.equalities()
+                closure = None
 
-            closing = self._closure_instance(seq, graph.eq)
+            closing = self._closure_instance(seq, eq)
             if closing is not None:
                 instances.append(closing)
                 continue
 
             if closure is None:
-                # the edges that extend the carried graph extend the carried
-                # closure; after an equality merge both are rebuilt
-                base = structure[1] if graph.extended else None
-                closure = CflClosure(self.ontology.rsystem, graph.edge_list, base)
-                structure = (graph, closure)
+                edges = build_prop_graph(seq, eq, start)
+                base = structure[2] if start else None
+                closure = CflClosure(self.ontology.rsystem,
+                                     base.edges + edges if start else edges, base)
+                structure = (seq.antecedent, eq, closure)
 
             fresh_cycle = agenda is None
             if fresh_cycle:
@@ -496,7 +515,7 @@ class _Search:
                         blocks, stopped, weak = self.blocking(seq, delta_star, retired)
                     if item[1] in stopped:
                         continue
-                witness = self.realize(item, seq, graph, closure, present, delta_star)
+                witness = self.realize(item, seq, eq, closure, present, delta_star)
                 if witness is not None:
                     break
             else:

@@ -1,6 +1,6 @@
-"""Sequents, label equivalence classes, propagation graphs, the calculus
-rules with side-condition checking, proof objects, and an independent proof
-checker.
+"""Sequents, label equivalence classes, the propagation edges of a
+sequent's role atoms, the calculus rules with side-condition checking,
+proof objects, and an independent proof checker.
 
 A sequent is `antecedent |- consequent`: the antecedent is a set of
 structural atoms (role atoms forming a directed tree, plus equalities and
@@ -47,7 +47,7 @@ from .core import (
     weight,
 )
 from .parser import NAME, ParseError, _Parser, _tokenize, parse_concept, render_concept
-from .rsystem import CflClosure, Production, RSystem, Step
+from .rsystem import Edge, Production, RSystem, Step
 
 Label = str
 
@@ -131,8 +131,9 @@ class Sequent:
         cache = self.__dict__
         cache["_rooted"] = rooted or _validate(self)
         if rooted and self.antecedent is parent.antecedent:
-            # the labels and atoms of a rooted antecedent are the sequent's
-            for name in ("_labels", "_atom_set"):
+            # the labels, atoms and equality classes of a rooted antecedent
+            # are the sequent's
+            for name in ("_labels", "_atom_set", "_equalities"):
                 if name in parent.__dict__:
                     cache[name] = parent.__dict__[name]
 
@@ -156,6 +157,17 @@ class Sequent:
     @cached_property
     def _atom_set(self) -> frozenset[Atom]:
         return frozenset(self.antecedent)
+
+    def equalities(self) -> Optional[EqClasses]:
+        """The classes of the equality atoms, or None when there is none and
+        every class is a single label; computed once per antecedent."""
+        return self._equalities
+
+    @cached_property
+    def _equalities(self) -> Optional[EqClasses]:
+        if any(isinstance(atom, Eq) for atom in self.antecedent):
+            return eq_classes(self.antecedent, self.labels())
+        return None
 
     def concept_set(self) -> frozenset[tuple[Label, Concept]]:
         return frozenset((occ.label, occ.concept) for occ in self.consequent)
@@ -243,7 +255,7 @@ def sequent_weight(seq: Sequent) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Equivalence classes and propagation graphs
+# Equivalence classes and propagation edges
 # ---------------------------------------------------------------------------
 
 
@@ -252,7 +264,10 @@ class EqClasses:
     antecedent.  Every label's class and representative (the class's first
     label in `order`, then in order of appearance in the equalities) are
     tabulated once at construction, so lookups do not scan; `path`
-    reconstructs a chain of equality atoms for the equality side condition."""
+    reconstructs a chain of equality atoms for the equality side condition.
+    A label they do not know is its own class, so the classes of an
+    antecedent serve unchanged once atoms over fresh labels, none of them
+    an equality, are added to it."""
 
     def __init__(self, atoms: Iterable[Atom], order: Iterable[Label]):
         self._adj: dict[Label, list[Label]] = {lab: [] for lab in order}
@@ -262,7 +277,6 @@ class EqClasses:
                 self._adj.setdefault(atom.right, []).append(atom.left)
         self._rep: dict[Label, Label] = {}
         self._class: dict[Label, frozenset[Label]] = {}
-        classes = []
         for first in self._adj:
             if first in self._rep:
                 continue
@@ -274,29 +288,9 @@ class EqClasses:
                         members.add(nxt)
                         stack.append(nxt)
             cls = frozenset(members)
-            classes.append(cls)
             for lab in cls:
                 self._rep[lab] = first
                 self._class[lab] = cls
-        #: the classes, ordered by their representatives
-        self.classes: tuple[frozenset[Label], ...] = tuple(classes)
-
-    def extended(self, labels: Iterable[Label]) -> EqClasses:
-        """These classes with a singleton class appended for each label they
-        do not know, in order: the classes of an antecedent that gained
-        atoms over those labels, none of them an equality."""
-        ext = object.__new__(EqClasses)
-        ext._adj, ext._rep, ext._class = dict(self._adj), dict(self._rep), dict(self._class)
-        classes = list(self.classes)
-        for lab in labels:
-            if lab not in ext._adj:
-                cls = frozenset((lab,))
-                ext._adj[lab] = []
-                ext._rep[lab] = lab
-                ext._class[lab] = cls
-                classes.append(cls)
-        ext.classes = tuple(classes)
-        return ext
 
     def connected(self, x: Label, y: Label) -> bool:
         return self.rep(x) == self.rep(y)
@@ -351,97 +345,30 @@ def eq_classes(atoms: Iterable[Atom], order: Iterable[Label] = ()) -> EqClasses:
     return EqClasses(atoms, order)
 
 
-GraphEdge = tuple[frozenset[Label], Role, frozenset[Label]]
+def build_prop_graph(seq: Sequent, eq: Optional[EqClasses] = None,
+                     start: int = 0) -> tuple[Edge, ...]:
+    """The propagation edges of the role atoms in `seq.antecedent[start:]`:
+    one edge per atom, between the representatives of its labels' classes
+    under `eq` (`seq.equalities()`; None reads each label as its own
+    class).  A `CflClosure` over them, which adds each edge's inverse, has
+    the class representatives as nodes, and its Reach decides the
+    propagation side conditions.
 
-
-class PropagationGraph:
-    """Structural view of a sequent, kept with the `antecedent` it was built
-    from: its equality classes (`eq`), which are the graph's nodes in label
-    order, and an edge per role atom plus its inverse.  `reachable` reads
-    the side conditions of the propagation rules off a CFL closure of
-    `edge_list`.
-
-    A graph built from scratch lists its edges sorted by (source position,
-    role name, target position), independent of hash randomization.  Given
-    a `base` built from a non-empty antecedent that is a prefix of this
-    one, the graph extends it when no added atom is an equality, which
-    could merge classes: the base's classes followed by a singleton class
-    per new label, the base's edges and those of the added role atoms, and
-    `edge_list` as the base's followed by the new edges, sorted among
-    themselves by the same key.  `extended` says whether it did; a CFL
-    closure over the base's `edge_list` then extends to this one's.  The
-    classes, nodes and edges are those a build from scratch finds."""
-
-    def __init__(self, seq: Sequent, base: Optional[PropagationGraph] = None):
-        self.antecedent = seq.antecedent
-        added = _added_atoms(seq.antecedent, base.antecedent) if base is not None else None
-        self.extended = added is not None
-        if added is None:
-            self.eq = eq_classes(seq.antecedent, seq.labels())
-            added, old_edges = seq.antecedent, frozenset()
-        else:
-            self.eq = base.eq.extended(lab for atom in added for lab in _atom_labels(atom))
-            old_edges = base.edges
-        self.nodes: tuple[frozenset[Label], ...] = self.eq.classes
-        new: set[GraphEdge] = set()
-        for atom in added:
-            if isinstance(atom, RoleAtom):
-                src = self.eq.class_of(atom.src)
-                dst = self.eq.class_of(atom.dst)
-                new.add((src, atom.role, dst))
-                new.add((dst, atom.role.inverse(), src))
-        if old_edges:
-            new = {edge for edge in new if edge not in old_edges}
-        self.edges: frozenset[GraphEdge] = old_edges | new
-        position = {node: i for i, node in enumerate(self.nodes)}
-        self.edge_list: tuple[GraphEdge, ...] = (base.edge_list if self.extended else ()) \
-            + tuple(sorted(new, key=lambda e: (position[e[0]], str(e[1]), position[e[2]])))
-
-    def rep(self, node: frozenset[Label]) -> Label:
-        return self.eq.rep(next(iter(node)))
-
-    def reachable(self, closure: CflClosure, role: Role, x: Label
-                  ) -> tuple[tuple[Label, frozenset[Label]], ...]:
-        """Every class reachable from x's class under the language of
-        `role`, in node order, as (representative, class); `closure` must be
-        built over `edge_list`."""
-        found = set(closure.successors(role, self.eq.class_of(x)))
-        return tuple((self.rep(cls), cls) for cls in self.nodes if cls in found)
-
-    def witness(self, closure: CflClosure, role: Role, x: Label,
-                cls: frozenset[Label]) -> PropWitness:
-        """The propagation witness for a class that `reachable` returned."""
-        derivation, node_path = closure.derivation(role, self.eq.class_of(x), cls)
-        return PropWitness(tuple(self.rep(node) for node in node_path), derivation)
-
-
-def _added_atoms(new: tuple[Atom, ...], old: tuple[Atom, ...]) -> Optional[tuple[Atom, ...]]:
-    """The atoms `new` adds to its prefix `old`, or None when `old` is empty
-    (its sequent's one label need not be a label of `new`), is no prefix, or
-    an added atom is an equality."""
-    if not old or (new is not old and new[:len(old)] != old):
-        return None
-    added = new[len(old):]
-    if any(isinstance(atom, Eq) for atom in added):
-        return None
-    return added
-
-
-def build_prop_graph(seq: Sequent, base: Optional[PropagationGraph] = None
-                     ) -> PropagationGraph:
-    """The propagation graph of `seq`, extending `base`, the graph of the
-    sequent it was made from, where it can (see `PropagationGraph`)."""
-    return PropagationGraph(seq, base)
-
-
-@dataclass(frozen=True)
-class PropWitness:
-    """Evidence for a propagation side condition: a node path (as class
-    representatives) and the (position, production) steps that derive, from
-    the role, the string of role labels along that path."""
-
-    path: tuple[Label, ...]
-    derivation: tuple[Step, ...]
+    The order of the edges fixes which derivation the closure records for
+    each pair, and so the witnesses a proof holds.  From the first atom
+    (`start` 0), the edges are sorted by the smaller of the keys (source
+    position, role name, target position) of their two orientations, with
+    positions in label order.  A later `start` keeps the atoms' order:
+    those edges extend the closure of the antecedent before them, to which
+    a rule added atoms but no equality."""
+    rep = (lambda lab: lab) if eq is None else eq.rep
+    edges = [(rep(atom.src), atom.role, rep(atom.dst))
+             for atom in seq.antecedent[start:] if isinstance(atom, RoleAtom)]
+    if start == 0:
+        position = {lab: i for i, lab in enumerate(seq.labels())}
+        edges.sort(key=lambda e: min((position[e[0]], str(e[1]), position[e[2]]),
+                                     (position[e[2]], str(e[1].inverse()), position[e[0]])))
+    return tuple(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -538,25 +465,15 @@ def _check_eq_path(seq: Sequent, x: Label, y: Label, path: tuple[Label, ...]) ->
             raise RuleError(f"no equality atom between {a} and {b}")
 
 
-def _equalities(seq: Sequent) -> Optional[EqClasses]:
-    """The classes of the sequent's equality atoms, or None when it has
-    none and every class is a single label."""
-    if any(isinstance(atom, Eq) for atom in seq.antecedent):
-        return eq_classes(seq.antecedent, seq.labels())
-    return None
-
-
-def _check_propagation(seq: Sequent, eq: Optional[EqClasses], g: RSystem,
-                       role: Role, x: Label, y: Label, path: tuple[Label, ...],
-                       derivation: tuple[Step, ...]) -> None:
+def _check_propagation(seq: Sequent, g: RSystem, role: Role, x: Label, y: Label,
+                       path: tuple[Label, ...], derivation: tuple[Step, ...]) -> None:
     """Re-verify a propagation witness against the sequent's own atoms.
     The derivation's steps are applied to (role,) in order: each rewrites
     the role at its position, which must be in the string and be the
     production's left-hand side, by a production of the R-system.  The
     derived string must then label the path, which runs from x's class to
     y's class: each step a -ch-> b is a role atom ch(a', b') or ch-(b', a')
-    of the sequent, with a' in a's class and b' in b's.  `eq` is
-    `_equalities(seq)`."""
+    of the sequent, with a' in a's class and b' in b's."""
     string = [role]
     for i, (pos, prod) in enumerate(derivation):
         if not 0 <= pos < len(string):
@@ -568,6 +485,7 @@ def _check_propagation(seq: Sequent, eq: Optional[EqClasses], g: RSystem,
         string[pos:pos + 1] = prod.rhs
     if len(path) != len(string) + 1:
         raise RuleError("propagation path length does not match the derived string")
+    eq = seq.equalities()
     same = operator.eq if eq is None else eq.connected
     if not same(path[0], x):
         raise RuleError("propagation path does not start at the principal label")
@@ -670,8 +588,8 @@ def apply_rule(ontology: Ontology, rule: str, conclusion: Sequent,
         idx = _principal_index(conclusion, x, c)
         if len(witness.paths) != 1 or len(witness.derivations) != 1:
             raise RuleError("(exists) needs exactly one propagation witness")
-        _check_propagation(conclusion, _equalities(conclusion), rsystem, c.role,
-                           x, y, witness.paths[0], witness.derivations[0])
+        _check_propagation(conclusion, rsystem, c.role, x, y,
+                           witness.paths[0], witness.derivations[0])
         premise = make_sequent(
             conclusion.antecedent,
             cons[: idx + 1] + (LabeledConcept(y, c.body),) + cons[idx + 1:], conclusion)
@@ -734,9 +652,8 @@ def apply_rule(ontology: Ontology, rule: str, conclusion: Sequent,
             raise RuleError(f"(atleast {c.n}) needs {c.n} target labels")
         if not len(witness.paths) == len(witness.derivations) == c.n:
             raise RuleError("(atleast) needs one propagation witness per target")
-        eq = _equalities(conclusion)
         for y, path, derivation in zip(ys, witness.paths, witness.derivations):
-            _check_propagation(conclusion, eq, rsystem, c.role, x, y, path, derivation)
+            _check_propagation(conclusion, rsystem, c.role, x, y, path, derivation)
         premises = []
         pmaps = []
         for y in ys:

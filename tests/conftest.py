@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 import pytest
 
@@ -42,6 +42,7 @@ from riq.sequent import (
     SequentError,
     _atom_labels,
     build_prop_graph,
+    eq_classes,
     make_sequent,
     parse_sequent,
 )
@@ -66,6 +67,43 @@ def searches(monkeypatch):
 
     monkeypatch.setattr(prover, "_Search", CountedSearch)
     return started
+
+
+def assert_same_classes(eq, seq: Sequent) -> None:
+    """`eq`, the equality classes a search node carries (None: the node's
+    sequent has no equality atom), gives every label of `seq` the
+    representative and members of its classes built from scratch."""
+    fresh = eq_classes(seq.antecedent, seq.labels())
+    for lab in seq.labels():
+        assert (lab if eq is None else eq.rep(lab)) == fresh.rep(lab)
+        assert ((lab,) if eq is None else eq.members(lab)) == fresh.members(lab)
+
+
+@pytest.fixture
+def carried_structure_checked(monkeypatch):
+    """Make every search check, at each node that realizes an agenda item,
+    that the classes it carries are the sequent's (`assert_same_classes`)
+    and that its carried closure has the Reach of a closure built from
+    scratch over the sequent's own classes.  The list gains, per node
+    checked, the number of its closure's edges."""
+    from riq import prover
+
+    realize = prover._Search.realize
+    checked = []
+    last = [None, None]
+
+    def checking(self, item, seq, eq, closure, *rest):
+        # the items of one node are realized in a row, against one closure
+        if last[0] is not seq or last[1] is not closure:
+            assert_same_classes(eq, seq)
+            fresh = CflClosure(self.ontology.rsystem, build_prop_graph(seq, seq.equalities()))
+            assert closure.reach == fresh.reach
+            last[:] = seq, closure
+            checked.append(len(closure.edges))
+        return realize(self, item, seq, eq, closure, *rest)
+
+    monkeypatch.setattr(prover._Search, "realize", checking)
+    return checked
 
 
 def C(text: str):
@@ -316,36 +354,78 @@ def exhaustive_interpretations(names, roles, max_domain):
 # ---------------------------------------------------------------------------
 
 
+def class_graph(seq: Sequent):
+    """The propagation graph as a graph of equality classes, built without
+    `build_prop_graph`: the classes of `seq`'s labels, in label order, and
+    the set of edges, one per role atom between the classes of its labels
+    and one for its inverse."""
+    eq = eq_classes(seq.antecedent, seq.labels())
+    nodes = tuple(dict.fromkeys(eq.class_of(lab) for lab in seq.labels()))
+    edges = set()
+    for atom in seq.antecedent:
+        if isinstance(atom, RoleAtom):
+            src, dst = eq.class_of(atom.src), eq.class_of(atom.dst)
+            edges |= {(src, atom.role, dst), (dst, atom.role.inverse(), src)}
+    return eq, nodes, edges
+
+
+class PropHit(NamedTuple):
+    """A propagation witness: a node path of class representatives and the
+    (position, production) steps that derive the string labelling it."""
+    path: tuple
+    derivation: tuple
+
+
 def prop_reachable(seq: Sequent, g, role: Role, x: str) -> tuple:
     """Representatives of every class reachable from x's class under the
-    language of `role`, each with its propagation witness."""
-    graph = build_prop_graph(seq)
-    closure = CflClosure(g, graph.edge_list)
-    return tuple((rep, graph.witness(closure, role, x, cls))
-                 for rep, cls in graph.reachable(closure, role, x))
+    language of `role`, in label order, each with its propagation witness,
+    read off a CFL closure over the class graph (`class_graph`)."""
+    eq, nodes, edges = class_graph(seq)
+    position = {cls: i for i, cls in enumerate(nodes)}
+    closure = CflClosure(g, sorted(edges, key=lambda e: (position[e[0]], str(e[1]),
+                                                         position[e[2]])))
+    found = set(closure.successors(role, eq.class_of(x)))
+    hits = []
+    for cls in nodes:
+        if cls in found:
+            derivation, path = closure.derivation(role, eq.class_of(x), cls)
+            hits.append((eq.rep(next(iter(cls))),
+                         PropHit(tuple(eq.rep(next(iter(n))) for n in path), derivation)))
+    return tuple(hits)
+
+
+def closure_reachable(seq: Sequent, g, role: Role, x: str) -> tuple:
+    """`prop_reachable` as the search reads it: off a CFL closure over
+    `build_prop_graph`'s edges between class representatives, the targets
+    in label order."""
+    eq = seq.equalities()
+    start = x if eq is None else eq.rep(x)
+    closure = CflClosure(g, build_prop_graph(seq, eq))
+    found = set(closure.successors(role, start))
+    return tuple((y, PropHit(*reversed(closure.derivation(role, start, y))))
+                 for y in seq.labels() if y in found)
 
 
 def graph_check_propagation(seq: Sequent, g, role: Role, x: str, y: str,
                             path: tuple, derivation: tuple) -> None:
-    """The propagation check as it was made on a built propagation graph:
-    raise RuleError unless the derivation's steps, applied to (role,), are
-    productions of g rewriting the role at their position, and the string
-    they derive labels the path from x's class to y's class along the
-    graph's edges, each role atom's and its inverse's between the classes
-    of its labels."""
+    """The propagation check as it is made on the class graph
+    (`class_graph`): raise RuleError unless the derivation's steps, applied
+    to (role,), are productions of g rewriting the role at their position,
+    and the string they derive labels the path from x's class to y's class
+    along the graph's edges, each role atom's and its inverse's between the
+    classes of its labels."""
     string = [role]
     for pos, prod in derivation:
         if not 0 <= pos < len(string) or prod.lhs != string[pos] \
                 or prod not in g.productions:
             raise RuleError(f"step {pos}, {prod} does not apply")
         string[pos:pos + 1] = prod.rhs
-    graph = build_prop_graph(seq)
-    eq = graph.eq
+    eq, _, edges = class_graph(seq)
     if len(path) != len(string) + 1 or not eq.connected(path[0], x) \
             or not eq.connected(path[-1], y):
         raise RuleError("the path does not fit")
     for a, ch, b in zip(path, string, path[1:]):
-        if (eq.class_of(a), ch, eq.class_of(b)) not in graph.edges:
+        if (eq.class_of(a), ch, eq.class_of(b)) not in edges:
             raise RuleError(f"missing propagation edge {a} -{ch}-> {b}")
 
 

@@ -124,11 +124,15 @@ class TestCriterion1:
         started = time.perf_counter()
         seq = parse_sequent(
             "r(x,y), r(x,z), r(x,w), z = w |- x : atleast 2 r . C")
-        graph = build_prop_graph(seq)
-        x, y, zw = frozenset("x"), frozenset("y"), frozenset(("z", "w"))
-        assert set(graph.nodes) == {x, y, zw}
+        eq = seq.equalities()
+        assert {eq.class_of(lab) for lab in seq.labels()} == \
+            {frozenset("x"), frozenset("y"), frozenset(("z", "w"))}
+        # one edge per role atom between class representatives; the
+        # closure adds their inverses
+        closure = CflClosure(build_rsystem(EMPTY_ONT), build_prop_graph(seq, eq))
         rinv = Role("r", True)
-        assert graph.edges == {(x, r, y), (y, rinv, x), (x, r, zw), (zw, rinv, x)}
+        assert closure.reach == {r: {("x", "y"), ("x", "z")},
+                                 rinv: {("y", "x"), ("z", "x")}}
 
         hits = prop_reachable(seq, build_rsystem(EMPTY_ONT), r, "x")
         witness = Witness(
@@ -222,6 +226,15 @@ class TestCriterion4:
                     assert child.conclusion is premise
                 nodes += 1
         assert nodes >= 1000
+
+    def test_every_search_node_carries_a_fresh_closure(self, fuzz_corpus,
+                                                       carried_structure_checked):
+        """Searched again, every node of each corpus goal carries the
+        equality classes and the Reach that a build from scratch gives its
+        sequent, and each search reaches the same verdict."""
+        for ont, sub, sup, result, _ in fuzz_corpus:
+            assert type(subsumes(ont, sub, sup, FUZZ_LIMITS)) is type(result)
+        assert sum(1 for edges in carried_structure_checked if edges) >= 1000
 
 
 class TestCriterion5:

@@ -472,6 +472,30 @@ class TestInfo:
             "  t: ({x} -> {z})\n"
             "  t-: ({z} -> {x})\n")
 
+    def test_an_equality_class_is_one_node(self, ontdir, capsys):
+        # z = w merges two r-successors: one node, rendered as its sorted class
+        code, out, _ = run(capsys, "info", "-o", str(ontdir / "empty.riq"),
+                           "--sequent", "r(x,y), r(x,z), r(x,w), z = w |- x : atleast 2 r . C")
+        assert code == 0
+        assert out.split("productions:\n")[1] == (
+            "  (none)\n"
+            "sequent: r(x,y), r(x,z), r(x,w), z = w |- x : atleast 2 r . C\n"
+            "propagation nodes: {x}; {y}; {w, z}\n"
+            "reach table:\n"
+            "  r: ({x} -> {w, z}), ({x} -> {y})\n"
+            "  r-: ({w, z} -> {x}), ({y} -> {x})\n")
+
+    def test_a_sequent_without_atoms_has_its_label_as_node(self, ontdir, capsys):
+        code, out, _ = run(capsys, "info", "-o", str(ontdir / "empty.riq"),
+                           "--sequent", "|- x : A")
+        assert code == 0
+        assert out.split("productions:\n")[1] == (
+            "  (none)\n"
+            "sequent: |- x : A\n"
+            "propagation nodes: {x}\n"
+            "reach table:\n"
+            "  (empty)\n")
+
     def test_truncated_sequent_is_a_parse_error(self, ontdir, capsys):
         code, _, err = run(capsys, "info", "-o", str(ontdir / "empty.riq"),
                            "--sequent", "r ( x ,")

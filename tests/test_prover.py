@@ -266,10 +266,10 @@ class TestClosureCarrying:
         assert len(built) < len(expanded)
 
     def test_a_leaf_premise_extends_the_carried_closure(self, monkeypatch):
-        """Each (forall) premise on the chain adds one leaf edge and its
-        inverse: its closure extends the carried one, whose edge list its
-        own starts with.  The goal's closure, and that of the first premise,
-        whose conclusion has no atoms, are built without a base."""
+        """Each (forall) premise on the chain adds one leaf edge: its
+        closure extends the carried one, whose edge list its own starts
+        with.  The goal's closure, and that of the first premise, whose
+        conclusion has no atoms, are built without a base."""
         built = []
         init = prover.CflClosure.__init__
 
@@ -280,7 +280,7 @@ class TestClosureCarrying:
         monkeypatch.setattr(prover.CflClosure, "__init__", recording_init)
         result = subsumes(CHAIN_ONT, C(CHAIN_SUB), C("some t . A"), LIMITS)
         assert isinstance(result, Proved)
-        assert [len(edges) for edges, _ in built] == list(range(0, 26, 2))
+        assert [len(edges) for edges, _ in built] == list(range(13))
         assert [base is None for _, base in built] == [True, True] + [False] * 11
         for (edges, _), (_, base) in zip(built, built[1:]):
             if base is not None:
@@ -289,15 +289,15 @@ class TestClosureCarrying:
 
 class TestStructureCarrying:
     def test_each_graph_is_built_on_a_new_antecedent(self, monkeypatch):
-        """The search builds a propagation graph for the goal and for a node
+        """The search builds propagation edges for the goal and for a node
         whose antecedent its rule changed; every other node, a cycle
-        restart included, keeps the graph it carries."""
+        restart included, keeps the closure it carries."""
         built, expanded = [], []
         build = prover.build_prop_graph
 
-        def recording_build(seq, *base):
+        def recording_build(seq, *args):
             built.append(seq.antecedent)
-            return build(seq, *base)
+            return build(seq, *args)
 
         monkeypatch.setattr(prover, "build_prop_graph", recording_build)
         counting_budget(monkeypatch, expanded)
@@ -308,19 +308,19 @@ class TestStructureCarrying:
 
     def test_checking_a_proof_builds_no_graph(self, monkeypatch):
         """`check_proof` checks each propagation witness against the
-        conclusion's atoms, without a propagation graph."""
+        conclusion's atoms, without a CFL closure."""
         result = subsumes(CHAIN_ONT, C(CHAIN_SUB), C("some t . A"), LIMITS)
         assert isinstance(result, Proved)
         assert any(node.instance.rule == "exists" and node.instance.witness.derivations[0]
                    for node in result.proof.nodes())
         built = []
-        init = sequent.PropagationGraph.__init__
+        init = prover.CflClosure.__init__
 
-        def recording_init(self, seq, *base):
-            built.append(seq)
-            init(self, seq, *base)
+        def recording_init(self, g, edges, *base):
+            built.append(edges)
+            init(self, g, edges, *base)
 
-        monkeypatch.setattr(sequent.PropagationGraph, "__init__", recording_init)
+        monkeypatch.setattr(prover.CflClosure, "__init__", recording_init)
         assert check_proof(CHAIN_ONT, result.proof).ok
         assert built == []
 

@@ -17,7 +17,7 @@ from riq.core import (
 )
 from riq import sequent
 from riq.parser import ParseError
-from riq.rsystem import Production, build_rsystem
+from riq.rsystem import CflClosure, Production, build_rsystem
 from riq.semantics import holds_antecedent, holds_consequent, is_model
 from riq.sequent import (
     Eq,
@@ -44,6 +44,7 @@ from conftest import (
     C,
     EMPTY_ONT,
     S,
+    closure_reachable,
     expand_steps,
     prop_reachable,
     random_interpretation,
@@ -57,19 +58,26 @@ A, B = ConceptName("A"), ConceptName("B")
 EXAMPLE_GAMMA = "r(x,y), r(x,z), r(x,w), z = w"
 
 
+def classes(eq, seq):
+    return {eq.class_of(lab) for lab in seq.labels()}
+
+
 class TestEqClasses:
     def test_no_equalities(self):
-        eq = eq_classes(S("r(x,y) |- x : A").antecedent)
-        assert set(eq.classes) == {frozenset("x"), frozenset("y")}
+        seq = S("r(x,y) |- x : A")
+        assert classes(eq_classes(seq.antecedent), seq) == {frozenset("x"), frozenset("y")}
+        assert seq.equalities() is None
 
     def test_example_partition(self):
         seq = S(f"{EXAMPLE_GAMMA} |- x : atleast 2 r . C")
         eq = eq_classes(seq.antecedent, seq.labels())
-        assert set(eq.classes) == {frozenset("x"), frozenset("y"), frozenset("zw")}
+        assert classes(eq, seq) == {frozenset("x"), frozenset("y"), frozenset("zw")}
+        assert eq.members("w") == ("z", "w") and eq.rep("w") == "z"
+        assert classes(seq.equalities(), seq) == classes(eq, seq)
 
     def test_transitivity(self):
-        eq = eq_classes(S("x = y, y = z |- x : A").antecedent)
-        assert set(eq.classes) == {frozenset("xyz")}
+        seq = S("x = y, y = z |- x : A")
+        assert classes(eq_classes(seq.antecedent), seq) == {frozenset("xyz")}
 
     def test_path_witness(self):
         eq = eq_classes(S("x = y, z = y |- x : A").antecedent)
@@ -77,28 +85,36 @@ class TestEqClasses:
         assert eq.connected("x", "z")
 
 
+rinv = Role("r", True)
+
+
 class TestPropagationGraph:
     def test_example_nodes_and_edges(self):
+        # one edge per role atom, between class representatives: z = w
+        # makes r(x,z) and r(x,w) one edge, which the closure stores once
         seq = S(f"{EXAMPLE_GAMMA} |- x : atleast 2 r . C")
-        g = build_prop_graph(seq)
-        x, y, zw = frozenset("x"), frozenset("y"), frozenset("zw")
-        assert set(g.nodes) == {x, y, zw}
-        rinv = Role("r", True)
-        assert g.edges == {(x, r, y), (y, rinv, x), (x, r, zw), (zw, rinv, x)}
+        edges = build_prop_graph(seq, seq.equalities())
+        assert edges == (("x", r, "y"), ("x", r, "z"), ("x", r, "z"))
+        reach = CflClosure(build_rsystem(EMPTY_ONT), edges).reach
+        assert reach == {r: {("x", "y"), ("x", "z")}, rinv: {("y", "x"), ("z", "x")}}
 
     def test_empty_antecedent_single_node(self):
-        g = build_prop_graph(S("|- x : A"))
-        assert g.nodes == (frozenset("x"),)
-        assert g.edges == frozenset()
+        seq = S("|- x : A")
+        assert build_prop_graph(seq, seq.equalities()) == ()
+        closure = CflClosure(build_rsystem(EMPTY_ONT), ())
+        assert closure.reach == {} and closure.successors(r, "x") == ()
 
     def test_equality_merges_edge_endpoints(self):
-        g = build_prop_graph(S("x = y, r(x,z) |- x : A"))
-        assert set(g.nodes) == {frozenset("xy"), frozenset("z")}
-        assert (frozenset("xy"), r, frozenset("z")) in g.edges
+        seq = S("x = y, r(y,z) |- x : A")
+        assert build_prop_graph(seq, seq.equalities()) == (("x", r, "z"),)
+        assert build_prop_graph(seq) == (("y", r, "z"),)
 
     def test_edge_symmetry_random(self, rng):
+        # the closure holds each edge's inverse, so Reach(r-) is the
+        # transpose of Reach(r), and every node is a class representative
         from conftest import random_concept
 
+        g = build_rsystem(make_ontology([RIA((r, Role("s")), Role("t"))], ()))
         for _ in range(50):
             labels = ["x", "y", "z", "w"]
             atoms = [RoleAtom(r, "x", "y"), RoleAtom(Role("s"), "y", "z"),
@@ -107,32 +123,42 @@ class TestPropagationGraph:
                 atoms.append(Eq("z", "w"))
             seq = make_sequent(
                 atoms, [LabeledConcept(rng.choice(labels), random_concept(rng, depth=2))])
-            g = build_prop_graph(seq)
-            for src, role, dst in g.edges:
-                assert (dst, role.inverse(), src) in g.edges
+            eq = seq.equalities()
+            edges = build_prop_graph(seq, eq)
+            assert len(edges) == 3
+            reach = CflClosure(g, edges).reach
+            for role, pairs in reach.items():
+                assert reach[role.inverse()] == {(b, a) for a, b in pairs}
+                for pair in pairs:
+                    assert all(eq is None or eq.rep(lab) == lab for lab in pair)
 
 
 class TestPropReachable:
+    """The reference, `prop_reachable`, and the search's reading off the
+    closure over `build_prop_graph`, `closure_reachable`, agree."""
+
     def test_example_reaches_two_classes(self):
         seq = S(f"{EXAMPLE_GAMMA} |- x : atleast 2 r . C")
-        hits = prop_reachable(seq, build_rsystem(EMPTY_ONT), r, "x")
-        assert [target for target, _ in hits] == ["y", "z"]
-        for _, wit in hits:
-            assert wit.derivation == ()
+        for reachable in (prop_reachable, closure_reachable):
+            hits = reachable(seq, build_rsystem(EMPTY_ONT), r, "x")
+            assert [target for target, _ in hits] == ["y", "z"]
+            for _, wit in hits:
+                assert wit.derivation == ()
 
     def test_empty_graph_nothing_reachable(self):
-        hits = prop_reachable(S("|- x : some r . A"), build_rsystem(EMPTY_ONT), r, "x")
-        assert hits == ()
+        for reachable in (prop_reachable, closure_reachable):
+            assert reachable(S("|- x : some r . A"), build_rsystem(EMPTY_ONT), r, "x") == ()
 
     def test_chain_through_ria(self):
         ont = make_ontology([RIA((r, Role("s")), Role("t"))], ())
         seq = S("r(u,v), s(v,w) |- u : some t . A")
         g = build_rsystem(ont)
-        hits = prop_reachable(seq, g, Role("t"), "u")
-        assert [target for target, _ in hits] == ["w"]
-        assert hits[0][1].derivation == ((0, Production(Role("t"), (r, Role("s")))),)
-        assert expand_steps(g, Role("t"), hits[0][1].derivation)[-1] == (r, Role("s"))
-        assert hits[0][1].path == ("u", "v", "w")
+        for reachable in (prop_reachable, closure_reachable):
+            hits = reachable(seq, g, Role("t"), "u")
+            assert [target for target, _ in hits] == ["w"]
+            assert hits[0][1].derivation == ((0, Production(Role("t"), (r, Role("s")))),)
+            assert expand_steps(g, Role("t"), hits[0][1].derivation)[-1] == (r, Role("s"))
+            assert hits[0][1].path == ("u", "v", "w")
 
 
 class TestSequentInvariants:
@@ -234,7 +260,8 @@ class TestApplyRule:
     def test_example_atleast_three_premises(self):
         # the worked propagation example: two value premises and one merge
         seq = S(f"{EXAMPLE_GAMMA} |- x : atleast 2 r . C")
-        hits = prop_reachable(seq, build_rsystem(EMPTY_ONT), r, "x")
+        hits = closure_reachable(seq, build_rsystem(EMPTY_ONT), r, "x")
+        assert hits == prop_reachable(seq, build_rsystem(EMPTY_ONT), r, "x")
         witness = Witness(
             label="x", concept=C("atleast 2 r . C"),
             targets=tuple(t for t, _ in hits),

@@ -1,13 +1,27 @@
 """Property tests for the structural view of a sequent: equality classes,
-the propagation witnesses read off the CFL closure of its graph, the
+the propagation witnesses read off the CFL closure over its role atoms, the
 checking of their (position, production) derivations and paths, the
-well-formedness check of a premise made from its conclusion, and the graph
-and closure of a premise extended from its conclusion's."""
+well-formedness check of a premise made from its conclusion, and the
+classes and closure a premise carries from its conclusion, in a search and
+alone."""
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from riq.core import RIA, ConceptName, Exists, Ontology, Role
+from riq.core import (
+    RIA,
+    AtLeast,
+    AtMost,
+    ConceptName,
+    Exists,
+    Forall,
+    NegatedName,
+    Ontology,
+    Or,
+    Role,
+    TOP,
+)
+from riq.prover import SearchLimits, prove
 from riq.rsystem import CflClosure, Production
 from riq.sequent import (
     Eq,
@@ -18,13 +32,19 @@ from riq.sequent import (
     SequentError,
     Witness,
     _check_propagation,
-    _equalities,
     apply_rule,
     build_prop_graph,
     eq_classes,
     make_sequent,
 )
-from conftest import expand_steps, graph_check_propagation, one_step_rewrites, prop_reachable
+from conftest import (
+    assert_same_classes,
+    closure_reachable,
+    expand_steps,
+    graph_check_propagation,
+    one_step_rewrites,
+    prop_reachable,
+)
 
 ROLES = tuple(Role(name, inverted) for name in ("r", "s", "t") for inverted in (False, True))
 A = ConceptName("A")
@@ -91,12 +111,12 @@ class TestEqClassesProperties:
         order = list(labels)
         rnd.shuffle(order)
         eqc = eq_classes(atoms, order)
-        classes = eqc.classes
+        classes = {eqc.class_of(lab) for lab in labels}
         assert sorted(lab for cls in classes for lab in cls) == sorted(labels)
-        for cls in classes:
-            assert all(eqc.class_of(lab) == cls for lab in cls)
-        firsts = [order.index(eqc.rep(next(iter(cls)))) for cls in classes]
-        assert firsts == sorted(firsts)
+        for lab in labels:
+            members = eqc.members(lab)
+            assert members == tuple(sorted(eqc.class_of(lab), key=order.index))
+            assert members[0] == eqc.rep(lab)
 
 
 class TestPropReachableProperties:
@@ -108,7 +128,11 @@ class TestPropReachableProperties:
         ontology = Ontology(tuple(rias))
         concept = Exists(role, A)
         seq = make_sequent(atoms, [LabeledConcept(x, concept)])
-        for target, wit in prop_reachable(seq, ontology.rsystem, role, x):
+        hits = closure_reachable(seq, ontology.rsystem, role, x)
+        # the reference reaches the same classes, named alike
+        assert [y for y, _ in hits] == \
+            [y for y, _ in prop_reachable(seq, ontology.rsystem, role, x)]
+        for target, wit in hits:
             witness = Witness(label=x, concept=concept, target=target,
                               paths=(wit.path,), derivations=(wit.derivation,))
             inst = apply_rule(ontology, "exists", seq, witness)
@@ -302,46 +326,68 @@ class TestExtendedStructure:
     @settings(max_examples=300, deadline=None)
     @given(growths(), rboxes)
     def test_an_extension_equals_a_build_from_scratch(self, growth, rias):
-        """Each premise's graph, built from its conclusion's, has the
-        classes, nodes and edges of a graph built from scratch, and is
-        extended exactly when the conclusion has atoms and the premise adds
-        no equality.  Its closure, extended from the conclusion's over the
-        new edges when the graph was, has the successors and Reach of a
-        fresh closure, and each witness read off it passes the propagation
-        check against the premise's own atoms."""
+        """A premise that adds atoms over fresh labels and no equality to a
+        conclusion with atoms keeps its classes and extends its closure by
+        the edges of the added role atoms, which follow the conclusion's
+        edges; any other premise builds both anew.  The classes give every
+        label of the premise a fresh build's representative and members,
+        the closure has a fresh closure's Reach and successors, and each
+        witness read off it passes the propagation check against the
+        premise's own atoms."""
         atoms, steps = growth
         g = Ontology(tuple(rias)).rsystem
         seq = make_sequent(atoms, [LabeledConcept("x0", A)])
-        graph = build_prop_graph(seq)
-        closure = CflClosure(g, graph.edge_list)
+        eq = seq.equalities()
+        closure = CflClosure(g, build_prop_graph(seq, eq))
         for added in steps:
             premise = make_sequent(seq.antecedent + added, seq.consequent, seq)
-            grown = build_prop_graph(premise, graph)
             # an atom the conclusion has is not added again
-            new = premise.antecedent[len(seq.antecedent):]
-            assert grown.extended == (bool(seq.antecedent)
-                                      and not any(isinstance(a, Eq) for a in new))
-            fresh = build_prop_graph(premise)
-            assert grown.nodes == fresh.nodes
-            assert grown.eq.classes == fresh.eq.classes
-            for lab in premise.labels():
-                assert grown.eq.rep(lab) == fresh.eq.rep(lab)
-                assert grown.eq.members(lab) == fresh.eq.members(lab)
-            assert grown.edges == fresh.edges
-            assert sorted(grown.edge_list, key=str) == sorted(fresh.edge_list, key=str)
-            if grown.extended:
-                assert grown.edge_list[:len(graph.edge_list)] == graph.edge_list
-            closure = CflClosure(g, grown.edge_list, closure if grown.extended else None)
-            fresh_closure = CflClosure(g, fresh.edge_list)
-            assert closure.reach == fresh_closure.reach
-            eq = _equalities(premise)
+            start = len(seq.antecedent)
+            if start and not any(isinstance(a, Eq) for a in premise.antecedent[start:]):
+                edges = build_prop_graph(premise, eq, start)
+                assert len(edges) == sum(isinstance(a, RoleAtom) for a in added)
+                closure = CflClosure(g, closure.edges + edges, closure)
+            else:
+                eq = premise.equalities()
+                closure = CflClosure(g, build_prop_graph(premise, eq))
+            assert_same_classes(eq, premise)
+            fresh = CflClosure(g, build_prop_graph(premise, premise.equalities()))
+            assert closure.reach == fresh.reach
             for role in ROLES:
-                for node in grown.nodes:
-                    assert set(closure.successors(role, node)) == \
-                        set(fresh_closure.successors(role, node))
                 for x in premise.labels():
-                    for rep, cls in grown.reachable(closure, role, x):
-                        wit = grown.witness(closure, role, x, cls)
-                        _check_propagation(premise, eq, g, role, x, rep,
-                                           wit.path, wit.derivation)
-            seq, graph = premise, grown
+                    node = x if eq is None else eq.rep(x)
+                    assert set(closure.successors(role, node)) == \
+                        set(fresh.successors(role, node))
+                    for y in closure.successors(role, node):
+                        derivation, path = closure.derivation(role, node, y)
+                        _check_propagation(premise, g, role, x, y, path, derivation)
+            seq = premise
+
+
+#: concepts whose rules need witnesses, make fresh labels or merge labels;
+#: the value premises of (atleast 2 r . TOP) close, so its equality premise
+#: is searched too
+CONCEPTS = st.sampled_from(ROLES).flatmap(lambda role: st.sampled_from((
+    Exists(role, A), Forall(role, A), Forall(role, Exists(role, A)),
+    AtLeast(2, role, A), AtLeast(2, role, TOP), AtMost(1, role, ConceptName("B")),
+    Or(Exists(role, A), Forall(role, A)), NegatedName("A"))))
+
+
+class TestCarriedStructure:
+    # the fixture's patch serves every example alike
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(trees_with_equalities(), rboxes, st.data())
+    def test_every_search_node_carries_a_fresh_closure(self, carried_structure_checked,
+                                                       tree, rias, data):
+        """A search from a random antecedent, with equality atoms or
+        without, carries to every node the classes and Reach that a build
+        from scratch gives the node's sequent."""
+        labels, atoms = tree
+        occurrences = data.draw(st.lists(
+            st.builds(LabeledConcept, st.sampled_from(labels), CONCEPTS), min_size=1,
+            max_size=4))
+        goal = make_sequent(atoms, occurrences)
+        before = len(carried_structure_checked)
+        prove(Ontology(tuple(rias)), goal, SearchLimits(200, 16, 10))
+        assert len(carried_structure_checked) > before

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -50,22 +49,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _default_steps() -> int:
-    env = os.environ.get("RIQ_MAX_STEPS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 50000
+def _positive(text: str) -> int:
+    """The value of a limit option, which must be a positive integer."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, found {text!r}")
+    return int(text)
 
 
 def _add_limits(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-steps", type=int, default=_default_steps(),
+    p.add_argument("--max-steps", type=_positive, default=50000,
                    help="total rule applications before giving up")
-    p.add_argument("--max-labels", type=int, default=2000,
+    p.add_argument("--max-labels", type=_positive, default=2000,
                    help="labels per branch before giving up")
-    p.add_argument("--max-seconds", type=int, default=120,
+    p.add_argument("--max-seconds", type=_positive, default=120,
                    help="wall-clock hint before giving up")
 
 
@@ -264,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("model", help="bounded counter-model search")
     p.add_argument("-o", "--ontology", required=True)
     p.add_argument("--goal", required=True, help='"C <= D"')
-    p.add_argument("--max-domain", type=int, default=3)
+    p.add_argument("--max-domain", type=_positive, default=3)
     p.add_argument("--samples", type=int, default=None,
                    help="random sampling count for large signatures")
     p.add_argument("--emit-model")

@@ -160,10 +160,6 @@ TOP: Concept = Or(ConceptName(RESERVED_NAME), NegatedName(RESERVED_NAME))
 BOT: Concept = And(ConceptName(RESERVED_NAME), NegatedName(RESERVED_NAME))
 
 
-def is_literal(c: Concept) -> bool:
-    return isinstance(c, (ConceptName, NegatedName))
-
-
 _UNARY = (Exists, Forall, AtMost, AtLeast, Not)
 
 T = TypeVar("T")

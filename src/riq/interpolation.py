@@ -473,9 +473,10 @@ class PartitionedProof:
 def annotate_partition(proof: Proof, end_split: EndSplit) -> PartitionedProof:
     """Top-down pass assigning each occurrence and inequality atom a side.
 
-    The sides follow the premise maps and read positions of each node's own
-    instance, so the proof must be one that `prove` returned: its instances
-    are `apply_rule`'s, and its children conclude their premises.
+    The sides follow the premise maps (expanded from the layouts) and read
+    positions of each node's own instance, so the proof must be one that
+    `prove` returned: its instances are `apply_rule`'s, and its children
+    conclude their premises.
     """
     pending = [(end_split.occ_sides, end_split.neq_sides)]
     annotated: list[PartitionedProof] = []
@@ -486,7 +487,7 @@ def annotate_partition(proof: Proof, end_split: EndSplit) -> PartitionedProof:
             raise InterpolationError("side annotation does not match the sequent")
         if inst.rule in ("id", "id_eq"):
             principal_side = None
-        elif inst.reads and len(inst.premise_maps) == len(inst.premises):
+        elif inst.reads and len(inst.layouts) == len(inst.premises):
             principal_side = occ_sides[inst.reads[0]]
         else:  # e.g. a proof read back by `proof_from_json`
             raise InterpolationError(f"the {inst.rule} instance has no premise_maps/reads: "

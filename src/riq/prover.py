@@ -81,29 +81,26 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .core import (
-    And,
     AtLeast,
-    AtMost,
     Concept,
     ConceptName,
-    Exists,
-    Forall,
     NegatedName,
     Ontology,
     Or,
     RiqError,
     nnf_negate,
     subconcepts,
-    is_literal,
 )
 from .rsystem import CflClosure
 from .semantics import (
     Interpretation,
-    falsifies,
+    holds_antecedent,
+    holds_consequent,
     is_model,
     ria_closure,
 )
 from .sequent import (
+    PRINCIPAL_TYPES,
     Eq,
     EqClasses,
     LabeledConcept,
@@ -232,37 +229,24 @@ class _Search:
     # cycle agenda: one item per pending occurrence, in stage order
     # ------------------------------------------------------------------
 
-    _STAGE = {"subst_eq": 0, "or": 1, "and": 2, "exists": 3, "forall": 4,
-              "atmost": 5, "atleast": 6}
+    #: the rules of a saturation cycle, in stage order
+    _STAGES = ("subst_eq", "or", "and", "exists", "forall", "atmost", "atleast")
+    #: each principal type's stage and rule
+    _STAGE_OF = {t: (i, rule) for i, rule in enumerate(_STAGES)
+                 for t in PRINCIPAL_TYPES[rule]}
 
     def build_agenda(self, seq: Sequent) -> tuple[tuple, ...]:
         """Snapshot the obligations of a full saturation cycle: every
         consequent occurrence contributes at most one item, grouped by the
         calculus' stage order.  Items are realized against the sequent that
-        is current when they fire."""
-        buckets: list[list[tuple]] = [[] for _ in self._STAGE]
-        seen = set()
+        is current when they fire.  No (atleast 0) occurrence is met here:
+        it closes the node before the agenda is built."""
+        stages = {}
         for occ in seq.consequent:
-            item = None
-            c = occ.concept
-            if is_literal(c):
-                item = ("subst_eq", occ.label, c)
-            elif isinstance(c, Or):
-                item = ("or", occ.label, c)
-            elif isinstance(c, And):
-                item = ("and", occ.label, c)
-            elif isinstance(c, Exists):
-                item = ("exists", occ.label, c)
-            elif isinstance(c, Forall):
-                item = ("forall", occ.label, c)
-            elif isinstance(c, AtMost):
-                item = ("atmost", occ.label, c)
-            elif isinstance(c, AtLeast) and c.n > 0:
-                item = ("atleast", occ.label, c)
-            if item is not None and item not in seen:
-                seen.add(item)
-                buckets[self._STAGE[item[0]]].append(item)
-        return tuple(item for bucket in buckets for item in bucket)
+            stage = self._STAGE_OF.get(type(occ.concept))
+            if stage is not None:
+                stages.setdefault((stage[1], occ.label, occ.concept), stage[0])
+        return tuple(sorted(stages, key=stages.__getitem__))
 
     def realize(self, item: tuple, seq: Sequent, eq: Optional[EqClasses],
                 closure: CflClosure, present: frozenset,
@@ -564,7 +548,8 @@ def prove(ontology: Ontology, goal: Sequent,
     root concludes the goal, and each child's conclusion is the very premise
     object its parent's instance made.  So it is what `check_proof` would
     re-derive from the goal, and every node carries the instance's
-    `premise_maps` and `reads`.
+    premise `layouts`, from which its `premise_maps` are expanded, and its
+    `reads`.
 
     The search first adds each goal label's `ontology.gci_list(label)`
     occurrences that the goal lacks.  They are false in every model of the
@@ -671,7 +656,9 @@ def extract_countermodel(ontology: Ontology, seq: Sequent,
 
     if not is_model(interpretation, ontology):
         raise CountermodelError("extracted interpretation is not a model of the ontology")
-    goal_assignment = {lab: assignment[lab] for lab in goal.labels()}
-    if not falsifies(interpretation, goal_assignment, ontology, goal):
+    # it is a model, so it falsifies the goal (`semantics.falsifies`) when
+    # the antecedent holds and the consequent does not
+    if not holds_antecedent(interpretation, assignment, goal) \
+            or holds_consequent(interpretation, assignment, goal):
         raise CountermodelError("extracted interpretation does not falsify the goal")
     return interpretation, assignment

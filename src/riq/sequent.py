@@ -9,6 +9,10 @@ labeled concepts.  Labels are plain strings ordered by first occurrence in
 the sequent; rule applications pick class representatives in that order,
 which makes proof search deterministic.
 
+Each rule's principal types are stated once (`PRINCIPAL_TYPES`).  Every
+premise is made by one builder (`_premise`), which records its layout; the
+premise maps are expanded from the layouts on demand.
+
 Proof nodes store enough witness data (equality paths, propagation node
 paths with the (position, production) steps that derive their role
 strings, fresh labels) for `check_proof` to re-derive every node and
@@ -27,6 +31,7 @@ import re
 from collections import Counter, deque
 from dataclasses import InitVar, dataclass, field, fields
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Iterator, Optional, Union
 
 from .core import (
@@ -42,7 +47,6 @@ from .core import (
     Or,
     RiqError,
     Role,
-    is_literal,
     nnf_negate,
     weight,
 )
@@ -397,6 +401,25 @@ class Witness:
 #: k-th TBox axiom introduced at a fresh label.
 Provenance = tuple
 PremiseMap = tuple[Provenance, ...]
+#: How a premise's consequent is laid out, `(at, drop, provenances)`: the
+#: conclusion's occurrences but the one at `drop` (None keeps all), copied in
+#: order, with the premise's own occurrences, whose provenances these are,
+#: inserted before conclusion position `at` (at most `drop`).
+Layout = tuple[int, Optional[int], tuple[Provenance, ...]]
+
+_ACTIVE: tuple[Provenance, ...] = (("active",),)
+
+#: The concept types a rule's principal may have; (id_eq) has no principal.
+PRINCIPAL_TYPES: dict[str, tuple[type, ...]] = {
+    "id": (ConceptName,),
+    "subst_eq": (ConceptName, NegatedName),
+    "or": (Or,),
+    "and": (And,),
+    "exists": (Exists,),
+    "forall": (Forall,),
+    "atmost": (AtMost,),
+    "atleast": (AtLeast,),
+}
 
 
 @dataclass(frozen=True)
@@ -405,11 +428,22 @@ class RuleInstance:
     conclusion: Sequent
     premises: tuple[Sequent, ...]
     witness: Witness
-    # both set by `apply_rule`, never serialized; `reads` holds the
-    # conclusion's consequent positions the rule reads (the principal, both
-    # sides of an (id) axiom, none for (id_eq))
-    premise_maps: tuple[PremiseMap, ...] = field(default=(), compare=False, repr=False)
+    # both set by `apply_rule`, never serialized: one layout per premise, and
+    # the conclusion's consequent positions the rule reads (the principal,
+    # both sides of an (id) axiom, none for (id_eq))
+    layouts: tuple[Layout, ...] = field(default=(), compare=False, repr=False)
     reads: tuple[int, ...] = field(default=(), compare=False, repr=False)
+
+    @property
+    def premise_maps(self) -> tuple[PremiseMap, ...]:
+        """Each premise's provenance per occurrence, expanded from its
+        layout."""
+        n = len(self.conclusion.consequent)
+        maps = []
+        for at, drop, provenances in self.layouts:
+            ctx = tuple(("ctx", j) for j in range(n) if j != drop)
+            maps.append(ctx[:at] + provenances + ctx[at:])
+        return tuple(maps)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -512,8 +546,21 @@ def _check_fresh(seq: Sequent, fresh: tuple[Label, ...]) -> None:
             raise RuleError(f"label {lab!r} is not fresh")
 
 
-def _ctx(n: int, skip: int) -> list[Provenance]:
-    return [("ctx", j) for j in range(n) if j != skip]
+def _premise(conclusion: Sequent, occurrences: tuple[LabeledConcept, ...],
+             provenances: tuple[Provenance, ...], at: int, drop: Optional[int] = None,
+             atoms: Optional[tuple[Atom, ...]] = None) -> tuple[Sequent, Layout]:
+    """The premise whose consequent is the conclusion's without the
+    occurrence at `drop`, with `occurrences` inserted before conclusion
+    position `at` (at most `drop`), and whose antecedent is `atoms` (the
+    conclusion's when None); with its layout."""
+    cons = conclusion.consequent
+    if drop is None:
+        consequent = cons[:at] + occurrences + cons[at:]
+    else:
+        consequent = cons[:at] + occurrences + cons[at:drop] + cons[drop + 1:]
+    premise = make_sequent(conclusion.antecedent if atoms is None else atoms,
+                           consequent, conclusion)
+    return premise, (at, drop, provenances)
 
 
 def apply_rule(ontology: Ontology, rule: str, conclusion: Sequent,
@@ -521,17 +568,6 @@ def apply_rule(ontology: Ontology, rule: str, conclusion: Sequent,
     """Construct the premises of a rule application bottom-up, verifying the
     side condition carried by the witness against the ontology's R-system.
     Raises RuleError if the rule does not apply."""
-    rsystem = ontology.rsystem
-    cons = conclusion.consequent
-
-    if rule == "id":
-        if not isinstance(witness.concept, ConceptName):
-            raise RuleError("(id) needs a concept name")
-        x, a = witness.label, witness.concept
-        reads = (_principal_index(conclusion, x, a),
-                 _principal_index(conclusion, x, NegatedName(a.name)))
-        return RuleInstance(rule, conclusion, (), witness, (), reads)
-
     if rule == "id_eq":
         if witness.pair is None or len(witness.pair) != 2:
             raise RuleError("(id_eq) needs its inequality atom")
@@ -539,135 +575,71 @@ def apply_rule(ontology: Ontology, rule: str, conclusion: Sequent,
         if Neq(x, y) not in conclusion.atom_set():
             raise RuleError(f"inequality {x} != {y} not in the antecedent")
         _check_eq_path(conclusion, x, y, witness.eq_path)
-        return RuleInstance(rule, conclusion, (), witness, ())
+        return RuleInstance(rule, conclusion, (), witness)
+
+    types = PRINCIPAL_TYPES.get(rule)
+    if types is None:
+        raise RuleError(f"unknown rule {rule!r}")
+    x, c = witness.label, witness.concept
+    if not isinstance(c, types):
+        raise RuleError(f"({rule}) needs a principal of type "
+                        + " or ".join(t.__name__ for t in types))
+    idx = _principal_index(conclusion, x, c)
+
+    if rule == "id":
+        reads = (idx, _principal_index(conclusion, x, NegatedName(c.name)))
+        return RuleInstance(rule, conclusion, (), witness, (), reads)
 
     if rule == "subst_eq":
-        x, lit, y = witness.label, witness.concept, witness.target
-        if lit is None or not is_literal(lit):
-            raise RuleError("(subst_eq) applies to literals only")
-        idx = _principal_index(conclusion, x, lit)
+        y = witness.target
         _check_eq_path(conclusion, x, y, witness.eq_path)
-        premise = make_sequent(
-            conclusion.antecedent,
-            cons[: idx + 1] + (LabeledConcept(y, lit),) + cons[idx + 1:], conclusion)
-        pmap = tuple([("ctx", j) for j in range(idx + 1)] + [("active",)]
-                     + [("ctx", j) for j in range(idx + 1, len(cons))])
-        return RuleInstance(rule, conclusion, (premise,), witness, (pmap,), (idx,))
-
-    if rule == "or":
-        x, c = witness.label, witness.concept
-        if not isinstance(c, Or):
-            raise RuleError("(or) needs a disjunction")
-        idx = _principal_index(conclusion, x, c)
-        premise = make_sequent(
-            conclusion.antecedent,
-            cons[:idx] + (LabeledConcept(x, c.left), LabeledConcept(x, c.right))
-            + cons[idx + 1:], conclusion)
-        pmap = tuple([("ctx", j) for j in range(idx)] + [("active",), ("active",)]
-                     + [("ctx", j) for j in range(idx + 1, len(cons))])
-        return RuleInstance(rule, conclusion, (premise,), witness, (pmap,), (idx,))
-
-    if rule == "and":
-        x, c = witness.label, witness.concept
-        if not isinstance(c, And):
-            raise RuleError("(and) needs a conjunction")
-        idx = _principal_index(conclusion, x, c)
-        premises = tuple(
-            make_sequent(conclusion.antecedent,
-                         cons[:idx] + (LabeledConcept(x, part),) + cons[idx + 1:],
-                         conclusion)
-            for part in (c.left, c.right))
-        pmap = tuple([("ctx", j) for j in range(idx)] + [("active",)]
-                     + [("ctx", j) for j in range(idx + 1, len(cons))])
-        return RuleInstance(rule, conclusion, premises, witness, (pmap, pmap), (idx,))
-
-    if rule == "exists":
-        x, c, y = witness.label, witness.concept, witness.target
-        if not isinstance(c, Exists):
-            raise RuleError("(exists) needs an existential restriction")
-        idx = _principal_index(conclusion, x, c)
+        made = [_premise(conclusion, (LabeledConcept(y, c),), _ACTIVE, idx + 1)]
+    elif rule == "or":
+        made = [_premise(conclusion, (LabeledConcept(x, c.left), LabeledConcept(x, c.right)),
+                         _ACTIVE * 2, idx, idx)]
+    elif rule == "and":
+        made = [_premise(conclusion, (LabeledConcept(x, part),), _ACTIVE, idx, idx)
+                for part in (c.left, c.right)]
+    elif rule == "exists":
         if len(witness.paths) != 1 or len(witness.derivations) != 1:
             raise RuleError("(exists) needs exactly one propagation witness")
-        _check_propagation(conclusion, rsystem, c.role, x, y,
+        y = witness.target
+        _check_propagation(conclusion, ontology.rsystem, c.role, x, y,
                            witness.paths[0], witness.derivations[0])
-        premise = make_sequent(
-            conclusion.antecedent,
-            cons[: idx + 1] + (LabeledConcept(y, c.body),) + cons[idx + 1:], conclusion)
-        pmap = tuple([("ctx", j) for j in range(idx + 1)] + [("active",)]
-                     + [("ctx", j) for j in range(idx + 1, len(cons))])
-        return RuleInstance(rule, conclusion, (premise,), witness, (pmap,), (idx,))
-
-    if rule == "forall":
-        x, c = witness.label, witness.concept
-        if not isinstance(c, Forall):
-            raise RuleError("(forall) needs a universal restriction")
-        idx = _principal_index(conclusion, x, c)
-        if len(witness.fresh) != 1:
-            raise RuleError("(forall) needs one fresh label")
-        _check_fresh(conclusion, witness.fresh)
-        y = witness.fresh[0]
-        gcis = ontology.gci_list(y)
-        premise = make_sequent(
-            conclusion.antecedent + (RoleAtom(c.role, x, y),),
-            (LabeledConcept(y, c.body),)
-            + tuple(LabeledConcept(lab, g) for lab, g in gcis)
-            + cons[:idx] + cons[idx + 1:], conclusion)
-        pmap = tuple([("active",)] + [("gci", k) for k in range(len(gcis))]
-                     + _ctx(len(cons), idx))
-        return RuleInstance(rule, conclusion, (premise,), witness, (pmap,), (idx,))
-
-    if rule == "atmost":
-        x, c = witness.label, witness.concept
-        if not isinstance(c, AtMost):
-            raise RuleError("(atmost) needs an atmost restriction")
-        idx = _principal_index(conclusion, x, c)
-        if len(witness.fresh) != c.n + 1:
-            raise RuleError(f"(atmost {c.n}) needs {c.n + 1} fresh labels")
-        _check_fresh(conclusion, witness.fresh)
+        made = [_premise(conclusion, (LabeledConcept(y, c.body),), _ACTIVE, idx + 1)]
+    elif rule in ("forall", "atmost"):
+        # (forall) is the shape of (atmost 0) with the body not negated: each
+        # fresh label starts with the body and its TBox axioms, and the
+        # inequalities between the labels come before their role atoms
         ys = witness.fresh
-        atoms = list(conclusion.antecedent)
-        atoms += [Neq(ys[i], ys[j]) for i in range(len(ys)) for j in range(i + 1, len(ys))]
-        atoms += [RoleAtom(c.role, x, y) for y in ys]
-        new_cons: list[LabeledConcept] = []
-        pmap: list[Provenance] = []
-        neg = nnf_negate(c.body)
+        n = 1 if rule == "forall" else c.n + 1
+        if len(ys) != n:
+            raise RuleError(f"({rule}) needs {n} fresh label(s)")
+        _check_fresh(conclusion, ys)
+        body = c.body if rule == "forall" else nnf_negate(c.body)
+        occurrences, provenances = [], []
         for y in ys:
-            new_cons.append(LabeledConcept(y, neg))
-            pmap.append(("active",))
+            occurrences.append(LabeledConcept(y, body))
+            provenances.append(("active",))
             for k, (lab, g) in enumerate(ontology.gci_list(y)):
-                new_cons.append(LabeledConcept(lab, g))
-                pmap.append(("gci", k))
-        premise = make_sequent(atoms, tuple(new_cons) + cons[:idx] + cons[idx + 1:],
-                               conclusion)
-        pmap += _ctx(len(cons), idx)
-        return RuleInstance(rule, conclusion, (premise,), witness, (tuple(pmap),), (idx,))
-
-    if rule == "atleast":
-        x, c = witness.label, witness.concept
-        if not isinstance(c, AtLeast):
-            raise RuleError("(atleast) needs an atleast restriction")
-        idx = _principal_index(conclusion, x, c)
+                occurrences.append(LabeledConcept(lab, g))
+                provenances.append(("gci", k))
+        atoms = (conclusion.antecedent + tuple(Neq(a, b) for a, b in combinations(ys, 2))
+                 + tuple(RoleAtom(c.role, x, y) for y in ys))
+        made = [_premise(conclusion, tuple(occurrences), tuple(provenances), 0, idx, atoms)]
+    else:  # atleast
         ys = witness.targets
         if len(ys) != c.n:
             raise RuleError(f"(atleast {c.n}) needs {c.n} target labels")
         if not len(witness.paths) == len(witness.derivations) == c.n:
             raise RuleError("(atleast) needs one propagation witness per target")
         for y, path, derivation in zip(ys, witness.paths, witness.derivations):
-            _check_propagation(conclusion, rsystem, c.role, x, y, path, derivation)
-        premises = []
-        pmaps = []
-        for y in ys:
-            premises.append(make_sequent(
-                conclusion.antecedent, (LabeledConcept(y, c.body),) + cons, conclusion))
-            pmaps.append(tuple([("active",)] + [("ctx", j) for j in range(len(cons))]))
-        for i in range(len(ys)):
-            for j in range(i + 1, len(ys)):
-                premises.append(make_sequent(
-                    conclusion.antecedent + (Eq(ys[i], ys[j]),), cons, conclusion))
-                pmaps.append(tuple(("ctx", j2) for j2 in range(len(cons))))
-        return RuleInstance(rule, conclusion, tuple(premises), witness, tuple(pmaps), (idx,))
-
-    raise RuleError(f"unknown rule {rule!r}")
+            _check_propagation(conclusion, ontology.rsystem, c.role, x, y, path, derivation)
+        made = [_premise(conclusion, (LabeledConcept(y, c.body),), _ACTIVE, 0) for y in ys]
+        made += [_premise(conclusion, (), (), 0, atoms=conclusion.antecedent + (Eq(a, b),))
+                 for a, b in combinations(ys, 2)]
+    return RuleInstance(rule, conclusion, tuple(premise for premise, _ in made), witness,
+                        tuple(layout for _, layout in made), (idx,))
 
 
 @dataclass(frozen=True)

@@ -227,6 +227,32 @@ class TestCriterion4:
                 nodes += 1
         assert nodes >= 1000
 
+    def test_every_premise_occurrence_names_its_source(self, fuzz_corpus):
+        """Each premise-map entry says where its occurrence comes from: a
+        ("ctx", j) occurrence is the conclusion's occurrence j itself, a
+        ("gci", k) one is the k-th TBox axiom at its label, and an
+        ("active",) one is new.  Every rule of the calculus occurs."""
+        rules = set()
+        for ont, _, _, result, _ in fuzz_corpus:
+            if not isinstance(result, Proved):
+                continue
+            for node in result.proof.nodes():
+                inst = node.instance
+                rules.add(inst.rule)
+                old = inst.conclusion.consequent
+                for premise, pmap in zip(inst.premises, inst.premise_maps):
+                    for occ, origin in zip(premise.consequent, pmap, strict=True):
+                        if origin[0] == "ctx":
+                            assert occ is old[origin[1]], (inst.rule, origin)
+                        elif origin[0] == "gci":
+                            assert (occ.label, occ.concept) \
+                                == ont.gci_list(occ.label)[origin[1]], inst.rule
+                        else:
+                            assert origin == ("active",), inst.rule
+                            assert all(occ is not o for o in old), inst.rule
+        assert rules == {"id", "id_eq", "subst_eq", "or", "and", "exists", "forall",
+                         "atmost", "atleast"}
+
     def test_every_search_node_carries_a_fresh_closure(self, fuzz_corpus,
                                                        carried_structure_checked):
         """Searched again, every node of each corpus goal carries the

@@ -508,15 +508,18 @@ class TestInfo:
 
 
 class TestLimits:
-    def test_env_var_overrides_default_steps(self, ontdir, capsys, monkeypatch):
-        monkeypatch.setenv("RIQ_MAX_STEPS", "1")
-        code, out, _ = run(capsys, "check", "-o", str(ontdir / "ab.riq"),
-                           "--sub", "A", "--sup", "B")
-        assert code == 2 and "Unknown" in out
-        monkeypatch.delenv("RIQ_MAX_STEPS")
-        code, out, _ = run(capsys, "check", "-o", str(ontdir / "ab.riq"),
-                           "--sub", "A", "--sup", "B")
-        assert code == 0
+    @pytest.mark.parametrize("argv", [
+        ("check", "--sub", "A", "--sup", "B", "--max-steps", "0"),
+        ("check", "--sub", "A", "--sup", "B", "--max-labels", "0"),
+        ("check", "--sub", "A", "--sup", "B", "--max-seconds", "-1"),
+        ("check", "--sub", "A", "--sup", "B", "--max-steps", "abc"),
+        ("model", "--goal", "A <= B", "--max-domain", "0"),
+    ], ids=["max-steps", "max-labels", "max-seconds", "max-steps-text", "max-domain"])
+    def test_a_limit_that_is_not_positive_is_a_usage_error(self, ontdir, capsys, argv):
+        code, out, err = run(capsys, argv[0], "-o", str(ontdir / "ab.riq"), *argv[1:])
+        assert code == 3 and not out
+        assert f"argument {argv[-2]}: expected a positive integer" in err
+        assert "internal error" not in err
 
 
 class TestErrors:

@@ -405,6 +405,26 @@ class TestExtractCountermodel:
         assert isinstance(result, Refuted)
         assert list(result.interpretation.domain) == ["x0", "x1", "x2", "x3"]
 
+    @pytest.mark.parametrize("ont, sub, sup", [
+        (EMPTY_ONT, "A", "B"),
+        (make_ontology([RIA((r, s), t)], ()), "some r . some s . A", "some t . B"),
+        (normalize_ontology([GCI(TOP, C("some r . A"))], []), "A", "B"),
+    ], ids=["empty", "ria", "folded"])
+    def test_a_refutation_checks_its_model_once(self, monkeypatch, ont, sub, sup):
+        from riq import semantics
+
+        checked = []
+
+        def counting(interpretation, ontology):
+            checked.append(interpretation)
+            return is_model(interpretation, ontology)
+
+        monkeypatch.setattr(semantics, "is_model", counting)
+        monkeypatch.setattr(prover, "is_model", counting)
+        result = subsumes(ont, C(sub), C(sup), LIMITS)
+        assert isinstance(result, Refuted)
+        assert checked == [result.interpretation]
+
     def test_saturated_branch_without_gcis_errors(self):
         # a branch that hides the ontology's GCI list cannot yield a model,
         # and the extraction's check says so instead of returning one

@@ -50,7 +50,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive(text: str) -> int:
-    """The value of a limit option, which must be a positive integer."""
+    """The value of a limit or count option, which must be a positive
+    integer."""
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, found {text!r}")
     return int(text)
@@ -261,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--ontology", required=True)
     p.add_argument("--goal", required=True, help='"C <= D"')
     p.add_argument("--max-domain", type=_positive, default=3)
-    p.add_argument("--samples", type=int, default=None,
+    p.add_argument("--samples", type=_positive, default=None,
                    help="random sampling count for large signatures")
     p.add_argument("--emit-model")
     p.set_defaults(func=_cmd_model)

@@ -68,8 +68,17 @@ extends the carried closure by the edges of its added role atoms alone.
 An (atleast) equality premise, which may merge classes, rebuilds both, and
 so does a premise of a node with an empty antecedent, which has no edges.
 Neither is changed after construction, so sibling branches share them but
-no mutable state.  `apply_rule` checks each propagation witness against
-the conclusion's own atoms, trusting none of this.
+no mutable state.
+
+The search builds each step with `sequent.build_instance`, which makes
+every check of `apply_rule` but that of the propagation witnesses.  An
+(exists) or (atleast) step reads its targets off the closure and is built
+from them alone.  Its propagation witnesses, a node path and the
+derivation of its role string per target, are needed only by a returned
+proof: `assemble` reads them off the node's closure for the steps the
+proof keeps, and checks them against the conclusion's own atoms, trusting
+none of this.  The steps of a Refuted or Unknown search, whose answer no
+proof certifies, derive no witness.
 The branch is not stored: its last sequent holds all of its atoms, and the
 carried `delta_star` all of its consequent occurrences.
 """
@@ -77,7 +86,7 @@ carried `delta_star` all of its consequent occurrences.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from .core import (
@@ -111,7 +120,9 @@ from .sequent import (
     Sequent,
     Witness,
     apply_rule,
+    build_instance,
     build_prop_graph,
+    check_paths,
     eq_classes,
     make_sequent,
 )
@@ -209,19 +220,19 @@ class _Search:
             clashes = names & negated
             occ = next(occ for occ in seq.consequent if isinstance(occ.concept, ConceptName)
                        and (occ.label, occ.concept.name) in clashes)
-            return apply_rule(self.ontology, "id", seq,
+            return build_instance(self.ontology, "id", seq,
                               Witness(label=occ.label, concept=occ.concept))
         for atom in seq.antecedent:
             if not isinstance(atom, Neq):
                 continue
             x, y = atom.left, atom.right
             if x == y or eq is not None and eq.connected(x, y):
-                return apply_rule(self.ontology, "id_eq", seq,
+                return build_instance(self.ontology, "id_eq", seq,
                                   Witness(pair=(x, y),
                                           eq_path=(x,) if x == y else eq.path(x, y)))
         for occ in seq.consequent:
             if isinstance(occ.concept, AtLeast) and occ.concept.n == 0:
-                return apply_rule(self.ontology, "atleast", seq,
+                return build_instance(self.ontology, "atleast", seq,
                                   Witness(label=occ.label, concept=occ.concept))
         return None
 
@@ -290,8 +301,7 @@ class _Search:
             return Witness(label=label, concept=c, fresh=fresh)
         # (exists) needs one open target, (atleast) n of them
         n = 1 if kind == "exists" else c.n
-        x = label if eq is None else eq.rep(label)
-        found = closure.successors(c.role, x)
+        found = closure.successors(c.role, label if eq is None else eq.rep(label))
         if len(found) < n:
             return None
         found = set(found)
@@ -304,17 +314,15 @@ class _Search:
                     break
         else:
             return None
-        wits = [closure.derivation(c.role, x, y) for y in targets]
-        paths = tuple(path for _, path in wits)
-        derivations = tuple(derivation for derivation, _ in wits)
         if kind == "exists":
-            return Witness(label=label, concept=c, target=targets[0],
-                           paths=paths, derivations=derivations)
-        return Witness(label=label, concept=c, targets=tuple(targets),
-                       paths=paths, derivations=derivations)
+            return Witness(label=label, concept=c, target=targets[0])
+        return Witness(label=label, concept=c, targets=tuple(targets))
 
     #: items that may fire several times per cycle (one witness each)
     _REPEATING = ("subst_eq", "exists", "atleast")
+    #: items whose propagation witnesses are derived when the proof is
+    #: assembled, for the instances it keeps
+    _PROPAGATING = ("exists", "atleast")
     #: items that make fresh labels, which a blocked label does not fire
     _GENERATING = ("forall", "atmost")
 
@@ -399,7 +407,8 @@ class _Search:
         return True
 
     def assemble(self, goal: Sequent, instances: list[RuleInstance],
-                 jumped: set[int]) -> Proof:
+                 jumped: set[int], reaches: dict[int, tuple[CflClosure, str]]
+                 ) -> Proof:
         """The proof of `goal` from the recorded pre-order instances.  A
         jumped (and) node is replaced by its left subproof, whose sequents
         then carry the conjunction where they carried the unused conjunct.
@@ -408,7 +417,14 @@ class _Search:
         rewrite at once: the search's instance is kept when it concludes
         that very object, and a rewritten node is re-derived by `apply_rule`
         exactly once.  The nodes are then linked bottom-up, children before
-        their parent."""
+        their parent.
+
+        An (exists) or (atleast) instance `k` has no propagation witnesses
+        yet: they are read off `reaches[k]`, one `CflClosure.derivation` per
+        target.  A kept instance gets them by `replace`, keeping its premise
+        objects, and `check_paths` verifies them; a rewritten one is
+        re-derived with them.  So every node of the proof has passed
+        `apply_rule`'s checks once."""
         conclusions = [goal]
         kept: list[RuleInstance] = []
         for k, inst in enumerate(instances):
@@ -416,8 +432,18 @@ class _Search:
             if k in jumped:
                 conclusions.append(conclusion)
                 continue
+            witness = inst.witness
+            if k in reaches:
+                closure, x = reaches[k]
+                found = [closure.derivation(witness.concept.role, x, y)
+                         for y in (witness.targets or (witness.target,))]
+                witness = replace(witness, paths=tuple(path for _, path in found),
+                                  derivations=tuple(steps for steps, _ in found))
             if inst.conclusion is not conclusion:
-                inst = apply_rule(self.ontology, inst.rule, conclusion, inst.witness)
+                inst = apply_rule(self.ontology, inst.rule, conclusion, witness)
+            elif witness is not inst.witness:
+                inst = replace(inst, witness=witness)
+                check_paths(self.ontology, inst)
             conclusions.extend(reversed(inst.premises))
             kept.append(inst)
         done: list[Proof] = []
@@ -441,12 +467,15 @@ class _Search:
         recorded in pre-order.  When that subtree met no Unknown and left
         the conjunct unused (`left_unused`), the right premise is popped
         unsearched and `assemble` lets the left subproof stand in for the
-        (and) node."""
+        (and) node.  `reaches` keeps, by instance index, the closure and
+        principal representative of each (exists) or (atleast) node, for
+        `assemble`."""
         self.goal_labels = goal.labels()
         stack: list[tuple] = [(goal, frozenset(), None, None, frozenset())]
         instances: list[RuleInstance] = []
         jumped: set[int] = set()
         unknowns: list[Unknown] = []
+        reaches: dict[int, tuple[CflClosure, str]] = {}
         while stack:
             entry = stack.pop()
             if len(entry) == 2:  # the marker between an (and) step's premises
@@ -524,7 +553,10 @@ class _Search:
             rest = agenda[i + 1:]
             if item[0] in self._REPEATING:
                 rest = (item,) + rest
-            instance = apply_rule(self.ontology, item[0], seq, witness)
+            instance = build_instance(self.ontology, item[0], seq, witness)
+            if item[0] in self._PROPAGATING:
+                reaches[len(instances)] = (closure, witness.label if eq is None
+                                           else eq.rep(witness.label))
             instances.append(instance)
             nodes = [(premise, delta_star, rest, structure, retired)
                      for premise in reversed(instance.premises)]
@@ -533,7 +565,7 @@ class _Search:
             stack.extend(nodes)
         if unknowns:
             return unknowns[0]
-        return Proved(self.assemble(goal, instances, jumped))
+        return Proved(self.assemble(goal, instances, jumped, reaches))
 
 
 def prove(ontology: Ontology, goal: Sequent,
@@ -546,8 +578,10 @@ def prove(ontology: Ontology, goal: Sequent,
     A proof is derived from the goal by construction: each node is the
     `apply_rule` instance of its rule and witness on its own conclusion, the
     root concludes the goal, and each child's conclusion is the very premise
-    object its parent's instance made.  So it is what `check_proof` would
-    re-derive from the goal, and every node carries the instance's
+    object its parent's instance made; an (exists) or (atleast) node gets its
+    propagation witnesses, and their check, when the proof is assembled,
+    and one that fails raises RuleError.  So the proof is what `check_proof`
+    would re-derive from the goal, and every node carries the instance's
     premise `layouts`, from which its `premise_maps` are expanded, and its
     `reads`.
 

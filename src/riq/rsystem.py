@@ -46,6 +46,16 @@ class Production:
     def __post_init__(self) -> None:
         if len(self.rhs) < 1:
             raise ValueError("production right-hand side must be nonempty")
+        # the dataclass hash, computed once: a proof check probes the
+        # R-system's productions at every derivation step
+        self.__dict__["_hash"] = hash((self.lhs, self.rhs))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # the hash depends on the process's hash seed, so it is not pickled
+        return type(self), (self.lhs, self.rhs)
 
     def mirror(self) -> "Production":
         """r -> s1...sk as r- -> sk-...s1-: it derives the inverse of each

@@ -386,10 +386,13 @@ def find_countermodel_bounded(
     Within the guard (few names/roles, small domain) the search is exhaustive
     up to isomorphism, so None means "no counter-model up to the bound" —
     never validity.  Beyond the guard a sample count must be supplied and
-    random interpretations are tried instead.
+    random interpretations are tried instead.  ValueError when `max_domain`
+    or `samples` is less than 1.
     """
     if max_domain < 1:
         raise ValueError("max_domain must be at least 1")
+    if samples is not None and samples < 1:
+        raise ValueError("samples must be at least 1")
     names, roles = _sequent_signature(o, seq)
     labels = tuple(dict.fromkeys(
         [lab for atom in seq.antecedent for lab in _atom_labels(atom)]
@@ -450,7 +453,7 @@ def find_countermodel_bounded(
     import random as _random
 
     rng = rng or _random.Random(0)
-    for _ in range(samples or 0):
+    for _ in range(samples):
         n = rng.randint(1, max_domain)
         cvec = tuple(rng.getrandbits(n) for _ in names)
         rvec = tuple(rng.getrandbits(n * n) for _ in roles)

@@ -11,7 +11,11 @@ which makes proof search deterministic.
 
 Each rule's principal types are stated once (`PRINCIPAL_TYPES`).  Every
 premise is made by one builder (`_premise`), which records its layout; the
-premise maps are expanded from the layouts on demand.
+premise maps are expanded from the layouts on demand.  `apply_rule` is
+`build_instance`, which checks every side condition but the propagation
+witnesses and makes the premises, followed by `check_paths`, which checks
+those witnesses; the prover builds every step with `build_instance` and
+checks the witnesses of the steps its proof keeps.
 
 Proof nodes store enough witness data (equality paths, propagation node
 paths with the (position, production) steps that derive their role
@@ -26,7 +30,6 @@ interpreter's recursion limit.
 from __future__ import annotations
 
 import json
-import operator
 import re
 from collections import Counter, deque
 from dataclasses import InitVar, dataclass, field, fields
@@ -135,9 +138,9 @@ class Sequent:
         cache = self.__dict__
         cache["_rooted"] = rooted or _validate(self)
         if rooted and self.antecedent is parent.antecedent:
-            # the labels, atoms and equality classes of a rooted antecedent
-            # are the sequent's
-            for name in ("_labels", "_atom_set", "_equalities"):
+            # the labels, atoms, equality classes and path steps of a rooted
+            # antecedent are the sequent's
+            for name in ("_labels", "_atom_set", "_equalities", "_path_steps"):
                 if name in parent.__dict__:
                     cache[name] = parent.__dict__[name]
 
@@ -172,6 +175,22 @@ class Sequent:
         if any(isinstance(atom, Eq) for atom in self.antecedent):
             return eq_classes(self.antecedent, self.labels())
         return None
+
+    @cached_property
+    def _path_steps(self) -> frozenset[tuple[Label, str, bool, Label]]:
+        """The steps a -ch-> b of a propagation path that the role atoms
+        allow, as (a's representative, ch's name, whether ch is inverted,
+        b's representative): each role atom in both orientations."""
+        eq = self.equalities()
+        steps = set()
+        for atom in self.antecedent:
+            if isinstance(atom, RoleAtom):
+                a, b = (atom.src, atom.dst) if eq is None else (eq.rep(atom.src),
+                                                                  eq.rep(atom.dst))
+                name, inverted = atom.role.name, atom.role.inverted
+                steps.add((a, name, inverted, b))
+                steps.add((b, name, not inverted, a))
+        return frozenset(steps)
 
     def concept_set(self) -> frozenset[tuple[Label, Concept]]:
         return frozenset((occ.label, occ.concept) for occ in self.consequent)
@@ -507,7 +526,9 @@ def _check_propagation(seq: Sequent, g: RSystem, role: Role, x: Label, y: Label,
     production's left-hand side, by a production of the R-system.  The
     derived string must then label the path, which runs from x's class to
     y's class: each step a -ch-> b is a role atom ch(a', b') or ch-(b', a')
-    of the sequent, with a' in a's class and b' in b's."""
+    of the sequent, with a' in a's class and b' in b's.  Each step is one
+    probe of the steps the sequent's role atoms allow, between class
+    representatives, which are cached per antecedent."""
     string = [role]
     for i, (pos, prod) in enumerate(derivation):
         if not 0 <= pos < len(string):
@@ -520,21 +541,15 @@ def _check_propagation(seq: Sequent, g: RSystem, role: Role, x: Label, y: Label,
     if len(path) != len(string) + 1:
         raise RuleError("propagation path length does not match the derived string")
     eq = seq.equalities()
-    same = operator.eq if eq is None else eq.connected
-    if not same(path[0], x):
+    nodes = path if eq is None else tuple(map(eq.rep, path))
+    if nodes[0] != (x if eq is None else eq.rep(x)):
         raise RuleError("propagation path does not start at the principal label")
-    if not same(path[-1], y):
+    if nodes[-1] != (y if eq is None else eq.rep(y)):
         raise RuleError("propagation path does not end at the target label")
-    atoms = seq.atom_set()
-    for a, ch, b in zip(path, string, path[1:]):
-        if eq is None:
-            found = RoleAtom(ch, a, b) in atoms or RoleAtom(ch.inverse(), b, a) in atoms
-        else:
-            inv = ch.inverse()
-            found = any(RoleAtom(ch, a2, b2) in atoms or RoleAtom(inv, b2, a2) in atoms
-                        for a2 in eq.class_of(a) for b2 in eq.class_of(b))
-        if not found:
-            raise RuleError(f"missing propagation edge {a} -{ch}-> {b}")
+    allowed = seq._path_steps
+    for i, ch in enumerate(string):
+        if (nodes[i], ch.name, ch.inverted, nodes[i + 1]) not in allowed:
+            raise RuleError(f"missing propagation edge {path[i]} -{ch}-> {path[i + 1]}")
 
 
 def _check_fresh(seq: Sequent, fresh: tuple[Label, ...]) -> None:
@@ -566,8 +581,41 @@ def _premise(conclusion: Sequent, occurrences: tuple[LabeledConcept, ...],
 def apply_rule(ontology: Ontology, rule: str, conclusion: Sequent,
                witness: Witness) -> RuleInstance:
     """Construct the premises of a rule application bottom-up, verifying the
-    side condition carried by the witness against the ontology's R-system.
-    Raises RuleError if the rule does not apply."""
+    side condition carried by the witness against the ontology's R-system:
+    `build_instance`, then `check_paths`.  Raises RuleError if the rule does
+    not apply."""
+    instance = build_instance(ontology, rule, conclusion, witness)
+    check_paths(ontology, instance)
+    return instance
+
+
+def check_paths(ontology: Ontology, instance: RuleInstance) -> None:
+    """Verify the propagation witnesses of an (exists) or (atleast)
+    instance, one path and derivation per target (`_check_propagation`);
+    other rules have none.  Raises RuleError when one fails."""
+    w = instance.witness
+    if instance.rule == "exists":
+        if len(w.paths) != 1 or len(w.derivations) != 1:
+            raise RuleError("(exists) needs exactly one propagation witness")
+        targets = (w.target,)
+    elif instance.rule == "atleast":
+        if not len(w.paths) == len(w.derivations) == len(w.targets):
+            raise RuleError("(atleast) needs one propagation witness per target")
+        targets = w.targets
+    else:
+        return
+    for y, path, derivation in zip(targets, w.paths, w.derivations):
+        _check_propagation(instance.conclusion, ontology.rsystem, w.concept.role,
+                           w.label, y, path, derivation)
+
+
+def build_instance(ontology: Ontology, rule: str, conclusion: Sequent,
+                   witness: Witness) -> RuleInstance:
+    """`apply_rule` without `check_paths`: every side condition but the
+    propagation witnesses' is verified, and the premises are built from the
+    witness's target(s) alone; for the rules without such witnesses it is
+    `apply_rule`.  The search builds every instance so, and checks the
+    witnesses of those its proof keeps when it assembles the proof."""
     if rule == "id_eq":
         if witness.pair is None or len(witness.pair) != 2:
             raise RuleError("(id_eq) needs its inequality atom")
@@ -601,12 +649,8 @@ def apply_rule(ontology: Ontology, rule: str, conclusion: Sequent,
         made = [_premise(conclusion, (LabeledConcept(x, part),), _ACTIVE, idx, idx)
                 for part in (c.left, c.right)]
     elif rule == "exists":
-        if len(witness.paths) != 1 or len(witness.derivations) != 1:
-            raise RuleError("(exists) needs exactly one propagation witness")
-        y = witness.target
-        _check_propagation(conclusion, ontology.rsystem, c.role, x, y,
-                           witness.paths[0], witness.derivations[0])
-        made = [_premise(conclusion, (LabeledConcept(y, c.body),), _ACTIVE, idx + 1)]
+        made = [_premise(conclusion, (LabeledConcept(witness.target, c.body),),
+                         _ACTIVE, idx + 1)]
     elif rule in ("forall", "atmost"):
         # (forall) is the shape of (atmost 0) with the body not negated: each
         # fresh label starts with the body and its TBox axioms, and the
@@ -631,10 +675,6 @@ def apply_rule(ontology: Ontology, rule: str, conclusion: Sequent,
         ys = witness.targets
         if len(ys) != c.n:
             raise RuleError(f"(atleast {c.n}) needs {c.n} target labels")
-        if not len(witness.paths) == len(witness.derivations) == c.n:
-            raise RuleError("(atleast) needs one propagation witness per target")
-        for y, path, derivation in zip(ys, witness.paths, witness.derivations):
-            _check_propagation(conclusion, ontology.rsystem, c.role, x, y, path, derivation)
         made = [_premise(conclusion, (LabeledConcept(y, c.body),), _ACTIVE, 0) for y in ys]
         made += [_premise(conclusion, (), (), 0, atoms=conclusion.antecedent + (Eq(a, b),))
                  for a, b in combinations(ys, 2)]
@@ -688,15 +728,18 @@ def render_sequent(seq: Sequent) -> str:
     return _render_sequent(seq, {})
 
 
+def _text(concept: Concept, memo: dict[Concept, str]) -> str:
+    """`render_concept`, keeping each concept's text in `memo`: the sequents
+    and witnesses of a proof repeat their concepts."""
+    text = memo.get(concept)
+    if text is None:
+        text = memo[concept] = render_concept(concept)
+    return text
+
+
 def _render_sequent(seq: Sequent, memo: dict[Concept, str]) -> str:
-    """`render_sequent`, keeping each concept's text in `memo`: the sequents
-    of a proof repeat their concepts."""
-    texts = []
-    for occ in seq.consequent:
-        text = memo.get(occ.concept)
-        if text is None:
-            text = memo[occ.concept] = render_concept(occ.concept)
-        texts.append(f"{occ.label} : {text}")
+    """`render_sequent` through `memo` (`_text`)."""
+    texts = [f"{occ.label} : {_text(occ.concept, memo)}" for occ in seq.consequent]
     left = ", ".join(str(atom) for atom in seq.antecedent)
     right = ", ".join(texts)
     if left and right:
@@ -760,13 +803,14 @@ def _parse_sequent(text: str, memo: dict[str, LabeledConcept]) -> Sequent:
 # ---------------------------------------------------------------------------
 
 
-def _witness_to_dict(w: Witness) -> dict:
-    """The set fields; `proof_to_json` writes tuples as lists, roles by `str`,
-    and a derivation step as [position, lhs, rhs1, ...]."""
+def _witness_to_dict(w: Witness, memo: dict[Concept, str]) -> dict:
+    """The set fields, the concept rendered through `memo` (`_text`);
+    `proof_to_json` writes tuples as lists, roles by `str`, and a derivation
+    step as [position, lhs, rhs1, ...]."""
     out = {name: value for name, value in vars(w).items()
            if value is not None and value != ()}
     if w.concept is not None:
-        out["concept"] = render_concept(w.concept)
+        out["concept"] = _text(w.concept, memo)
     if w.derivations:
         out["derivations"] = [[[pos, prod.lhs, *prod.rhs] for pos, prod in steps]
                               for steps in w.derivations]
@@ -831,7 +875,7 @@ def proof_to_json(proof: Proof) -> str:
         nodes.append({
             "rule": node.instance.rule,
             "sequent": _render_sequent(node.conclusion, texts),
-            "witness": _witness_to_dict(node.instance.witness),
+            "witness": _witness_to_dict(node.instance.witness, texts),
             "premises": [done.pop() for _ in node.children],
         })
         done.append(len(nodes) - 1)

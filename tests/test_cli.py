@@ -227,6 +227,21 @@ class TestVerify:
         code, out, _ = self.verify_edited(ontdir, capsys, "exists", field, value)
         assert code == 1 and "Proof INVALID at node 0/0: exists: " in out and reason in out
 
+    def test_an_exists_node_without_its_witness_is_invalid(self, ontdir, capsys):
+        """The search derives propagation witnesses for the nodes of a
+        returned proof only; the checker still requires one of every
+        (exists) node it reads."""
+        proof_path, data = self.emit_ria_proof(ontdir, capsys)
+        node = next(node for node in data["nodes"] if node["rule"] == "exists")
+        assert node["witness"]["paths"] and node["witness"]["derivations"]
+        node["witness"]["paths"] = node["witness"]["derivations"] = []
+        proof_path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", "--proof", str(proof_path),
+                             "-o", str(ontdir / "ria.riq"))
+        assert code == 1 and "internal error" not in err
+        assert "Proof INVALID at node 0/0: exists: (exists) needs exactly one " \
+            "propagation witness" in out
+
     def test_a_version_2_file_is_an_input_error(self, ontdir, capsys):
         proof_path = ontdir / "p.json"
         proof_path.write_text(V2_PROOF)
@@ -514,7 +529,10 @@ class TestLimits:
         ("check", "--sub", "A", "--sup", "B", "--max-seconds", "-1"),
         ("check", "--sub", "A", "--sup", "B", "--max-steps", "abc"),
         ("model", "--goal", "A <= B", "--max-domain", "0"),
-    ], ids=["max-steps", "max-labels", "max-seconds", "max-steps-text", "max-domain"])
+        ("model", "--goal", "A and C and D <= E", "--samples", "0"),
+        ("model", "--goal", "A and C and D <= E", "--samples", "-5"),
+    ], ids=["max-steps", "max-labels", "max-seconds", "max-steps-text", "max-domain",
+            "samples-zero", "samples-negative"])
     def test_a_limit_that_is_not_positive_is_a_usage_error(self, ontdir, capsys, argv):
         code, out, err = run(capsys, argv[0], "-o", str(ontdir / "ab.riq"), *argv[1:])
         assert code == 3 and not out

@@ -1,11 +1,15 @@
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import riq
 from riq import prover, sequent
 from riq.core import GCI, RIA, And, Or, Role, TOP, make_ontology, normalize_ontology
 from riq.prover import (
@@ -18,9 +22,11 @@ from riq.prover import (
     prove,
     subsumes,
 )
+from riq.rsystem import CflClosure
 from riq.semantics import falsifies, find_countermodel_bounded, is_model
 from riq.sequent import (
     RoleAtom,
+    RuleError,
     SequentError,
     check_proof,
     proof_from_json,
@@ -201,14 +207,17 @@ class TestTimeBudget:
             return 0.0 if len(readings) <= readings_on_time else 31.0
 
         applied = []
-        apply_rule = prover.apply_rule
 
-        def counting_apply_rule(*args):
-            applied.append(len(readings))
-            return apply_rule(*args)
+        def counting(rule_builder):
+            def counted(*args):
+                applied.append(len(readings))
+                return rule_builder(*args)
+            return counted
 
         monkeypatch.setattr(prover, "time", SimpleNamespace(monotonic=clock))
-        monkeypatch.setattr(prover, "apply_rule", counting_apply_rule)
+        # the search builds its steps; only assembly applies rules
+        monkeypatch.setattr(prover, "apply_rule", counting(prover.apply_rule))
+        monkeypatch.setattr(prover, "build_instance", counting(prover.build_instance))
         ont = make_ontology([RIA((r, s), t)], ())
         result = subsumes(ont, C("some r . some s . (A and B)"),
                           C("some t . A"), LIMITS)
@@ -551,3 +560,104 @@ class TestBackjumping:
         assert check_proof(ont, copy).ok
         assert unused_conjuncts(proof) == []
         assert find_countermodel_bounded(ont, goal, 2) is None
+
+
+def recording(monkeypatch, owner, name: str) -> list:
+    """Record the arguments of every call of `owner.name`, which runs as
+    before."""
+    calls = []
+    original = getattr(owner, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
+#: `r <= s`: its goals below prove `some s . ...` by propagation from an
+#: r-successor, after an (atleast) step or beneath an (and) step
+DEFERRED_ONT = make_ontology([RIA((r,), s)], ())
+
+
+class TestDeferredWitnesses:
+    """The search builds each (exists) and (atleast) step from its targets
+    alone; the witnesses are read off the closure, and checked, only for
+    the nodes of a returned proof."""
+
+    def test_a_refuted_goal_derives_no_witness(self, monkeypatch):
+        built = recording(monkeypatch, prover, "build_instance")
+        derived = recording(monkeypatch, CflClosure, "derivation")
+        result = subsumes(CHAIN_ONT, C(CHAIN_SUB), C("some t . B"), LIMITS)
+        assert isinstance(result, Refuted)
+        assert [args[1] for args in built].count("exists") == 12
+        assert derived == []
+
+    @pytest.mark.parametrize("ont, sub, sup, rules", [
+        (CHAIN_ONT, CHAIN_SUB, "some t . A", {"exists"}),
+        (DEFERRED_ONT, "(atmost 1 r . TOP) and (some r . A) and (some r . B)",
+         "some s . (A and B)", {"exists", "atleast"}),
+    ], ids=["chain", "atleast"])
+    def test_a_proof_derives_each_kept_witness_once(self, monkeypatch, ont, sub, sup,
+                                                    rules):
+        derived = recording(monkeypatch, CflClosure, "derivation")
+        result = subsumes(ont, C(sub), C(sup), LIMITS)
+        assert isinstance(result, Proved)
+        assert check_proof(ont, result.proof).ok
+        targets = [(w.targets or (w.target,)) for w in
+                   (node.instance.witness for node in result.proof.nodes()
+                    if node.instance.rule in ("exists", "atleast"))]
+        assert {node.instance.rule for node in result.proof.nodes()} >= rules
+        assert len(derived) == sum(map(len, targets))
+        assert sorted(args[3] for args in derived) == sorted(y for ys in targets for y in ys)
+
+    @pytest.mark.parametrize("ont, sub, sup, rewritten", [
+        (CHAIN_ONT, CHAIN_SUB, "some t . A", False),
+        (DEFERRED_ONT, "some r . A", "(D and E) or some s . A", True),
+    ], ids=["kept", "rewritten"])
+    def test_a_tampered_witness_is_refused_at_assembly(self, monkeypatch, ont, sub, sup,
+                                                       rewritten):
+        """Each witness read off the closure ends at the principal label
+        instead of its target.  A kept node is checked by `check_paths`; a
+        node beneath an (and) step whose right premise backjumping skipped
+        is rewritten and re-derived by `apply_rule`, which the search itself
+        never calls."""
+        derivation = CflClosure.derivation
+
+        def tampered(self, role, u, v):
+            steps, path = derivation(self, role, u, v)
+            return steps, path[:-1] + (path[0],)
+
+        monkeypatch.setattr(CflClosure, "derivation", tampered)
+        applied = recording(monkeypatch, prover, "apply_rule")
+        with pytest.raises(RuleError, match="does not end at the target label"):
+            subsumes(ont, C(sub), C(sup), LIMITS)
+        assert ("exists" in [args[1] for args in applied]) == rewritten
+
+    def test_a_production_pickles_across_hash_seeds(self):
+        """The cached hash is rebuilt on unpickling, so a production pickled
+        under one hash seed is found among the productions of an R-system
+        built under another."""
+        src = str(Path(riq.__file__).resolve().parents[1])
+
+        def under_seed(seed: str, code: str, stdin: bytes = b"") -> bytes:
+            path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+            done = subprocess.run([sys.executable, "-c", code], input=stdin, env=env,
+                                  capture_output=True, timeout=120)
+            assert done.returncode == 0, done.stderr.decode()
+            return done.stdout
+
+        make = ("from riq.core import RIA, Role, make_ontology\n"
+                "from riq.rsystem import build_rsystem\n"
+                "r, s, t = Role('r'), Role('s'), Role('t')\n"
+                "g = build_rsystem(make_ontology([RIA((r, s), t)], ()))\n")
+        dumped = under_seed("1", make + "import pickle, sys\n"
+                            "sys.stdout.buffer.write(pickle.dumps(sorted(g.productions, key=str)))")
+        assert under_seed("2", make + "import pickle, sys\n"
+                          "prods = pickle.loads(sys.stdin.buffer.read())\n"
+                          "assert len(prods) == 2\n"
+                          "assert all(p in g.productions and hash(p) == hash((p.lhs, p.rhs))\n"
+                          "           for p in prods)\n"
+                          "print('found')", dumped) == b"found\n"

@@ -156,6 +156,15 @@ class TestOracle:
             find_countermodel_bounded(EMPTY_ONT, big)
         assert find_countermodel_bounded(EMPTY_ONT, big, samples=50) is not None
 
+    @pytest.mark.parametrize("bound", [{"max_domain": 0}, {"samples": 0}, {"samples": -5}],
+                             ids=["max-domain-zero", "samples-zero", "samples-negative"])
+    def test_a_bound_below_one_is_refused(self, bound):
+        """A sample count below 1 would try no interpretation and report
+        none found, as if a search had been made."""
+        big = goal_sequent(EMPTY_ONT, C("A and B and E and F"), C("G"))
+        with pytest.raises(ValueError, match="must be at least 1"):
+            find_countermodel_bounded(EMPTY_ONT, big, **bound)
+
     def test_found_models_falsify(self, rng):
         from riq.semantics import falsifies
 

@@ -157,10 +157,13 @@ def explicit_definition(o: Ontology, c: Concept, theta: Iterable[str],
                         limits: SearchLimits = SearchLimits()) -> DefinitionResult:
     """Full CBP pipeline: extract a concept interpolant for
     O u O_theta |= C <= C_theta, whose proof also shows implicit
-    definability, and verify it as a definition under O.
+    definability, and verify it as a definition under O.  The time hint
+    of all three proof searches counts from this call
+    (``SearchLimits.starting``).
 
     A verification direction that hits its resource bound makes the result
     "unknown"; a verification that fails raises DefinabilityError."""
+    limits = limits.starting()
     theta = frozenset(theta)
     o_theta, c_theta, _ = rename_outside_theta(o, c, theta)
     interp = extract_concept_interpolant(o, o_theta, c, c_theta, limits)

@@ -705,10 +705,12 @@ def compute_concept_interpolant(o1: Ontology, o2: Ontology, c: Concept, d: Conce
                                 limits: SearchLimits = SearchLimits()
                                 ) -> InterpolationResult:
     """Extract an interpolant (``extract_concept_interpolant``) and verify
-    it (``verify_interpolant``).
+    it (``verify_interpolant``).  The time hint of all three proof searches
+    counts from this call (``SearchLimits.starting``).
 
     A verification direction that hits its resource bound makes the result
     "unknown"; a verification that fails raises InterpolationError."""
+    limits = limits.starting()
     result = extract_concept_interpolant(o1, o2, c, d, limits)
     if result.status != "ok":
         return result

@@ -70,6 +70,20 @@ so does a premise of a node with an empty antecedent, which has no edges.
 Neither is changed after construction, so sibling branches share them but
 no mutable state.
 
+A node also carries its consequent's occurrence index, a dict from
+`(label, concept)` to multiplicity (the consequent is a multiset: a union
+ontology's goal may repeat a GCI).  A rule copies its context, so a
+premise is its conclusion without the occurrence its layout drops and with
+those it inserts, and a premise's stack entry holds no index of its own:
+it carries its conclusion's with `(conclusion, layout)`, and `enter`
+derives the premise's, one dict copy, the dropped occurrence taken away
+and the inserted ones added, only when the premise is popped, so a
+premise that backjumping skips or the budget stops costs nothing.  Its
+`delta_star` gains the inserted pairs alone, and its closing scans run
+only when an inserted occurrence or a new atom can close it.  So a node
+costs what its rule inserted, not its whole consequent.  The index lives
+on the stack alone, never on a sequent: a proof keeps its sequents.
+
 The search builds each step with `sequent.build_instance`, which makes
 every check of `apply_rule` but that of the propagation witnesses.  An
 (exists) or (atleast) step reads its targets off the closure and is built
@@ -138,10 +152,19 @@ class SearchLimits:
     max_steps: int = 50000
     max_labels: int = 2000
     max_seconds_hint: int = 120
+    #: the `time.monotonic()` reading that `max_seconds_hint` counts from;
+    #: None starts each search's own clock
+    started: Optional[float] = None
 
     def __post_init__(self) -> None:
         if min(self.max_steps, self.max_labels, self.max_seconds_hint) < 1:
             raise ValueError("search limits must be positive")
+
+    def starting(self) -> SearchLimits:
+        """These limits with the clock read now, unless it was read already:
+        a pipeline calls this once at its entry, so that all of its
+        searches share one deadline."""
+        return self if self.started is not None else replace(self, started=time.monotonic())
 
 
 @dataclass(frozen=True)
@@ -175,7 +198,7 @@ class _Search:
         self.ontology = ontology
         self.limits = limits
         self.steps = 0
-        self.started = time.monotonic()
+        self.started = time.monotonic() if limits.started is None else limits.started
         self.goal_labels: tuple[str, ...] = ()
         self.counter = 0
         # `delta_star` at the last `blocking` call, grouped by label
@@ -206,35 +229,98 @@ class _Search:
     # stage scans: each returns the first enabled application, or None
     # ------------------------------------------------------------------
 
-    def _closure_instance(self, seq: Sequent, eq: Optional[EqClasses]
-                          ) -> Optional[RuleInstance]:
-        # (id) closes on the first name whose negation shares its label
-        names, negated = set(), set()
-        for occ in seq.consequent:
-            c = occ.concept
-            if isinstance(c, ConceptName):
-                names.add((occ.label, c.name))
-            elif isinstance(c, NegatedName):
-                negated.add((occ.label, c.name))
-        if not names.isdisjoint(negated):
-            clashes = names & negated
-            occ = next(occ for occ in seq.consequent if isinstance(occ.concept, ConceptName)
-                       and (occ.label, occ.concept.name) in clashes)
-            return build_instance(self.ontology, "id", seq,
-                              Witness(label=occ.label, concept=occ.concept))
-        for atom in seq.antecedent:
+    def _closure_instance(self, seq: Sequent, eq: Optional[EqClasses],
+                          literals: bool = True, inequalities: bool = True,
+                          empty: bool = True) -> Optional[RuleInstance]:
+        """The closing instance of `seq`, or None: the first (id) on a name
+        whose negation shares its label, else the first (id_eq) on an
+        inequality within one class, else the first (atleast 0).  A scan
+        whose flag is False is skipped; `enter` clears the flags of the
+        scans that cannot fire."""
+        if literals:
+            names, negated = set(), set()
+            for occ in seq.consequent:
+                c = occ.concept
+                if isinstance(c, ConceptName):
+                    names.add((occ.label, c.name))
+                elif isinstance(c, NegatedName):
+                    negated.add((occ.label, c.name))
+            if not names.isdisjoint(negated):
+                clashes = names & negated
+                occ = next(occ for occ in seq.consequent
+                           if isinstance(occ.concept, ConceptName)
+                           and (occ.label, occ.concept.name) in clashes)
+                return build_instance(self.ontology, "id", seq,
+                                      Witness(label=occ.label, concept=occ.concept))
+        for atom in seq.antecedent if inequalities else ():
             if not isinstance(atom, Neq):
                 continue
             x, y = atom.left, atom.right
             if x == y or eq is not None and eq.connected(x, y):
                 return build_instance(self.ontology, "id_eq", seq,
-                                  Witness(pair=(x, y),
-                                          eq_path=(x,) if x == y else eq.path(x, y)))
-        for occ in seq.consequent:
+                                      Witness(pair=(x, y),
+                                              eq_path=(x,) if x == y else eq.path(x, y)))
+        for occ in seq.consequent if empty else ():
             if isinstance(occ.concept, AtLeast) and occ.concept.n == 0:
                 return build_instance(self.ontology, "atleast", seq,
-                                  Witness(label=occ.label, concept=occ.concept))
+                                      Witness(label=occ.label, concept=occ.concept))
         return None
+
+    def enter(self, seq: Sequent, eq: Optional[EqClasses], new_atoms: bool,
+              delta_star: frozenset, index: Optional[dict], change: Optional[tuple]
+              ) -> tuple[dict, frozenset, Optional[RuleInstance]]:
+        """A popped node's occurrence index, its `delta_star` and its closing
+        instance (None when it does not close), from what its stack entry
+        carries: the `delta_star` and index of the node's conclusion and
+        the `change` that made the node, `(conclusion, layout)`.
+
+        The index maps each `(label, concept)` of the node's consequent to
+        its multiplicity.  The goal (`index` None) counts it and runs every
+        closing scan.  A premise copies its conclusion's, takes away the
+        occurrence the layout drops and adds those it inserts, and its
+        `delta_star` gains the inserted pairs: the rest were in the
+        conclusion's.  Its conclusion did not close, so a clash must
+        involve an inserted literal and an (atleast 0) must be inserted,
+        and an inequality can close only when `new_atoms` (the rule changed
+        the antecedent); only a scan that can fire is run, in full, so the
+        witness is the one the full scan finds.  A cycle restart (`change`
+        None) is its own conclusion and closes nothing."""
+        if index is None:
+            index = {}
+            for occ in seq.consequent:
+                key = (occ.label, occ.concept)
+                index[key] = index.get(key, 0) + 1
+            return index, delta_star.union(index), self._closure_instance(seq, eq)
+        if change is None:
+            return index, delta_star, None
+        conclusion, (at, drop, provenances) = change
+        index = index.copy()
+        if drop is not None:
+            occ = conclusion.consequent[drop]
+            key = (occ.label, occ.concept)
+            n = index.pop(key)
+            if n > 1:
+                index[key] = n - 1
+        new = []
+        clash = empty = False
+        for occ in seq.consequent[at:at + len(provenances)]:
+            c = occ.concept
+            key = (occ.label, c)
+            index[key] = index.get(key, 0) + 1
+            if key not in delta_star:
+                new.append(key)
+            kind = type(c)
+            if kind is ConceptName:
+                clash = clash or (occ.label, NegatedName(c.name)) in index
+            elif kind is NegatedName:
+                clash = clash or (occ.label, ConceptName(c.name)) in index
+            elif kind is AtLeast:
+                empty = empty or c.n == 0
+        if new:
+            delta_star = delta_star.union(new)
+        if clash or new_atoms or empty:
+            return index, delta_star, self._closure_instance(seq, eq, clash, new_atoms, empty)
+        return index, delta_star, None
 
     # ------------------------------------------------------------------
     # cycle agenda: one item per pending occurrence, in stage order
@@ -260,7 +346,7 @@ class _Search:
         return tuple(sorted(stages, key=stages.__getitem__))
 
     def realize(self, item: tuple, seq: Sequent, eq: Optional[EqClasses],
-                closure: CflClosure, present: frozenset,
+                closure: CflClosure, present: dict,
                 delta_star: frozenset) -> Optional[Witness]:
         """Turn an agenda item into a rule witness against the current
         sequent, or None when the item is exhausted (its results already
@@ -269,8 +355,9 @@ class _Search:
         Exhaustion is judged against the branch-accumulated consequent, not
         the current one: results introduced earlier stay decisive even after
         a later rule consumed them, which is exactly what the counter-model
-        construction reads off a saturated branch.  `present` holds the
-        current sequent's own occurrences.
+        construction reads off a saturated branch.  `present`, the node's
+        occurrence index (`enter`), holds the current sequent's own
+        occurrences.
 
         A propagation target is a class, named by its representative: one
         that the closure reaches from the label's representative under the
@@ -452,11 +539,14 @@ class _Search:
         return done[0]
 
     def run(self, goal: Sequent) -> ProveResult:
-        """Pop nodes `(sequent, delta_star, agenda, structure, retired)`
-        off a stack, one budget step each: the branch's consequent
-        occurrences, the rest of the saturation cycle (None starts one), the
-        carried `(antecedent, eq, closure)` and the `(label, blocker)` pairs
-        whose fold failed on the branch.  A rule application pushes its premises
+        """Pop nodes `(sequent, delta_star, agenda, structure, retired,
+        index, change)` off a stack, one budget step each: the branch's
+        consequent occurrences up to the node's conclusion, the rest of the
+        saturation cycle (None starts one), the carried `(antecedent, eq,
+        closure)`, the `(label, blocker)` pairs whose fold failed on the
+        branch, and the conclusion's occurrence index with the
+        `(conclusion, layout)` that made the node, from which `enter`
+        derives the node's own.  A rule application pushes its premises
         reversed, so the leftmost runs first, and a cycle restart or a
         failed fold pushes its node again.  The first Refuted answers at
         once; every Unknown is kept while the other nodes may still refute.
@@ -471,7 +561,7 @@ class _Search:
         principal representative of each (exists) or (atleast) node, for
         `assemble`."""
         self.goal_labels = goal.labels()
-        stack: list[tuple] = [(goal, frozenset(), None, None, frozenset())]
+        stack: list[tuple] = [(goal, frozenset(), None, None, frozenset(), None, None)]
         instances: list[RuleInstance] = []
         jumped: set[int] = set()
         unknowns: list[Unknown] = []
@@ -485,13 +575,11 @@ class _Search:
                     jumped.add(at)
                     stack.pop()
                 continue
-            seq, delta_star, agenda, structure, retired = entry
+            seq, delta_star, agenda, structure, retired, index, change = entry
             over = self.budget(seq)
             if over is not None:
                 unknowns.append(over)
                 continue
-            present = seq.concept_set()
-            delta_star = delta_star | present
             if structure is not None and structure[0] == seq.antecedent:
                 _, eq, closure = structure
             else:  # the goal, or a rule changed the antecedent
@@ -503,8 +591,9 @@ class _Search:
                     start = 0
                 eq = structure[1] if start else seq.equalities()
                 closure = None
-
-            closing = self._closure_instance(seq, eq)
+            # the closure is still to be built exactly when the atoms are new
+            index, delta_star, closing = self.enter(seq, eq, closure is None, delta_star,
+                                                    index, change)
             if closing is not None:
                 instances.append(closing)
                 continue
@@ -523,12 +612,12 @@ class _Search:
             blocks = stopped = weak = None  # computed when a generating item comes up
             for i, item in enumerate(agenda):
                 if item[0] in self._GENERATING and item[1] not in self.goal_labels \
-                        and (item[1], item[2]) in present:
+                        and (item[1], item[2]) in index:
                     if stopped is None:
                         blocks, stopped, weak = self.blocking(seq, delta_star, retired)
                     if item[1] in stopped:
                         continue
-                witness = self.realize(item, seq, eq, closure, present, delta_star)
+                witness = self.realize(item, seq, eq, closure, index, delta_star)
                 if witness is not None:
                     break
             else:
@@ -544,10 +633,10 @@ class _Search:
                         # the fold is no model: retire its weak blocks, or
                         # all of them when each is an equal-set ancestor
                         stack.append((seq, delta_star, None, structure,
-                                      retired.union(weak or blocks.items())))
+                                      retired.union(weak or blocks.items()), index, None))
                         continue
                     return Refuted(interpretation, assignment)
-                stack.append((seq, delta_star, None, structure, retired))
+                stack.append((seq, delta_star, None, structure, retired, index, None))
                 continue
 
             rest = agenda[i + 1:]
@@ -558,8 +647,9 @@ class _Search:
                 reaches[len(instances)] = (closure, witness.label if eq is None
                                            else eq.rep(witness.label))
             instances.append(instance)
-            nodes = [(premise, delta_star, rest, structure, retired)
-                     for premise in reversed(instance.premises)]
+            nodes = [(premise, delta_star, rest, structure, retired, index, (seq, layout))
+                     for premise, layout in zip(reversed(instance.premises),
+                                                reversed(instance.layouts))]
             if item[0] == "and":
                 nodes.insert(1, (len(instances) - 1, len(unknowns)))
             stack.extend(nodes)
@@ -574,6 +664,8 @@ def prove(ontology: Ontology, goal: Sequent,
 
     Returns Proved with a proof, Refuted with a verified
     counter-interpretation, or Unknown when a resource bound was hit.
+    `limits.max_seconds_hint` counts from `limits.started`, or from this
+    call when that is None (see `SearchLimits.starting`).
 
     A proof is derived from the goal by construction: each node is the
     `apply_rule` instance of its rule and witness on its own conclusion, the

@@ -125,16 +125,21 @@ class Sequent:
     its conclusion, is checked only where it extends the parent
     (`_extends`); when that check does not settle it, the full check
     (`_validate`) decides, as it does for a sequent made any other way.
-    The parent is not kept and takes no part in equality or hashing."""
+    `inserted` names the occurrences the sequent adds to the parent's
+    consequent, of which it keeps every other occurrence but at most one;
+    then only their labels are checked (None checks every occurrence's).
+    Neither is kept, and neither takes part in equality or hashing."""
 
     antecedent: tuple[Atom, ...]
     consequent: tuple[LabeledConcept, ...]
     parent: InitVar[Optional[Sequent]] = None
+    inserted: InitVar[Optional[tuple[LabeledConcept, ...]]] = None
 
-    def __post_init__(self, parent: Optional[Sequent]) -> None:
+    def __post_init__(self, parent: Optional[Sequent],
+                      inserted: Optional[tuple[LabeledConcept, ...]]) -> None:
         # whether every label is a node of one role tree, which `_extends`
         # needs of a parent
-        rooted = parent is not None and _extends(self, parent)
+        rooted = parent is not None and _extends(self, parent, inserted)
         cache = self.__dict__
         cache["_rooted"] = rooted or _validate(self)
         if rooted and self.antecedent is parent.antecedent:
@@ -201,22 +206,28 @@ class Sequent:
 
 
 def make_sequent(atoms: Iterable[Atom], concepts: Iterable[LabeledConcept],
-                 parent: Optional[Sequent] = None) -> Sequent:
+                 parent: Optional[Sequent] = None,
+                 inserted: Optional[tuple[LabeledConcept, ...]] = None) -> Sequent:
     """Deduplicate atoms (set semantics, insertion order kept), keep the
     consequent as a multiset; `Sequent` validates the result, against
-    `parent` when one is given.  The parent's own antecedent is kept as it
-    is."""
+    `parent` and the `inserted` occurrences when they are given.  The
+    parent's own antecedent is kept as it is.  `inserted` is trusted: it
+    must hold every occurrence of `concepts` not copied from the parent's
+    consequent, as `_premise` makes it."""
     if parent is None or atoms is not parent.antecedent:
         atoms = tuple(dict.fromkeys(atoms))
-    return Sequent(atoms, tuple(concepts), parent)
+    return Sequent(atoms, tuple(concepts), parent, inserted)
 
 
-def _extends(seq: Sequent, parent: Sequent) -> bool:
+def _extends(seq: Sequent, parent: Sequent,
+             inserted: Optional[tuple[LabeledConcept, ...]] = None) -> bool:
     """Whether `seq` is well-formed because `parent` is, and every label of
     each is a node of its role tree: the antecedent of `seq` extends the
     parent's, each added role atom hangs a fresh label beneath a known one,
     each added equality or inequality names known labels (those of the
-    parent and the fresh ones), and so does the consequent.  False when any
+    parent and the fresh ones), and so do the consequent's occurrences.
+    Those copied from the parent's consequent have known labels, so when
+    `inserted` names the others only theirs are checked.  False when any
     of this fails; the sequent may still be well-formed."""
     old, new = parent.antecedent, seq.antecedent
     if not parent._rooted or (new is not old and new[:len(old)] != old):
@@ -233,7 +244,8 @@ def _extends(seq: Sequent, parent: Sequent) -> bool:
         if not isinstance(atom, RoleAtom) and not (atom.left in known
                                                    and atom.right in known):
             return False
-    return all(occ.label in known for occ in seq.consequent)
+    return all(occ.label in known
+               for occ in (seq.consequent if inserted is None else inserted))
 
 
 def _validate(seq: Sequent) -> bool:
@@ -574,7 +586,7 @@ def _premise(conclusion: Sequent, occurrences: tuple[LabeledConcept, ...],
     else:
         consequent = cons[:at] + occurrences + cons[at:drop] + cons[drop + 1:]
     premise = make_sequent(conclusion.antecedent if atoms is None else atoms,
-                           consequent, conclusion)
+                           consequent, conclusion, occurrences)
     return premise, (at, drop, provenances)
 
 

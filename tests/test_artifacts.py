@@ -5,7 +5,10 @@ model JSON.  The goals cover propagation through RIA chains (chains of
 depth 8 to 12 over a transitive role, a role hierarchy, left-recursive
 composition and an inverse role, provable and refutable), a propagation
 path through an equality class made by a counting bound, and a counter-model
-folded by blocking.  A change that means to alter an artifact updates its
+folded by blocking.  The pipeline goals pin, for two interpolations and two
+Beth definitions, the rendered concept, the split goal's proof and both
+verification proofs; their ontologies share GCIs, so the union ontology's
+goal repeats them.  A change that means to alter an artifact updates its
 pin and says why; any other change must leave every pin as it is.
 """
 
@@ -16,6 +19,9 @@ import pytest
 
 from riq import (Proved, Refuted, SearchLimits, parse_concept, parse_ontology, proof_to_json,
                  subsumes)
+from riq.definability import explicit_definition
+from riq.interpolation import compute_concept_interpolant
+from riq.parser import render_concept
 from riq.semantics import model_to_dict
 
 #: the RBoxes of the chain goals
@@ -76,3 +82,68 @@ def test_artifact_is_pinned(name, ontology, sub, sup, verdict, digest):
     got, text = artifact(ontology, sub, sup)
     assert got is verdict
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+#: interpolation: A <= some r . B on the left, some r . B <= E on the right,
+#: and both sides share B <= only r . B
+LEFT = "gci: A <= some r . B\ngci: B <= only r . B\n"
+RIGHT = "gci: some r . B <= E\ngci: E <= B\ngci: B <= only r . B\n"
+#: definability: A is equivalent to a concept over theta = {B, E}, and the
+#: axioms over theta alone recur in the renamed copy
+DEFINED = ("gci: A <= B and some r . E\ngci: B and some r . E <= A\n"
+           "gci: E <= only r . E\ngci: E <= not B\n")
+THETA = ("B", "E")
+PIPELINE_LIMITS = SearchLimits(1500, 40, 10**9)
+
+#: (name, subsumee or defined concept, subsumer or None for a definition,
+#: sha256 of the rendered concept, the split proof and the forward and
+#: backward verification proofs)
+PIPELINE_GOALS = [
+    ("interpolate-exists", "A and (some r . A)", "E or (only r . E)",
+     ("c0e4da2799e14c68526c25ba1e67ab81671e68641f84a4ae1a2abb88278fb658",
+      "3dd67b60a28c445f1f5062d5c1067c46cdd5057ab88ede2b3ff96ed5c7cd0ccc",
+      "c93440516acb698fadb150bbfb46d394c39016ad8d833b1cbb736731e09be2c2",
+      "316fc92ab74ab9b7ed5e889e74aee46b084fb6a02be146ad30b0302c5e56404b")),
+    ("interpolate-literals", "A and (not B)", "E or (B)",
+     ("c0e4da2799e14c68526c25ba1e67ab81671e68641f84a4ae1a2abb88278fb658",
+      "5cd4b2f9b9cf2baf1db27a7c02f52718022eb83395d96766a20e2660c05beb68",
+      "a7118f4b1bd6b3338ccb6edc812edc784c22766f08cb7ae0af287a05f70fc912",
+      "ff63b281b301cc0a4cb706ecae8b60c2aa5e6a3f07a3a40582cc14a98734b462")),
+    ("define-and", "A and (some r . E)", None,
+     ("af74a5b59639fc00b56153d67e5c82e0bd521f320c195f3767e2aa336e3e5adf",
+      "23982a7597f51c8d7b1f6638046521251da4d67c4133a7a044aac32efc0d1e7c",
+      "01609f65fc121049339d0ba7547860cc39465f406267f81891acacfad68bc9cb",
+      "aef428f4cff0ff927559ec30192fbf8d4ecdc23e07b69cf9b63029218e733c7b")),
+    ("define-or", "A or (not E)", None,
+     ("2df828f34cbe322b2541f01d7073f2848cc60a08a2f9d461b9e6841f2d7b3cda",
+      "eceea25a6f37daa97bfd2093bc6f074b949eb13b3b729808e8f4c187b02d5c41",
+      "989288831663efe24b727df42ffde6dd95938b348559e89eac3d16b645ae1d04",
+      "3b2520a2dfa6f0500b331a730a8dc97abb6f2e4a9d383dd03c3d9e1edfef465c")),
+]
+
+
+def pipeline_artifacts(sub: str, sup):
+    """The texts a user receives for an interpolation (``sup`` given) or a
+    definition of ``sub`` from THETA: the concept, the split proof and the
+    two verification proofs."""
+    if sup is not None:
+        result = compute_concept_interpolant(parse_ontology(LEFT), parse_ontology(RIGHT),
+                                             parse_concept(sub), parse_concept(sup),
+                                             PIPELINE_LIMITS)
+        assert result.status == "ok"
+        concept, split, report = result.concept, result.prove_result, result.verification
+    else:
+        result = explicit_definition(parse_ontology(DEFINED), parse_concept(sub), THETA,
+                                     PIPELINE_LIMITS)
+        assert result.status == "ok"
+        concept, split, report = (result.definition, result.interpolation.prove_result,
+                                  result.report)
+    return (render_concept(concept), proof_to_json(split.proof),
+            proof_to_json(report.forward.proof), proof_to_json(report.backward.proof))
+
+
+@pytest.mark.parametrize("name, sub, sup, digests", PIPELINE_GOALS,
+                         ids=[goal[0] for goal in PIPELINE_GOALS])
+def test_pipeline_artifacts_are_pinned(name, sub, sup, digests):
+    texts = pipeline_artifacts(sub, sup)
+    assert tuple(hashlib.sha256(text.encode()).hexdigest() for text in texts) == digests

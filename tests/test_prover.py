@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riq
-from riq import prover, sequent
-from riq.core import GCI, RIA, And, Or, Role, TOP, make_ontology, normalize_ontology
+from riq import definability, interpolation, prover, sequent
+from riq.core import (GCI, RIA, And, AtLeast, ConceptName, NegatedName, Or, Role, TOP,
+                      make_ontology, normalize_ontology)
 from riq.prover import (
     CountermodelError,
     Proved,
@@ -24,16 +26,20 @@ from riq.prover import (
 )
 from riq.rsystem import CflClosure
 from riq.semantics import falsifies, find_countermodel_bounded, is_model
+from riq.semantics import model_to_dict
 from riq.sequent import (
+    Neq,
     RoleAtom,
     RuleError,
     SequentError,
+    Witness,
+    build_instance,
     check_proof,
     proof_from_json,
     proof_to_json,
     walk,
 )
-from conftest import C, EMPTY_ONT, S, random_goal, random_ontology
+from conftest import C, EMPTY_ONT, O, S, random_goal, random_ontology
 
 r, s, t = Role("r"), Role("s"), Role("t")
 LIMITS = SearchLimits(max_steps=5000, max_labels=100, max_seconds_hint=30)
@@ -225,6 +231,47 @@ class TestTimeBudget:
         assert all(n <= readings_on_time for n in applied)
 
 
+    @pytest.mark.parametrize("pipeline", ["interpolate", "define"])
+    def test_a_pipeline_has_one_deadline(self, monkeypatch, pipeline):
+        """The fake clock reads 0.0 until the split search has proved its
+        goal, and 31.0, past the hint, from then on.  The verification
+        searches count the hint from the pipeline's start, not from their
+        own, so both answer Unknown and apply no rule."""
+        now = [0.0]
+        monkeypatch.setattr(prover, "time", SimpleNamespace(monotonic=lambda: now[0]))
+        extract = interpolation.extract_concept_interpolant
+
+        def spending(*args):
+            result = extract(*args)
+            assert isinstance(result.prove_result, Proved)
+            now[0] = 31.0
+            return result
+
+        monkeypatch.setattr(interpolation, "extract_concept_interpolant", spending)
+        monkeypatch.setattr(definability, "extract_concept_interpolant", spending)
+        applied = []
+
+        def counting(rule_builder):
+            def counted(*args):
+                applied.append(now[0])
+                return rule_builder(*args)
+            return counted
+
+        monkeypatch.setattr(prover, "apply_rule", counting(prover.apply_rule))
+        monkeypatch.setattr(prover, "build_instance", counting(prover.build_instance))
+        if pipeline == "interpolate":
+            result = interpolation.compute_concept_interpolant(
+                O("gci: A <= B"), O("gci: B <= E"), C("A"), C("E"), LIMITS)
+            report = result.verification
+        else:
+            result = definability.explicit_definition(
+                O("gci: A <= B\ngci: B <= A"), C("A"), ["B"], LIMITS)
+            report = result.report
+        assert result.status == "unknown"
+        assert report.forward == report.backward == Unknown("time limit reached")
+        assert applied and set(applied) == {0.0}
+
+
 class TestNoGlobalState:
     def test_search_leaves_the_recursion_limit_alone(self, monkeypatch):
         def forbidden(limit):
@@ -341,6 +388,123 @@ class TestStructureCarrying:
             assert isinstance(result, Proved)
         else:
             assert result == Unknown("step limit reached")
+
+
+def full_closing_scan(search, seq, eq):
+    """The closing instance of `seq` by a scan of its whole consequent and
+    antecedent, as every node ran it before the occurrence index was
+    carried: the first (id), else (id_eq), else (atleast 0)."""
+    names, negated = set(), set()
+    for occ in seq.consequent:
+        if isinstance(occ.concept, ConceptName):
+            names.add((occ.label, occ.concept.name))
+        elif isinstance(occ.concept, NegatedName):
+            negated.add((occ.label, occ.concept.name))
+    for occ in seq.consequent:
+        if isinstance(occ.concept, ConceptName) and (occ.label, occ.concept.name) in negated:
+            return build_instance(search.ontology, "id", seq,
+                                  Witness(label=occ.label, concept=occ.concept))
+    for atom in seq.antecedent:
+        if isinstance(atom, Neq) and (atom.left == atom.right or eq is not None
+                                      and eq.connected(atom.left, atom.right)):
+            x, y = atom.left, atom.right
+            return build_instance(search.ontology, "id_eq", seq,
+                                  Witness(pair=(x, y),
+                                          eq_path=(x,) if x == y else eq.path(x, y)))
+    for occ in seq.consequent:
+        if isinstance(occ.concept, AtLeast) and occ.concept.n == 0:
+            return build_instance(search.ontology, "atleast", seq,
+                                  Witness(label=occ.label, concept=occ.concept))
+    return None
+
+
+def verdict_text(result) -> str:
+    """What a user receives for a search result."""
+    if isinstance(result, Proved):
+        return proof_to_json(result.proof)
+    if isinstance(result, Refuted):
+        return str(model_to_dict(result.interpretation, result.assignment))
+    return result.reason
+
+
+def assert_carried_index_exact(ont, goal, limits) -> None:
+    """Search `goal` twice, the second time checking at every popped node
+    that the index a node derives from its conclusion's is the multiset of
+    its consequent, that its `delta_star` is the union of the consequents
+    along its branch, and that its closing instance is the one a full scan
+    finds; both searches answer alike."""
+    unobserved = verdict_text(prove(ont, goal, limits))
+    enter = prover._Search.enter
+    branch = {}  # id of a popped sequent -> (the sequent, its branch's union)
+    popped = []
+
+    def checked(search, seq, eq, new_atoms, delta_star, index, change):
+        got = enter(search, seq, eq, new_atoms, delta_star, index, change)
+        got_index, got_delta, closing = got
+        if index is None:
+            union = seq.concept_set()
+        elif change is None:
+            union = branch[id(seq)][1]
+        else:
+            union = branch[id(change[0])][1] | seq.concept_set()
+        branch[id(seq)] = (seq, union)
+        assert got_index == Counter((o.label, o.concept) for o in seq.consequent)
+        assert got_delta == union
+        expected = full_closing_scan(search, seq, eq)
+        assert (closing is None) == (expected is None)
+        if closing is not None:
+            assert (closing.rule, closing.witness) == (expected.rule, expected.witness)
+        popped.append(seq)
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(prover._Search, "enter", checked)
+        observed = verdict_text(prove(ont, goal, limits))
+    assert popped
+    assert observed == unobserved
+
+
+class TestCarriedIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_the_carried_index_matches_full_scans(self, seed):
+        rng = random.Random(seed)
+        roles = ("r",) if rng.random() < 0.5 else ("r", "s")
+        ont = random_ontology(rng, roles=roles)
+        goal = goal_sequent(ont, *random_goal(rng, roles=roles, ontology=ont))
+        assert_carried_index_exact(ont, goal, SearchLimits(max_steps=300, max_labels=12))
+
+    @pytest.mark.parametrize("sub, sup", [
+        # an (atleast) premise merges two labels an inequality separates
+        ("atleast 3 r . A", "atleast 2 r . A"),
+        # a clash between two occurrences an (or) step inserts
+        ("TOP", "A or not A"),
+        # an (atleast 0) inserted by an (exists) step
+        ("some r . TOP", "some r . atleast 0 s . A"),
+    ])
+    def test_closing_premises_match_full_scans(self, sub, sup):
+        goal = goal_sequent(EMPTY_ONT, C(sub), C(sup))
+        assert_carried_index_exact(EMPTY_ONT, goal, LIMITS)
+
+    def test_a_premise_scans_only_what_its_rule_inserted(self, monkeypatch):
+        """Along the 12-deep chain no premise closes, and no premise runs
+        the (id) or (atleast 0) scan over its consequent: a node derives
+        its index from the occurrences its rule inserted."""
+        scans = []
+        scan = prover._Search._closure_instance
+
+        def recording(self, seq, eq, *flags):
+            scans.append(flags)
+            return scan(self, seq, eq, *flags)
+
+        monkeypatch.setattr(prover._Search, "_closure_instance", recording)
+        result = subsumes(CHAIN_ONT, C(CHAIN_SUB), C("some t . A"), LIMITS)
+        assert isinstance(result, Proved)
+        # the goal's full scan, then only (id_eq) scans after a new atom,
+        # and the clash that closes the proof
+        assert scans[0] == ()
+        assert all(flags[0] is False and flags[2] is False for flags in scans[1:-1])
+        assert scans[-1][0] is True
 
 
 class TestSubsumes:

@@ -278,7 +278,12 @@ def to_nnf(raw: Concept) -> Concept:
     results.  Each node is then built once, already negated q times, so
     ``Not(body)`` is exactly ``nnf_negate(to_nnf(body))``, in time linear
     in the tree, and no negation is built that the result does not hold.
-    A loop on an explicit stack, like `fold_concept`."""
+    A loop on an explicit stack, like `fold_concept`.
+
+    Not on the parse path: `parser.parse_concept` applies the same
+    polarities while it reads, so it never builds a `Not`.  This is for
+    trees built in code, and is the reference the parser is tested
+    against."""
     results: list[Concept] = []
     todo: list[tuple] = [(raw, 0)]
     while todo:

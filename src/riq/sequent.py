@@ -53,7 +53,16 @@ from .core import (
     nnf_negate,
     weight,
 )
-from .parser import NAME, ParseError, _Parser, _tokenize, parse_concept, render_concept
+from .parser import (
+    NAME,
+    _NAME_START,
+    ParseError,
+    _Parser,
+    _parse_error,
+    _tokenize,
+    parse_concept,
+    render_concept,
+)
 from .rsystem import Edge, Production, RSystem, Step
 
 Label = str
@@ -772,41 +781,45 @@ def _parse_sequent(text: str, memo: dict[str, LabeledConcept]) -> Sequent:
     sequents of a proof repeat their occurrences.  Concepts hold no commas,
     so the consequent splits into occurrences before parsing."""
     antecedent, sep, consequent = text.partition("|-")
-    parser = _Parser(_tokenize(antecedent + sep), internal=True)
+    parser = _Parser(antecedent + sep, internal=True)
     atoms: list[Atom] = []
     concepts: list[LabeledConcept] = []
-    while parser.peek()[:2] != ("sym", "|-"):
+    while parser.peek() != "|-":
         if atoms:
             parser.expect_sym(",")
         first = parser.next()
-        if first[0] != "name":
-            raise parser.error(f"expected an atom, found {first[1]!r}", first)
+        if first[:1] not in _NAME_START:
+            raise parser.error(f"expected an atom, found {first!r}")
         nxt = parser.next()
-        if nxt[:2] == ("sym", "("):
+        if nxt == "(":
             src = parser.next()
+            src_at = parser.last
             parser.expect_sym(",")
             dst = parser.next()
             parser.expect_sym(")")
-            if src[0] != "name" or dst[0] != "name":
-                raise parser.error("expected labels in role atom", src)
-            atoms.append(RoleAtom(_role(first[1]), src[1], dst[1]))
-        elif nxt[:2] in (("sym", "="), ("sym", "!=")):
+            if src[:1] not in _NAME_START or dst[:1] not in _NAME_START:
+                raise parser.error("expected labels in role atom", src_at)
+            atoms.append(RoleAtom(_role(first), src, dst))
+        elif nxt == "=" or nxt == "!=":
             other = parser.next()
-            if other[0] != "name":
-                raise parser.error("expected a label", other)
-            atoms.append((Eq if nxt[1] == "=" else Neq)(first[1], other[1]))
+            if other[:1] not in _NAME_START:
+                raise parser.error("expected a label")
+            atoms.append((Eq if nxt == "=" else Neq)(first, other))
         else:
-            raise parser.error(f"malformed atom after {first[1]!r}", nxt)
+            raise parser.error(f"malformed atom after {first!r}")
     parser.expect_sym("|-")
+    at = len(antecedent) + len(sep)  # the characters of `text` before an occurrence
     for occurrence in consequent.split(",") if consequent.strip() else ():
         if occurrence not in memo:
             lab, colon, body = occurrence.partition(":")
             tokens = _tokenize(lab)
-            if not colon or len(tokens) != 2 or tokens[0][0] != "name":
-                raise ParseError(f"expected 'label : concept', found {occurrence.strip()!r}")
-            memo[occurrence] = LabeledConcept(tokens[0][1],
-                                              parse_concept(body, internal=True))
+            if not colon or len(tokens) != 2 or tokens[0][:1] not in _NAME_START:
+                raise _parse_error(f"expected 'label : concept', found {occurrence.strip()!r}",
+                                   lab, None, offset=at)
+            memo[occurrence] = LabeledConcept(
+                tokens[0], parse_concept(body, internal=True, offset=at + len(lab) + 1))
         concepts.append(memo[occurrence])
+        at += len(occurrence) + 1
     return make_sequent(atoms, concepts)
 
 

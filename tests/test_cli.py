@@ -552,6 +552,12 @@ class TestErrors:
                            "--sub", "A", "--sup", "B")
         assert code == 3 and "error" in err
 
+    def test_parse_error_column_counts_from_the_line_start(self, ontdir, capsys):
+        (ontdir / "bad.riq").write_text("gci: A <= B\ngci: A <= B <= C\n")
+        code, _, err = run(capsys, "check", "-o", str(ontdir / "bad.riq"),
+                           "--sub", "A", "--sup", "B")
+        assert code == 3 and "line 2, column 13" in err, err
+
     @pytest.mark.parametrize("sub", ["(" * 600 + "A" + ")" * 600,
                                      "some r . " * 400 + "A"],
                              ids=["parentheses", "existentials"])

@@ -11,6 +11,7 @@ from riq.core import (
     Forall,
     GCI,
     NegatedName,
+    OntologyError,
     Or,
     RIA,
     Role,
@@ -24,6 +25,7 @@ from riq.parser import (
     render_concept,
     render_ontology,
 )
+from riq.sequent import parse_sequent
 from conftest import C, random_concept, random_ontology
 
 A, B = ConceptName("A"), ConceptName("B")
@@ -117,6 +119,90 @@ class TestParseOntology:
         with pytest.raises(ParseError):
             parse_ontology(text, strict=True)
         parse_ontology("roles: r\n" + text, strict=True)
+
+
+#: Malformed inputs and what they raise: (parser, text, error class, message,
+#: line, column).  The messages are pinned as the parser of tuple tokens,
+#: `Not` trees and `to_nnf` gave them, and so are the columns, except those
+#: in CORRECTED_COLUMNS.
+PINNED_ERRORS = [
+    (parse_concept, "A and  $", ParseError, "unexpected character '$'", None, 6),
+    (parse_concept, "A B $", ParseError, "unexpected character '$'", None, 4),
+    (parse_concept, "A and B )", ParseError, "trailing input ')'", None, 9),
+    (parse_concept, "(A and some r . B", ParseError, "expected ')', found ''", None, 18),
+    (parse_concept, "some r A", ParseError, "expected '.', found 'A'", None, 8),
+    (parse_concept, "atleast r . A", ParseError, "expected a number after 'atleast'", None, 9),
+    (parse_concept, "atmost 99999999999 r . A", ParseError,
+     "cardinality 99999999999 out of range", None, 8),
+    (parse_concept, "_T or A", ParseError, "concept name '_T' is reserved", None, 1),
+    (parse_concept, "A'", ParseError, "concept name \"A'\" is reserved", None, 1),
+    (parse_concept, "some and . A", ParseError,
+     "keyword 'and' cannot be used as a role name", None, 6),
+    (parse_concept, "A and r-", ParseError, "'r-' is not a concept name", None, 7),
+    (parse_concept, "some r .", ParseError, "expected a concept, found ''", None, 9),
+    (parse_concept, "not", ParseError, "expected a concept, found ''", None, 4),
+    (parse_concept, "not atmost 2147483647 r . A", OntologyError,
+     "cardinality 2147483648 out of range [0, 2147483647]", None, None),
+    (parse_concept, "(not atmost 2147483647 r . A) and", ParseError,
+     "expected a concept, found ''", None, 34),
+    (parse_concept, "(not atmost 2147483647 r . A) $", ParseError,
+     "unexpected character '$'", None, 30),
+    (parse_sequent, "x |- x : A", ParseError, "malformed atom after 'x'", None, 3),
+    (parse_sequent, "r(x, y |- x : A", ParseError, "expected ')', found '|-'", None, 8),
+    (parse_sequent, "r(x |- x : A", ParseError, "expected ',', found '|-'", None, 5),
+    (parse_sequent, "|- x A", ParseError, "expected 'label : concept', found 'x A'", None, None),
+    (parse_sequent, "|- x $ : A", ParseError, "unexpected character '$'", None, 3),
+    (parse_sequent, "|- x : A and", ParseError, "expected a concept, found ''", None, 7),
+    (parse_ontology, "gci: A <= B <= C", ParseError, "trailing input '<='", 1, 4),
+    (parse_ontology, "ria: <= t", ParseError, "expected a role, found '<='", 1, 2),
+    (parse_ontology, "ria: r o s <= t u", ParseError, "trailing input 'u'", 1, 13),
+    (parse_ontology, "  gci: A <= $", ParseError, "unexpected character '$'", 1, 1),
+    (parse_ontology, "gci: A\n", ParseError, "gci line needs '<='", 1, 1),
+    (parse_ontology, "foo: A", ParseError,
+     "expected 'roles:', 'concepts:', 'ria:' or 'gci:', got 'foo: A'", 1, 1),
+    (parse_ontology, "roles: r, and", ParseError,
+     "keyword 'and' cannot be used as a role name", 1, 5),
+    (parse_ontology, "concepts: A, 3", ParseError, "expected a name, found '3'", 1, 5),
+    (parse_ontology, "gci: not (A and  B <= C", ParseError, "expected ')', found ''", 1, 16),
+    (parse_ontology, "gci: A <= B\ngci: (C <= D", ParseError, "expected ')', found ''", 2, 5),
+    (parse_ontology, "gci: A <= B\n  ria: r <= s $", ParseError, "unexpected character '$'", 2, 8),
+]
+
+#: The columns that parser got wrong: it put an unexpected character at the
+#: whitespace before it, and counted from the start of a fragment (a
+#: sequent's concept, the part of an ontology line after its keyword or
+#: `<=`).  A column is the offending character's, 1-based, from the start
+#: of its line, or the one just past the fragment at its end.
+CORRECTED_COLUMNS = {
+    "A and  $": 8,
+    "A B $": 5,
+    "(not atmost 2147483647 r . A) $": 31,
+    "|- x $ : A": 6,
+    "|- x : A and": 13,
+    "gci: A <= B <= C": 13,
+    "ria: <= t": 6,
+    "ria: r o s <= t u": 17,
+    "  gci: A <= $": 13,
+    "roles: r, and": 11,
+    "concepts: A, 3": 14,
+    "gci: not (A and  B <= C": 20,
+    "gci: A <= B\ngci: (C <= D": 9,
+    "gci: A <= B\n  ria: r <= s $": 15,
+}
+
+
+@pytest.mark.parametrize("parse, text, error, message, line, col", PINNED_ERRORS,
+                         ids=[f"{case[0].__name__}:{case[1]!r}" for case in PINNED_ERRORS])
+def test_error_messages_are_pinned(parse, text, error, message, line, col):
+    col = CORRECTED_COLUMNS.get(text, col)
+    with pytest.raises(error) as err:
+        parse(text)
+    assert type(err.value) is error
+    if error is ParseError:
+        assert (err.value.line, err.value.col) == (line, col)
+        assert str(err.value) == str(ParseError(message, line, col))
+    else:
+        assert str(err.value) == message
 
 
 class TestRender:

@@ -1,6 +1,7 @@
 """Property tests for the text formats: malformed input raises only the
 package's own errors, rendering round-trips through the parser at any
-nesting depth, and general negation normalizes as its definition says."""
+nesting depth, general negation normalizes as its definition says, and the
+parser reads a concept as `to_nnf` of the concept written."""
 
 import json
 
@@ -17,6 +18,7 @@ from riq.core import (
     ConceptName,
     Exists,
     Forall,
+    GCI,
     NegatedName,
     Not,
     Or,
@@ -24,6 +26,7 @@ from riq.core import (
     Role,
     fold_concept,
     nnf_negate,
+    normalize_ontology,
     to_nnf,
 )
 from riq.parser import concept_renderer, parse_concept, parse_ontology, render_concept
@@ -170,6 +173,32 @@ def test_nested_negation_normalizes_as_defined(raw):
     also where `nnf_negate` is not an involution (atleast 0, and operands
     that negate to those of TOP or BOT)."""
     assert to_nnf(raw) == nnf_by_definition(raw)
+
+
+@settings(max_examples=500, deadline=None)
+@given(raw_internal_concepts)
+@example(Not(Not(AtLeast(0, Role("r"), ConceptName("A")))))
+@example(Not(Not(And(AtLeast(0, Role("r"), TOP), Not(BOT)))))
+@example(Not(Not(Or(NegatedName(RESERVED_NAME), ConceptName(RESERVED_NAME)))))
+@example(Not(And(Not(Not(NegatedName(RESERVED_NAME))), ConceptName(RESERVED_NAME))))
+def test_parse_is_the_nnf_of_the_text(raw):
+    """The parser builds each node once, already negated by the `not`s
+    above it, and gets exactly what `to_nnf` makes of the tree written."""
+    assert parse_concept(render_concept(raw), internal=True) == to_nnf(raw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_concepts, raw_concepts)
+@example(AtLeast(0, Role("r"), ConceptName("A")), ConceptName("B"))
+@example(Not(BOT), ConceptName("B"))
+@example(Not(Not(TOP)), ConceptName("B"))
+def test_gci_line_normalizes_its_nnf(lhs, rhs):
+    """A GCI line is its two sides in NNF, normalized as `normalize_ontology`
+    does: only a left side equal to TOP is dropped, so `atleast 0 r . A`,
+    which negates to BOT as TOP does, gives `BOT or D`."""
+    text = f"gci: {render_concept(lhs)} <= {render_concept(rhs)}"
+    assert parse_ontology(text).tbox == \
+        normalize_ontology([GCI(to_nnf(lhs), to_nnf(rhs))], ()).tbox
 
 
 #: JSON values a model file might hold, with the keys a model uses
